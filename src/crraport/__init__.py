@@ -9,15 +9,12 @@ desk-scale study harness with a CLI front end.
 
 from .crra import (
     CrraSolution,
-    GammaCondition,
-    MonotonicityReport,
+    PowerGrid,
     discriminant,
-    gamma_condition,
     gamma_min,
-    is_mv_efficient_power,
     log_solution,
-    monotonicity_check,
     objective_value,
+    power_grid,
     power_solution,
 )
 from .frontier import (
@@ -48,27 +45,18 @@ from .market import (
     synth_market,
 )
 from .oracle import OracleConfig, maximize_numeric, random_feasible
-from .stats import (
-    EmpiricalCdf,
-    TestResult,
-    empirical_cdf,
-    normal_cdf,
-    quantile,
-    shapiro_wilk,
-)
+from .stats import TestResult, normal_cdf, quantile, shapiro_wilk, shapiro_wilk_rows
 from .study import StudyConfig, StudyReport, default_synth_spec, run_study
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CrraSolution",
-    "EmpiricalCdf",
     "FrontierConstants",
-    "GammaCondition",
     "LogNormalParams",
     "MarketParams",
-    "MonotonicityReport",
     "OracleConfig",
+    "PowerGrid",
     "ReturnMatrix",
     "StudyConfig",
     "StudyReport",
@@ -78,23 +66,20 @@ __all__ = [
     "default_synth_spec",
     "discriminant",
     "efficient_constants",
-    "empirical_cdf",
     "estimate_params",
-    "gamma_condition",
     "gamma_min",
     "gmv_weights",
-    "is_mv_efficient_power",
     "load_returns_csv",
     "log_solution",
     "lognormal_moment",
     "markowitz_weights",
     "match_params",
     "maximize_numeric",
-    "monotonicity_check",
     "normal_cdf",
     "objective_value",
     "parabola_variance",
     "portfolio_moments",
+    "power_grid",
     "power_solution",
     "psi",
     "psi_sup_bound",
@@ -104,6 +89,7 @@ __all__ = [
     "run_study",
     "sharpe_weights",
     "shapiro_wilk",
+    "shapiro_wilk_rows",
     "subset",
     "synth_market",
 ]

@@ -12,22 +12,26 @@ reduces the problem to a quadratic in X,
 
 whose discriminant gates existence: a real optimum requires the risk
 aversion g to reach a market-determined threshold ``gamma_min``. The
-maximum sits at the smaller root X-; the optimal weights are
+maximum sits at the smaller root X-, and the optimal portfolio is the
+frontier portfolio with that mean,
 
-    w* = Sigma^-1 [(-1 + (g+1) mu / X) Y / g - X mu],
+    w* = w_gmv + t(g) tilt,    t(g) = (X- - r_gmv) / s,
 
-which is exactly the Markowitz frontier portfolio with target mean X.
-Logarithmic utility (g = 1) has the same weight formulas with value
-ln W0 + 2 ln X - ln(Y)/2 and exists iff gamma_min <= 1. The optimum is
-mean-variance efficient iff it exists and r_gmv > 0, it never coincides
-with the GMV portfolio, and as g -> infinity it converges to the Sharpe
-ratio portfolio while X and V decrease monotonically.
+so one market's ``FrontierConstants`` serve every g and only the scalar
+t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
+at once and is the one place the optimum is computed; ``power_solution``
+is its one-gamma call. Logarithmic utility is its g = 1 case, with value
+ln W0 + 2 ln X - ln(Y)/2, and exists iff gamma_min <= 1
+(``log_solution``). The optimum is mean-variance efficient iff it exists
+and r_gmv > 0, it never coincides with the GMV portfolio, and as
+g -> infinity it converges to the Sharpe ratio portfolio while X and V
+decrease monotonically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,22 +39,39 @@ from .frontier import S_MIN, FrontierConstants, Weights, efficient_constants
 from .market import MarketParams
 
 __all__ = [
+    "OUTCOMES",
     "CrraSolution",
-    "GammaCondition",
-    "MonotonicityReport",
+    "PowerGrid",
     "gamma_min",
     "discriminant",
-    "gamma_condition",
+    "power_grid",
     "power_solution",
     "log_solution",
     "objective_value",
-    "is_mv_efficient_power",
-    "monotonicity_check",
 ]
 
 _NO_SOLUTION_MSG = "no solution exists below gamma_min"
 _NONPOS_MEAN_MSG = "optimal mean non-positive; log-utility objective undefined"
 _PARABOLA_RTOL = 1e-8
+
+# The checks every optimum must pass, in the order they apply, with the
+# error a one-gamma solve raises when one fails.
+_CHECKS = (
+    ("discriminant_mismatch", ArithmeticError, "discriminant forms disagree"),
+    ("below_gamma_min", ValueError, _NO_SOLUTION_MSG),
+    ("nonpositive_mean", ValueError, _NONPOS_MEAN_MSG),
+    (
+        "nonpositive_second_moment",
+        ArithmeticError,
+        "internal inconsistency: second moment non-positive",
+    ),
+    ("nan_utility", ValueError, "expected utility must not be NaN"),
+    ("off_parabola", ArithmeticError, "solution left the mean-variance parabola"),
+    ("at_gmv", ArithmeticError, "solution coincides with the GMV portfolio"),
+)
+# Per-gamma outcome names of ``power_grid``: 0 is "ok", code i > 0 the
+# i-th check above, the first one the cell failed.
+OUTCOMES = ("ok",) + tuple(name for name, _, _ in _CHECKS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,22 +101,26 @@ class CrraSolution:
             raise ValueError("expected utility must not be NaN")
 
 
-def _check_on_parabola(sol: CrraSolution, constants: FrontierConstants) -> None:
-    """Parabola membership and the never-GMV exclusion.
+@dataclass(frozen=True, eq=False)
+class PowerGrid:
+    """Closed-form optima of one market across a gamma grid.
 
-    The absolute floor covers extreme gamma, where v - v_gmv sinks
-    below what y - x^2 can resolve in doubles; real defects violate the
-    identity at O(1).
+    Per gamma of the grid, in its order: the optimal mean ``x``, second moment ``y``, frontier
+    coordinate ``t = (x - r_gmv)/s`` (the optimal weights are
+    ``w_gmv.w + t * tilt`` of the market's constants), the expected
+    utility, and ``outcome``, an index into ``OUTCOMES``. Cells that
+    failed a check hold NaN in every float field.
     """
-    lhs = (sol.x - constants.r_gmv) ** 2
-    rhs = constants.s * (sol.v - constants.v_gmv)
-    tol = _PARABOLA_RTOL * max(abs(lhs), abs(rhs)) + 1e-12 * max(
-        1.0, sol.y, sol.x * sol.x
-    )
-    if abs(lhs - rhs) > tol:
-        raise ArithmeticError("solution left the mean-variance parabola")
-    if sol.x == constants.r_gmv:
-        raise ArithmeticError("solution coincides with the GMV portfolio")
+
+    x: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
+    utility: np.ndarray
+    outcome: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.outcome == 0
 
 
 def gamma_min(constants: FrontierConstants) -> float:
@@ -114,114 +139,135 @@ def gamma_min(constants: FrontierConstants) -> float:
     return 2.0 * s + 2.0 * (s * (1.0 + s) * ratio + root)
 
 
+def _discriminants(
+    gamma: np.ndarray, constants: FrontierConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """Existence discriminant, and where its two algebraic forms disagree."""
+    r2 = constants.r_gmv * constants.r_gmv
+    s, v = constants.s, constants.v_gmv
+    d = (gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v)
+    alt = (gamma - 2.0 * s) ** 2 * r2 - 4.0 * (1.0 + s) * s * (r2 + (gamma + 1.0) * v)
+    scale = np.maximum(np.maximum(np.abs(d), (gamma + 2.0) ** 2 * r2), 1.0)
+    return d, np.abs(d - alt) > 1e-10 * scale
+
+
 def discriminant(gamma: float, constants: FrontierConstants) -> float:
     """Existence discriminant of the optimal-mean quadratic.
 
     (g+2)^2 r^2 - 4 (g+1) (1+s) (r^2 + s v); nonnegative exactly when
     the power-utility optimum exists.
     """
-    r2 = constants.r_gmv * constants.r_gmv
-    s, v = constants.s, constants.v_gmv
-    d = (gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v)
-    alt = (gamma - 2.0 * s) ** 2 * r2 - 4.0 * (1.0 + s) * s * (r2 + (gamma + 1.0) * v)
-    scale = max(abs(d), (gamma + 2.0) ** 2 * r2, 1.0)
-    if abs(d - alt) > 1e-10 * scale:
+    d, mismatch = _discriminants(np.float64(gamma), constants)
+    if mismatch:
         raise ArithmeticError("discriminant forms disagree")
-    return d
+    return float(d)
 
 
-@dataclass(frozen=True, eq=False)
-class GammaCondition:
-    """Existence threshold bundled with the sign condition on r_gmv."""
+def _utility(x, y, gamma, w0: float) -> np.ndarray:
+    """Expected utility at portfolio moments (x, y), elementwise over
+    broadcast arrays; gamma = 1 is log.
 
-    gamma_min: float
-    r_gmv_positive: bool
-    constants: FrontierConstants = field(repr=False)
-
-    def discriminant_at(self, gamma: float) -> float:
-        return discriminant(gamma, self.constants)
-
-    def exists(self, gamma: float) -> bool:
-        return gamma >= self.gamma_min
-
-
-def gamma_condition(constants: FrontierConstants) -> GammaCondition:
-    """Bundle gamma_min with the sign condition on r_gmv."""
-    gm = gamma_min(constants)
-    d_at_min = discriminant(gm, constants)
-    if abs(d_at_min) > 1e-9 * constants.r_gmv * constants.r_gmv:
-        raise ArithmeticError("discriminant does not vanish at gamma_min")
-    return GammaCondition(
-        gamma_min=gm, r_gmv_positive=constants.r_gmv > 0.0, constants=constants
-    )
-
-
-def _clamped_discriminant(gamma: float, constants: FrontierConstants) -> float:
-    """Discriminant with the tiny-negative clamp at the gamma_min boundary."""
-    d = discriminant(gamma, constants)
-    floor = -1e-12 * constants.r_gmv**2 * (gamma + 2.0) ** 2
-    if d < floor:
-        raise ValueError(
-            f"{_NO_SOLUTION_MSG} (gamma={gamma:.6g}, "
-            f"gamma_min={gamma_min(constants):.6g})"
-        )
-    return max(d, 0.0)
-
-
-def _x_minus(gamma: float, constants: FrontierConstants, d: float) -> float:
-    """Smaller root of the optimal-mean quadratic."""
-    r, s, v = constants.r_gmv, constants.s, constants.v_gmv
-    sq = math.sqrt(d)
-    if r > 0.0:
-        # Conjugate form: no cancellation as gamma grows large.
-        return 2.0 * (gamma + 1.0) * (r * r + s * v) / ((gamma + 2.0) * r + sq)
-    return ((gamma + 2.0) * r - sq) / (2.0 * (1.0 + s))
-
-
-def _solve_xy(gamma: float, constants: FrontierConstants) -> tuple[float, float]:
-    """Optimal mean and second moment for risk aversion ``gamma``."""
-    d = _clamped_discriminant(gamma, constants)
-    x = _x_minus(gamma, constants, d)
-    if x <= 0.0:
-        raise ValueError(_NONPOS_MEAN_MSG)
-    r, s, v = constants.r_gmv, constants.s, constants.v_gmv
-    # (x - r)/s through the conjugate of the alternate discriminant
-    # form: exact algebra, and it dodges the small-s cancellation that
-    # the literal (gamma/s)(x r - r^2 - s v) suffers. The denominator
-    # is positive because gamma >= gamma_min > 2s and r > 0 here.
-    tilt = 2.0 * (r * r + (gamma + 1.0) * v) / ((gamma - 2.0 * s) * r + math.sqrt(d))
-    # Same quantity as (gamma/s)(x r - r^2 - s v), rearranged so every
-    # term keeps its sign: stable for tiny s and for huge gamma alike.
-    y = gamma / (gamma + 2.0) * ((1.0 + s) * tilt * (x + r) + (r * r - v))
-    if y <= 0.0:
-        raise ArithmeticError("internal inconsistency: second moment non-positive")
-    return x, y
-
-
-def _weights_from_moments(
-    gamma: float, x: float, y: float, params: MarketParams
-) -> Weights:
-    """Sigma^-1 [(-1 + (g+1) mu / x) y / g - x mu]."""
-    inner = (y / gamma) * ((gamma + 1.0) * params.mu / x - 1.0) - x * params.mu
-    return Weights(params.solve(inner))
-
-
-def _objective(x: float, y: float, gamma: float, w0: float) -> float:
-    """Expected utility at portfolio moments (x, y); gamma=1 is log.
-
-    Exponents beyond the double range collapse to +/-inf (extreme
-    gamma), never NaN.
+    Exponents beyond the double range collapse to +/-inf, never NaN.
     """
-    if gamma == 1.0:
-        return math.log(w0) + 2.0 * math.log(x) - 0.5 * math.log(y)
-    prefactor = w0 ** (1.0 - gamma) / (1.0 - gamma)
-    exponent = (1.0 - gamma * gamma) * math.log(x) + 0.5 * (
-        gamma * gamma - gamma
-    ) * math.log(y)
-    try:
-        return prefactor * math.exp(exponent)
-    except OverflowError:
-        return math.copysign(math.inf, prefactor)
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(all="ignore"):
+        log_x, log_y = np.log(x), np.log(y)
+        prefactor = w0 ** (1.0 - gamma) / (1.0 - gamma)
+        growth = np.exp((1.0 - gamma * gamma) * log_x + 0.5 * (gamma * gamma - gamma) * log_y)
+        power = np.where(
+            np.isinf(growth), np.copysign(np.inf, prefactor), prefactor * growth
+        )
+        log_utility = math.log(w0) + 2.0 * log_x - 0.5 * log_y
+    return np.where(gamma == 1.0, log_utility, power)
+
+
+def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGrid:
+    """Optimal portfolios for every risk aversion in ``gammas`` at once.
+
+    Each gamma gets the smaller root of the optimal-mean quadratic, its
+    second moment, frontier coordinate and expected utility, and the
+    first check it fails, if any: the two discriminant forms agree, the
+    discriminant is at least its tiny-negative clamp floor (gamma
+    reaches gamma_min up to rounding), x > 0, y > 0, the utility is not
+    NaN, the point lies on the mean-variance parabola, and it is not the
+    GMV portfolio. Raises ValueError for a nonpositive gamma or wealth
+    and for a degenerate frontier.
+    """
+    g = np.array(gammas, dtype=float).ravel()
+    if not np.all(g > 0.0):
+        raise ValueError("relative risk aversion must be positive")
+    if not w0 > 0.0:
+        raise ValueError("initial wealth must be positive")
+    if constants.s <= S_MIN:
+        raise ValueError("degenerate frontier")
+    r, s, v = constants.r_gmv, constants.s, constants.v_gmv
+    d, mismatch = _discriminants(g, constants)
+    with np.errstate(all="ignore"):
+        below = d < -1e-12 * r * r * (g + 2.0) ** 2
+        sq = np.sqrt(np.maximum(d, 0.0))
+        if r > 0.0:
+            # Conjugate form: no cancellation as gamma grows large.
+            x = 2.0 * (g + 1.0) * (r * r + s * v) / ((g + 2.0) * r + sq)
+        else:
+            x = ((g + 2.0) * r - sq) / (2.0 * (1.0 + s))
+        # t = (x - r)/s through the conjugate of the alternate
+        # discriminant form: exact algebra, and it dodges the small-s
+        # cancellation that the literal (gamma/s)(x r - r^2 - s v)
+        # suffers. The denominator is positive where x > 0, because
+        # then r > 0 and gamma >= gamma_min > 2s.
+        t = 2.0 * (r * r + (g + 1.0) * v) / ((g - 2.0 * s) * r + sq)
+        # Same quantity as (gamma/s)(x r - r^2 - s v), rearranged so
+        # every term keeps its sign: stable for tiny s and huge gamma.
+        y = g / (g + 2.0) * ((1.0 + s) * t * (x + r) + (r * r - v))
+        utility = _utility(x, y, g, w0)
+        # The absolute floor covers extreme gamma, where v - v_gmv sinks
+        # below what y - x^2 can resolve in doubles; real defects
+        # violate the identity at O(1).
+        lhs = (x - r) ** 2
+        rhs = s * (y - x * x - v)
+        tol = _PARABOLA_RTOL * np.maximum(np.abs(lhs), np.abs(rhs)) + 1e-12 * np.maximum(
+            np.maximum(1.0, y), x * x
+        )
+        failed = (
+            mismatch,
+            below,
+            ~(x > 0.0),
+            ~(y > 0.0),
+            np.isnan(utility),
+            ~(np.abs(lhs - rhs) <= tol),
+            x == r,
+        )
+    outcome = np.zeros(g.shape, dtype=np.int8)
+    for code in range(len(failed), 0, -1):
+        outcome[failed[code - 1]] = code
+    bad = outcome != 0
+    for arr in (x, y, t, utility):
+        arr[bad] = np.nan
+        arr.flags.writeable = False
+    outcome.flags.writeable = False
+    return PowerGrid(x=x, y=y, t=t, utility=utility, outcome=outcome)
+
+
+def _solution(gamma: float, constants: FrontierConstants, w0: float) -> CrraSolution:
+    """The one-gamma call of ``power_grid``, raising the failed check."""
+    grid = power_grid(constants, (gamma,), w0)
+    code = int(grid.outcome[0])
+    if code:
+        _, error, message = _CHECKS[code - 1]
+        if message == _NO_SOLUTION_MSG:
+            message += f" (gamma={gamma:.6g}, gamma_min={gamma_min(constants):.6g})"
+        raise error(message)
+    x, y = float(grid.x[0]), float(grid.y[0])
+    return CrraSolution(
+        gamma=float(gamma),
+        x=x,
+        y=y,
+        v=y - x * x,
+        weights=Weights(constants.w_gmv.w + float(grid.t[0]) * constants.tilt),
+        expected_utility=float(grid.utility[0]),
+        mv_efficient=constants.r_gmv > 0.0,
+        w0=w0,
+    )
 
 
 def power_solution(
@@ -230,76 +276,39 @@ def power_solution(
     """Optimal portfolio maximizing expected power utility.
 
     Requires gamma >= gamma_min (a discriminant within rounding of zero
-    is treated as the boundary case). gamma = 1 dispatches to
-    ``log_solution``; the weight formulas coincide there.
+    is treated as the boundary case). gamma = 1 is logarithmic utility.
     """
-    if gamma <= 0.0:
-        raise ValueError("relative risk aversion must be positive")
-    if w0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    if gamma == 1.0:
-        return log_solution(params, w0)
-    constants = efficient_constants(params)
-    if constants.s <= S_MIN:
-        raise ValueError("degenerate frontier")
-    x, y = _solve_xy(gamma, constants)
-    weights = _weights_from_moments(gamma, x, y, params)
-    solution = CrraSolution(
-        gamma=gamma,
-        x=x,
-        y=y,
-        v=y - x * x,
-        weights=weights,
-        expected_utility=_objective(x, y, gamma, w0),
-        mv_efficient=constants.r_gmv > 0.0,
-        w0=w0,
-    )
-    _check_on_parabola(solution, constants)
-    return solution
+    return _solution(gamma, efficient_constants(params), w0)
 
 
 def log_solution(params: MarketParams, w0: float = 1.0) -> CrraSolution:
     """Optimal portfolio maximizing expected logarithmic utility.
 
-    Exists iff gamma_min <= 1; equals the gamma = 1 evaluation of the
-    power-utility formulas, with value ln W0 + 2 ln X - ln(Y)/2.
+    The gamma = 1 case of ``power_solution``, with value
+    ln W0 + 2 ln X - ln(Y)/2; exists iff gamma_min <= 1.
     """
     if w0 <= 0.0:
         raise ValueError("initial wealth must be positive")
     constants = efficient_constants(params)
-    if constants.s <= S_MIN:
-        raise ValueError("degenerate frontier")
     gm = gamma_min(constants)
     if gm > 1.0:
         raise ValueError(
             f"log-utility solution does not exist for this market "
             f"(gamma_min={gm:.6g} > 1)"
         )
-    x, y = _solve_xy(1.0, constants)
-    weights = _weights_from_moments(1.0, x, y, params)
-    solution = CrraSolution(
-        gamma=1.0,
-        x=x,
-        y=y,
-        v=y - x * x,
-        weights=weights,
-        expected_utility=_objective(x, y, 1.0, w0),
-        mv_efficient=constants.r_gmv > 0.0,
-        w0=w0,
-    )
-    _check_on_parabola(solution, constants)
-    return solution
+    return _solution(1.0, constants, w0)
 
 
-def objective_value(
-    w: Weights, params: MarketParams, gamma: float, w0: float = 1.0
-) -> float:
+def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
     """Expected utility of an arbitrary feasible portfolio.
 
-    Exact under the moment-matched log-normal model; requires
-    w'mu > 0 (the objective contains ln of the mean).
+    ``gamma`` is one risk aversion (returns a float) or an array of them
+    (returns an array, elementwise). Exact under the moment-matched
+    log-normal model; requires w'mu > 0 (the objective contains ln of
+    the mean).
     """
-    if gamma <= 0.0:
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g > 0.0):
         raise ValueError("relative risk aversion must be positive")
     if w0 <= 0.0:
         raise ValueError("initial wealth must be positive")
@@ -307,71 +316,5 @@ def objective_value(
     if x <= 0.0:
         raise ValueError("outside objective domain")
     y = float(w.w @ params.sigma @ w.w) + x * x
-    return _objective(x, y, gamma, w0)
-
-
-def is_mv_efficient_power(gamma: float, constants: FrontierConstants) -> bool:
-    """True iff the power-utility optimum is mean-variance efficient.
-
-    Equivalent to gamma >= gamma_min together with r_gmv > 0.
-    """
-    if constants.r_gmv <= 0.0:
-        return False
-    if constants.s <= S_MIN:
-        # Degenerate-frontier limit: gamma_min -> 0.
-        return gamma > 0.0
-    return gamma >= gamma_min(constants)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Per-gamma table of (x, v, utility) plus the monotonicity verdicts."""
-
-    gammas: tuple[float, ...]
-    x_values: tuple[float, ...]
-    v_values: tuple[float, ...]
-    utilities: tuple[float, ...]
-    sharpe_return: float
-    x_strictly_decreasing: bool
-    v_strictly_decreasing: bool
-    x_above_sharpe_return: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.x_strictly_decreasing
-            and self.v_strictly_decreasing
-            and self.x_above_sharpe_return
-        )
-
-
-def monotonicity_check(params: MarketParams, gammas) -> MonotonicityReport:
-    """Verify that x(gamma), v(gamma) decrease and x stays above the
-    Sharpe portfolio's expected return along an ascending gamma grid."""
-    grid = [float(g) for g in gammas]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("gamma grid must be strictly ascending")
-    constants = efficient_constants(params)
-    if constants.r_gmv <= 0.0:
-        raise ValueError("r_gmv must be positive")
-    gm = gamma_min(constants)
-    if grid and grid[0] < gm:
-        raise ValueError(f"all gammas must be >= gamma_min ({gm:.6g})")
-
-    solutions = [power_solution(g, params) for g in grid]
-    xs = tuple(sol.x for sol in solutions)
-    vs = tuple(sol.v for sol in solutions)
-    us = tuple(sol.expected_utility for sol in solutions)
-    ones = np.ones(params.k)
-    sinv_mu = params.solve(params.mu)
-    sharpe_return = float(params.mu @ sinv_mu) / float(ones @ sinv_mu)
-    return MonotonicityReport(
-        gammas=tuple(grid),
-        x_values=xs,
-        v_values=vs,
-        utilities=us,
-        sharpe_return=sharpe_return,
-        x_strictly_decreasing=all(b < a for a, b in zip(xs, xs[1:])),
-        v_strictly_decreasing=all(b < a for a, b in zip(vs, vs[1:])),
-        x_above_sharpe_return=all(x >= sharpe_return - 1e-10 for x in xs),
-    )
+    utility = _utility(x, y, g, w0)
+    return float(utility) if g.ndim == 0 else utility

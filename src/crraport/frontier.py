@@ -1,15 +1,19 @@
 """Efficient-set constants and classical mean-variance portfolios.
 
 Three scalars pin down the frontier geometry: the expected gross return
-``r_gmv`` and variance ``v_gmv`` of the global minimum variance
-portfolio, and the slope ``s = mu' Q mu`` with
+``r_gmv`` and variance ``v_gmv`` of the global minimum variance (GMV)
+portfolio, and the slope
 
-    Q = Sigma^-1 - Sigma^-1 1 1' Sigma^-1 / (1' Sigma^-1 1).
+    s = mu' Q mu,   Q = Sigma^-1 - Sigma^-1 1 1' Sigma^-1 / (1' Sigma^-1 1).
 
 Every feasible optimal portfolio lives on the parabola
 ``(X - r_gmv)^2 = s (V - v_gmv)`` in mean-variance space; its upper
-branch (X >= r_gmv) is the efficient frontier. Shorting is allowed
-throughout: feasible means w'1 = 1.
+branch (X >= r_gmv) is the efficient frontier. The frontier portfolio
+with mean X is ``w_gmv + t tilt`` with ``t = (X - r_gmv)/s`` and the
+Markowitz tilt ``tilt = Q mu = Sigma^-1 (mu - r_gmv 1)``, which sums to
+zero. ``Q`` itself is never formed: ``tilt`` and ``s = tilt'(mu - r_gmv)``
+come from one solve against the stacked right-hand side [1, mu - mean(mu)].
+Shorting is allowed throughout: feasible means w'1 = 1.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ __all__ = [
 # regularize.
 S_MIN = 1e-12
 
-_WEIGHT_SUM_ATOL = 1e-10
-_Q_NULL_ATOL = 1e-10
+# Budget and null-space checks, relative to the magnitudes summed: the
+# rounding of a sum grows with its terms, and leveraged or
+# small-variance markets carry large terms.
+_SUM_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,69 +57,79 @@ class Weights:
         w = np.array(self.w, dtype=float).ravel()
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if abs(w.sum() - 1.0) > _WEIGHT_SUM_ATOL:
-            raise ValueError("weights must sum to 1 (absolute tolerance 1e-10)")
+        if abs(w.sum() - 1.0) > _SUM_RTOL * max(1.0, float(np.abs(w).sum())):
+            raise ValueError("weights must sum to 1 (relative tolerance 1e-10 of sum |w|)")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True, eq=False)
 class FrontierConstants:
-    """Location of the efficient frontier: r_gmv, v_gmv, slope s, and Q."""
+    """One market's efficient frontier: ``r_gmv``, ``v_gmv``, the slope
+    ``s``, the GMV weights and the Markowitz tilt ``Q mu``.
+
+    The frontier portfolio with mean X is ``w_gmv.w + (X - r_gmv)/s * tilt``.
+    """
 
     r_gmv: float
     v_gmv: float
     s: float
-    q: np.ndarray
+    w_gmv: Weights
+    tilt: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.v_gmv > 0.0:
             raise ValueError("v_gmv must be positive")
         if self.s < 0.0:
             raise ValueError("s must be nonnegative")
-        q = np.array(self.q, dtype=float)
-        ones = np.ones(q.shape[0])
-        if np.max(np.abs(q @ ones)) > _Q_NULL_ATOL:
-            raise ValueError("Q must annihilate the ones vector")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        tilt = np.array(self.tilt, dtype=float).ravel()
+        if tilt.shape != self.w_gmv.w.shape or not np.all(np.isfinite(tilt)):
+            raise ValueError("tilt must be finite and match the GMV weights")
+        tilt.flags.writeable = False
+        object.__setattr__(self, "tilt", tilt)
 
 
 def efficient_constants(params: MarketParams) -> FrontierConstants:
-    """Compute (r_gmv, v_gmv, s, Q) from the market parameters.
+    """Compute (r_gmv, v_gmv, s, w_gmv, tilt) from the market parameters.
 
-    All inverse applications are linear solves against the cached
-    Cholesky factor of sigma; Q is assembled from solve columns.
+    One linear solve against the cached Cholesky factor of sigma, with
+    the stacked right-hand side [1, mu - m] for m the mean of mu.
+    In exact arithmetic centring mu changes nothing (the tilt is
+    Sigma^-1 (mu - r_gmv 1) either way), but it keeps the tilt from being
+    the difference of two large, nearly equal vectors when the means sit
+    close together, as gross means near 1 do.
     """
-    ones = np.ones(params.k)
-    sinv_one = params.solve(ones)
-    sinv_mu = params.solve(params.mu)
-    a = float(ones @ sinv_one)
-    b = float(ones @ sinv_mu)
-    c = float(params.mu @ sinv_mu)
+    centre = float(params.mu.mean())
+    dev = params.mu - centre
+    solved = params.solve(np.column_stack((np.ones(params.k), dev)))
+    sinv_one, sinv_dev = solved[:, 0], solved[:, 1]
+    a = float(sinv_one.sum())
+    shift = float(sinv_dev.sum()) / a
+    r_gmv = centre + shift
+    tilt = sinv_dev - shift * sinv_one
 
-    sigma_inv = params.solve(np.eye(params.k))
-    q = sigma_inv - np.outer(sinv_one, sinv_one) / a
-    q = 0.5 * (q + q.T)
+    scale = float(np.abs(sinv_dev).sum()) + abs(shift) * float(np.abs(sinv_one).sum())
+    if abs(float(tilt.sum())) > _SUM_RTOL * scale:
+        raise ArithmeticError("tilt must sum to zero")
 
-    # s is defined through Q; both evaluations cancel ~7 digits on
-    # small-vol markets, so the noise floor below is scale-aware and
-    # true-zero slopes (equal means) clamp to exactly 0.
-    s = float(params.mu @ (q @ params.mu))
-    noise = (
-        16.0
-        * np.finfo(float).eps
-        * max(1.0, float(np.max(np.abs(q))) * float(np.max(np.abs(params.mu))) ** 2)
-        * params.k
-    )
+    # s is a positive semidefinite form; rounding can leave it a few
+    # ulps of its terms either side of zero, and true-zero slopes
+    # (equal means) clamp to exactly 0.
+    excess = params.mu - r_gmv
+    terms = tilt * excess
+    s = float(terms.sum())
+    noise = 16.0 * np.finfo(float).eps * params.k * float(np.abs(terms).sum())
     if s < -noise:
         raise ValueError("slope parameter came out materially negative")
     if s <= noise:
         s = 0.0
-    s_solve = c - b * b / a
-    if abs(s_solve - s) > max(1e-10 * max(1.0, abs(c)), 4.0 * noise):
-        raise ArithmeticError("inconsistent slope between solve and Q forms")
-    return FrontierConstants(r_gmv=b / a, v_gmv=1.0 / a, s=s, q=q)
+    c_dev = float(dev @ sinv_dev)
+    s_quadratic = c_dev - shift * shift * a
+    if abs(s_quadratic - s) > max(1e-10 * max(1.0, c_dev), 4.0 * noise):
+        raise ArithmeticError("inconsistent slope between tilt and quadratic forms")
+    return FrontierConstants(
+        r_gmv=r_gmv, v_gmv=1.0 / a, s=s, w_gmv=Weights(sinv_one / a), tilt=tilt
+    )
 
 
 def gmv_weights(params: MarketParams) -> Weights:
@@ -151,13 +167,15 @@ def markowitz_weights(
 ) -> Weights:
     """Frontier portfolio with expected gross return ``x_target``.
 
-    w = w_gmv + (x_target - r_gmv)/s * Q mu.
+    w = w_gmv + (x_target - r_gmv)/s * tilt, with ``constants`` those of
+    ``params``.
     """
+    if constants.tilt.size != params.k:
+        raise ValueError("frontier constants do not match the market")
     if constants.s <= S_MIN:
         raise ValueError("degenerate frontier")
-    base = gmv_weights(params).w
-    tilt = constants.q @ params.mu
-    return Weights(base + (float(x_target) - constants.r_gmv) / constants.s * tilt)
+    t = (float(x_target) - constants.r_gmv) / constants.s
+    return Weights(constants.w_gmv.w + t * constants.tilt)
 
 
 def parabola_variance(x: float, constants: FrontierConstants) -> float:

@@ -17,12 +17,12 @@ discarded as divergent rather than reported as maxima.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .crra import _objective
 from .frontier import Weights, gmv_weights, sharpe_weights
 from .market import MarketParams
 
@@ -86,6 +86,25 @@ def random_feasible(params: MarketParams, n: int, seed: int) -> list[Weights]:
     if skipped:
         logger.warning("random_feasible: skipped %d of %d draws", skipped, n)
     return out
+
+
+def _objective(x: float, y: float, gamma: float, w0: float) -> float:
+    """Expected utility at portfolio moments (x, y); gamma = 1 is log.
+
+    The oracle's own scalar evaluation, apart from the closed forms in
+    ``crra``. Exponents beyond the double range collapse to +/-inf
+    (extreme gamma), never NaN.
+    """
+    if gamma == 1.0:
+        return math.log(w0) + 2.0 * math.log(x) - 0.5 * math.log(y)
+    prefactor = w0 ** (1.0 - gamma) / (1.0 - gamma)
+    exponent = (1.0 - gamma * gamma) * math.log(x) + 0.5 * (
+        gamma * gamma - gamma
+    ) * math.log(y)
+    try:
+        return prefactor * math.exp(exponent)
+    except OverflowError:
+        return math.copysign(math.inf, prefactor)
 
 
 def _full_weights(u: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Statistical kernel: normal CDF, Shapiro-Wilk test, ECDFs, quantiles.
+"""Statistical kernel: normal CDF, Shapiro-Wilk test, quantiles.
 
 Everything here is a pure function of its inputs and safe to call from
 any thread.
@@ -6,6 +6,7 @@ any thread.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,10 +15,9 @@ from scipy.special import erfc, ndtri
 
 __all__ = [
     "TestResult",
-    "EmpiricalCdf",
     "normal_cdf",
     "shapiro_wilk",
-    "empirical_cdf",
+    "shapiro_wilk_rows",
     "quantile",
 ]
 
@@ -70,26 +70,14 @@ def _poly(coeffs, x: float) -> float:
     return acc
 
 
-def shapiro_wilk(sample) -> TestResult:
-    """Shapiro-Wilk W test of composite normality.
+@functools.lru_cache(maxsize=64)
+def _sw_coefficients(n: int) -> np.ndarray:
+    """AS R94 coefficients of the lower half of the ordered sample, for
+    sample size n; read-only, computed once per n.
 
-    Implements the Royston (1995) approximation (AS R94): expected
-    normal order statistics from the Blom-type quantile formula,
-    polynomial-corrected end coefficients, and a normal approximation
-    of the null distribution of ``log(1 - W)`` (with separate
-    regressions for n <= 11 and n >= 12; n = 3 is exact).
-
-    Valid for sample sizes 3 <= n <= 5000 with non-degenerate spread.
+    Expected normal order statistics come from the Blom-type quantile
+    formula, with the two end coefficients polynomial-corrected.
     """
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
-    n = int(x.size)
-    if n < 3 or n > 5000:
-        raise ValueError("sample size must be in [3, 5000]")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample must contain only finite values")
-    if x[-1] - x[0] <= 0.0:
-        raise ValueError("zero sample variance")
-
     n2 = n // 2
     # Lower-half expected order statistics (all negative; middle is 0
     # for odd n and drops out of the statistic).
@@ -115,66 +103,78 @@ def shapiro_wilk(sample) -> TestResult:
             fac = math.sqrt((ssq - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 * a1))
             coef[0] = a1
             coef[1:] = -m[1:] / fac
+    coef.flags.writeable = False
+    return coef
 
-    centred = x - x.mean()
-    ssx = float(np.dot(centred, centred))
-    sax = float(np.dot(coef, x[: -n2 - 1 : -1] - x[:n2]))
-    w = min(sax * sax / ssx, 1.0)
 
+def _sw_p_values(w: np.ndarray, n: int) -> np.ndarray:
+    """Upper-tail p-values of W for sample size n: exact for n = 3,
+    otherwise a normal approximation of log(1 - W), with separate
+    regressions for n <= 11 and n >= 12."""
     if n == 3:
-        # Exact null distribution for n = 3.
-        p = 1.90985931710274 * (math.asin(math.sqrt(w)) - 1.04719755119660)
-        return TestResult(w, min(1.0, max(0.0, p)))
-
+        p = 1.90985931710274 * (np.arcsin(np.sqrt(w)) - 1.04719755119660)
+        return np.clip(p, 0.0, 1.0)
     w1 = 1.0 - w
-    if w1 <= 1e-19:
-        return TestResult(w, 1.0)
-    y = math.log(w1)
+    y = np.log(w1)
     if n <= 11:
         gma = _poly(_G, float(n))
-        if y >= gma:
-            return TestResult(w, 0.0)
-        z = (-math.log(gma - y) - _poly(_C3, float(n))) / math.exp(
-            _poly(_C4, float(n))
-        )
+        z = (-np.log(gma - y) - _poly(_C3, float(n))) / math.exp(_poly(_C4, float(n)))
+        p = np.where(y >= gma, 0.0, normal_cdf(-z))
     else:
         ln_n = math.log(n)
         z = (y - _poly(_C5, ln_n)) / math.exp(_poly(_C6, ln_n))
-    p = normal_cdf(-z)  # upper tail
-    return TestResult(w, min(1.0, max(0.0, p)))
+        p = normal_cdf(-z)
+    return np.clip(np.where(w1 <= 1e-19, 1.0, p), 0.0, 1.0)
 
 
-class EmpiricalCdf:
-    """Right-continuous empirical distribution function.
+def shapiro_wilk_rows(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Shapiro-Wilk W statistics and p-values of each row of a 2-d array.
 
-    ``F(x) = #{values <= x} / n``; callable on scalars or arrays.
+    The test of ``shapiro_wilk`` applied to every row at once; the rows
+    share one sample size n, whose coefficients are computed once. A row
+    with zero range has no test and gets NaN for both. Raises
+    ValueError unless 3 <= n <= 5000 and every value is finite.
     """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must form a 2-d array")
+    n = x.shape[1]
+    if n < 3 or n > 5000:
+        raise ValueError("sample size must be in [3, 5000]")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample must contain only finite values")
+    x = np.sort(x, axis=1)
+    coef = _sw_coefficients(n)
+    n2 = coef.size
 
-    __slots__ = ("_sorted",)
-
-    def __init__(self, values) -> None:
-        arr = np.sort(np.asarray(values, dtype=float).ravel())
-        if arr.size == 0:
-            raise ValueError("empty sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample must contain only finite values")
-        self._sorted = arr
-
-    @property
-    def n(self) -> int:
-        return int(self._sorted.size)
-
-    def __call__(self, x):
-        pos = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
-        out = pos / self._sorted.size
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+    centred = x - x.mean(axis=1, keepdims=True)
+    ssx = np.einsum("ij,ij->i", centred, centred)
+    sax = (x[:, : -n2 - 1 : -1] - x[:, :n2]) @ coef
+    flat = x[:, -1] - x[:, 0] <= 0.0
+    with np.errstate(all="ignore"):
+        w = np.minimum(sax * sax / ssx, 1.0)
+        p = _sw_p_values(w, n)
+    w[flat] = np.nan
+    p[flat] = np.nan
+    return w, p
 
 
-def empirical_cdf(values) -> EmpiricalCdf:
-    """Build the right-continuous ECDF of a nonempty sample."""
-    return EmpiricalCdf(values)
+def shapiro_wilk(sample) -> TestResult:
+    """Shapiro-Wilk W test of composite normality.
+
+    Implements the Royston (1995) approximation (AS R94): expected
+    normal order statistics from the Blom-type quantile formula,
+    polynomial-corrected end coefficients, and a normal approximation
+    of the null distribution of ``log(1 - W)`` (with separate
+    regressions for n <= 11 and n >= 12; n = 3 is exact). The one-row
+    call of ``shapiro_wilk_rows``.
+
+    Valid for sample sizes 3 <= n <= 5000 with non-degenerate spread.
+    """
+    w, p = shapiro_wilk_rows(np.asarray(sample, dtype=float).reshape(1, -1))
+    if math.isnan(w[0]):
+        raise ValueError("zero sample variance")
+    return TestResult(float(w[0]), float(p[0]))
 
 
 def quantile(values, q: float) -> float:

@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .crra import gamma_min, objective_value, power_solution
+from .crra import OUTCOMES, gamma_min, objective_value, power_grid
 from .frontier import Weights, efficient_constants, portfolio_moments, sharpe_weights
 from .market import ReturnMatrix, SynthSpec, estimate_params, load_returns_csv, synth_market
-from .stats import quantile, shapiro_wilk
+from .stats import quantile, shapiro_wilk_rows
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "default_synth_spec"]
 
@@ -164,6 +164,30 @@ def _load_source(cfg: StudyConfig) -> tuple[ReturnMatrix, str]:
     return synth_market(cfg.synth, cfg.seed), f"synth:k={cfg.synth.k},n={cfg.synth.n}"
 
 
+def _code_cells(
+    errors: list, k: int, si: int, gammas: tuple[float, ...], masks: dict[str, np.ndarray]
+) -> None:
+    """Append a cell_errors row for every (gamma, code) whose mask is set:
+    gamma by gamma, and within a gamma in the order of ``masks``."""
+    codes = list(masks)
+    gi_idx, code_idx = np.nonzero(np.column_stack(list(masks.values())))
+    for gi, ci in zip(gi_idx.tolist(), code_idx.tolist()):
+        errors.append({"k": k, "subset_index": si, "gamma": gammas[gi], "code": codes[ci]})
+
+
+def _strategy_utilities(
+    weights: Weights | None, params, gammas: np.ndarray, w0: float
+) -> np.ndarray | None:
+    """A fixed portfolio's expected utility at every gamma, or None when
+    the portfolio is undefined or outside the objective's domain."""
+    if weights is None:
+        return None
+    try:
+        return objective_value(weights, params, gammas, w0)
+    except ValueError:
+        return None
+
+
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the full pipeline and write its outputs to cfg.output_dir."""
     returns, source = _load_source(cfg)
@@ -185,119 +209,97 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
     )
+    gammas = np.array(cfg.gamma_grid)
+    everywhere = np.ones(gammas.size, dtype=bool)
 
     for k in cfg.k_range:
         subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
-        pvals: dict[float, list[float]] = {g: [] for g in cfg.gamma_grid}
-        gamma_fail: dict[float, int] = {g: 0 for g in cfg.gamma_grid}
-        mv_fail: dict[float, int] = {g: 0 for g in cfg.gamma_grid}
-        evaluated: dict[float, int] = {g: 0 for g in cfg.gamma_grid}
+        pvals: list[list[float]] = [[] for _ in cfg.gamma_grid]
+        gamma_fail = np.zeros(gammas.size, dtype=int)
+        mv_fail = np.zeros(gammas.size, dtype=int)
+        n_eval = 0
 
         for si, sub in enumerate(subsets):
             sub_values = returns.values[:, list(sub)]
             try:
                 params = estimate_params(ReturnMatrix(sub_values))
             except ValueError:
-                for g in cfg.gamma_grid:
-                    report.cell_errors.append(
-                        {"k": k, "subset_index": si, "gamma": g, "code": "singular_covariance"}
-                    )
+                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {"singular_covariance": everywhere})
                 continue
-            constants = efficient_constants(params)
             try:
+                constants = efficient_constants(params)
                 gm = gamma_min(constants)
             except ValueError:
-                for g in cfg.gamma_grid:
-                    report.cell_errors.append(
-                        {"k": k, "subset_index": si, "gamma": g, "code": "degenerate_frontier"}
-                    )
+                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {"degenerate_frontier": everywhere})
                 continue
+            except ArithmeticError:
+                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {"solve_failed": everywhere})
+                continue
+
+            n_eval += 1
+            exists = gammas >= gm
+            gamma_fail += ~exists
+            mv_fail += ~(exists & (constants.r_gmv > 0.0))
+            grid = power_grid(constants, gammas, cfg.w0)
+            solved = exists & grid.ok
+            masks = {"below_gamma_min": ~exists, "solve_failed": exists & ~grid.ok}
+
+            if not sw_ok:
+                masks["sw_sample_size"] = solved
+            elif solved.any():
+                # Every optimum is the frontier portfolio w_gmv + t tilt, so
+                # two mat-vecs give the realized gross returns at every gamma.
+                gross = sub_values + 1.0
+                realized = np.outer(grid.t[solved], gross @ constants.tilt) + gross @ constants.w_gmv.w
+                positive = solved.copy()
+                positive[solved] = realized.min(axis=1) > 0.0
+                p_values = np.full(gammas.size, np.nan)
+                p_values[positive] = shapiro_wilk_rows(np.log(realized[positive[solved]]))[1]
+                tested = positive & ~np.isnan(p_values)
+                masks["nonpositive_realized_gross_return"] = solved & ~positive
+                masks["sw_degenerate"] = positive & ~tested
+                for gi in np.flatnonzero(tested).tolist():
+                    pvals[gi].append(float(p_values[gi]))
+
             try:
                 sharpe_w = sharpe_weights(params)
             except ValueError:
                 sharpe_w = None
-            naive_w = Weights(np.full(k, 1.0 / k))
-            gross = sub_values + 1.0
+            naive = _strategy_utilities(Weights(np.full(k, 1.0 / k)), params, gammas, cfg.w0)
+            sharpe = _strategy_utilities(sharpe_w, params, gammas, cfg.w0)
+            masks["naive_outside_domain"] = solved & (naive is None)
+            masks["sharpe_undefined"] = solved & (sharpe_w is None)
+            masks["sharpe_outside_domain"] = solved & (sharpe_w is not None and sharpe is None)
+            _code_cells(report.cell_errors, k, si, cfg.gamma_grid, masks)
 
-            for g in cfg.gamma_grid:
-                evaluated[g] += 1
-                exists = g >= gm
-                if not exists:
-                    gamma_fail[g] += 1
-                if not (exists and constants.r_gmv > 0.0):
-                    mv_fail[g] += 1
-                if not exists:
-                    report.cell_errors.append(
-                        {"k": k, "subset_index": si, "gamma": g, "code": "below_gamma_min"}
-                    )
-                    continue
-                try:
-                    sol = power_solution(g, params, cfg.w0)
-                except (ValueError, ArithmeticError):
-                    report.cell_errors.append(
-                        {"k": k, "subset_index": si, "gamma": g, "code": "solve_failed"}
-                    )
-                    continue
-
-                realized = gross @ sol.weights.w
-                if not sw_ok:
-                    report.cell_errors.append(
-                        {"k": k, "subset_index": si, "gamma": g, "code": "sw_sample_size"}
-                    )
-                elif np.min(realized) <= 0.0:
-                    report.cell_errors.append(
+            if naive is not None and sharpe is not None:
+                optimal = grid.utility.tolist()
+                naive, sharpe = naive.tolist(), sharpe.tolist()
+                for gi in np.flatnonzero(solved).tolist():
+                    report.strategy_utilities.append(
                         {
                             "k": k,
+                            "gamma": cfg.gamma_grid[gi],
                             "subset_index": si,
-                            "gamma": g,
-                            "code": "nonpositive_realized_gross_return",
+                            "utility_naive": naive[gi],
+                            "utility_sharpe": sharpe[gi],
+                            "utility_optimal": optimal[gi],
                         }
                     )
-                else:
-                    try:
-                        pvals[g].append(shapiro_wilk(np.log(realized)).p_value)
-                    except ValueError:
-                        report.cell_errors.append(
-                            {"k": k, "subset_index": si, "gamma": g, "code": "sw_degenerate"}
-                        )
 
-                utilities = {"utility_optimal": sol.expected_utility}
-                for name, w in (("utility_naive", naive_w), ("utility_sharpe", sharpe_w)):
-                    if w is None:
-                        report.cell_errors.append(
-                            {"k": k, "subset_index": si, "gamma": g, "code": "sharpe_undefined"}
-                        )
-                        continue
-                    try:
-                        utilities[name] = objective_value(w, params, g, cfg.w0)
-                    except ValueError:
-                        report.cell_errors.append(
-                            {
-                                "k": k,
-                                "subset_index": si,
-                                "gamma": g,
-                                "code": f"{name.removeprefix('utility_')}_outside_domain",
-                            }
-                        )
-                if len(utilities) == 3:
-                    report.strategy_utilities.append(
-                        {"k": k, "gamma": g, "subset_index": si, **utilities}
-                    )
-
-        for g in cfg.gamma_grid:
-            n_eval = evaluated[g]
+        for gi, g in enumerate(cfg.gamma_grid):
             report.condition_failure_rates.append(
                 {
                     "k": k,
                     "gamma": g,
                     "n_subsets": len(subsets),
                     "n_evaluated": n_eval,
-                    "rate_gamma_min_violated": gamma_fail[g] / n_eval if n_eval else None,
-                    "rate_mv_violated": mv_fail[g] / n_eval if n_eval else None,
+                    "rate_gamma_min_violated": int(gamma_fail[gi]) / n_eval if n_eval else None,
+                    "rate_mv_violated": int(mv_fail[gi]) / n_eval if n_eval else None,
                 }
             )
             for q in cfg.quantiles:
-                sample = pvals[g]
+                sample = pvals[gi]
                 report.pvalue_quantiles.append(
                     {
                         "k": k,
@@ -317,14 +319,23 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 def _frontier_rows(report: StudyReport, returns: ReturnMatrix, k: int, cfg: StudyConfig) -> None:
     """Frontier locations of the GMV / Sharpe / optimal portfolios for
     the deterministic first-k-assets market (subset_index -1)."""
+
+    def market_error(code: str) -> None:
+        report.cell_errors.append({"k": k, "subset_index": -1, "gamma": None, "code": code})
+
     try:
         params = estimate_params(ReturnMatrix(returns.values[:, :k]))
     except ValueError:
-        report.cell_errors.append(
-            {"k": k, "subset_index": -1, "gamma": None, "code": "singular_covariance"}
-        )
+        market_error("singular_covariance")
         return
-    constants = efficient_constants(params)
+    try:
+        constants = efficient_constants(params)
+    except ValueError:
+        market_error("degenerate_frontier")
+        return
+    except ArithmeticError:
+        market_error("solve_failed")
+        return
     report.frontier_locations.append(
         {"k": k, "portfolio": "gmv", "gamma": None, "x": constants.r_gmv, "v": constants.v_gmv}
     )
@@ -334,17 +345,29 @@ def _frontier_rows(report: StudyReport, returns: ReturnMatrix, k: int, cfg: Stud
             {"k": k, "portfolio": "sharpe", "gamma": None, "x": x, "v": v}
         )
     except ValueError:
-        report.cell_errors.append(
-            {"k": k, "subset_index": -1, "gamma": None, "code": "sharpe_undefined"}
-        )
-    for g in cfg.gamma_grid:
-        try:
-            sol = power_solution(g, params, cfg.w0)
-        except (ValueError, ArithmeticError):
-            report.cell_errors.append(
-                {"k": k, "subset_index": -1, "gamma": g, "code": "below_gamma_min"}
-            )
-            continue
+        market_error("sharpe_undefined")
+    try:
+        grid = power_grid(constants, cfg.gamma_grid, cfg.w0)
+    except ValueError:  # degenerate frontier
+        everywhere = np.ones(len(cfg.gamma_grid), dtype=bool)
+        _code_cells(report.cell_errors, k, -1, cfg.gamma_grid, {"degenerate_frontier": everywhere})
+        return
+    below = grid.outcome == OUTCOMES.index("below_gamma_min")
+    _code_cells(
+        report.cell_errors,
+        k,
+        -1,
+        cfg.gamma_grid,
+        {"below_gamma_min": below, "solve_failed": ~grid.ok & ~below},
+    )
+    xs, ys = grid.x.tolist(), grid.y.tolist()
+    for gi in np.flatnonzero(grid.ok).tolist():
         report.frontier_locations.append(
-            {"k": k, "portfolio": "optimal", "gamma": g, "x": sol.x, "v": sol.v}
+            {
+                "k": k,
+                "portfolio": "optimal",
+                "gamma": cfg.gamma_grid[gi],
+                "x": xs[gi],
+                "v": ys[gi] - xs[gi] * xs[gi],
+            }
         )

@@ -18,7 +18,6 @@ from crraport import (
     default_synth_spec,
     discriminant,
     efficient_constants,
-    empirical_cdf,
     gamma_min,
     log_solution,
     markowitz_weights,
@@ -34,7 +33,7 @@ from crraport import (
     sharpe_weights,
     OracleConfig,
 )
-from helpers import market_with_constants, random_market
+from helpers import empirical_cdf, market_with_constants, random_market
 
 
 @pytest.fixture

@@ -3,10 +3,12 @@ import filecmp
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crraport
 from crraport.cli import main
 
 WORKED_MARKET = {"mu": [1.05, 1.15], "sigma": [[0.01, 0.0], [0.0, 0.04]]}
@@ -193,6 +195,28 @@ class TestStudy:
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["metadata"]["k_range"] == [4, 5, 6]
+
+    def test_small_volatility_market_completes(self, capsys, tmp_path):
+        # The shipped calibration at a tenth of its volatility: every
+        # subset is well conditioned, so the study must code cells, not abort.
+        spec = json.loads(
+            (Path(crraport.__file__).parent / "data" / "default_synth.json").read_text()
+        )
+        spec["sigma0"] = (0.01 * np.asarray(spec["sigma0"])).tolist()
+        spec_path = tmp_path / "small_vol.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "study3"
+        code, _, err = _run(
+            capsys,
+            [
+                "study", "--synth", str(spec_path), "--seed", "7",
+                "--k-range", "8", "--gammas", "2,5", "--out", str(out_dir),
+            ],
+        )
+        assert code == 0, err
+        with (out_dir / "cell_errors.csv").open() as fh:
+            codes = {row["code"] for row in csv.DictReader(fh)}
+        assert codes <= {"below_gamma_min", "nonpositive_realized_gross_return"}
 
 
 class TestEnvOverrides:

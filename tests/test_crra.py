@@ -5,22 +5,34 @@ import pytest
 
 from crraport import (
     MarketParams,
+    ReturnMatrix,
+    StudyConfig,
     Weights,
+    default_synth_spec,
     discriminant,
     efficient_constants,
-    gamma_condition,
+    estimate_params,
     gamma_min,
     gmv_weights,
-    is_mv_efficient_power,
     log_solution,
     markowitz_weights,
-    monotonicity_check,
     objective_value,
+    power_grid,
     power_solution,
     random_feasible,
+    run_study,
     sharpe_weights,
+    synth_market,
 )
-from helpers import market_with_constants, random_market
+from crraport.crra import OUTCOMES
+from crraport.study import _draw_subsets
+from helpers import (
+    gamma_condition,
+    is_mv_efficient_power,
+    market_with_constants,
+    monotonicity_check,
+    random_market,
+)
 
 # mu = (-0.1, 0.2), sigma = diag(0.01, 0.04): 1'S^-1 mu = -10 + 5 = -5,
 # so r_gmv = -5/125 = -0.04.
@@ -271,6 +283,90 @@ class TestPowerSolution:
         for gamma in (1.0 - 1e-6, 1.0 + 1e-6):
             w_pow = power_solution(gamma, params).weights.w
             assert np.max(np.abs(w_pow - w_log)) <= 1e-4
+
+
+# Four-asset market whose optimum at 1.001 gamma_min has sum |w| = 73.
+LEVERED_MARKET = (
+    [1.0071053392647458, 1.0021240785139478, 1.0270304624713094, 1.004163145891539],
+    [
+        [0.0045930667750968684, 0.0006811094631090805, -0.0017974368875407355, -0.00018988422610872723],
+        [0.0006811094631090805, 0.0012555244319315245, 0.0004214944241558415, -0.00041448050154852174],
+        [-0.0017974368875407355, 0.0004214944241558415, 0.0013000700021164485, -0.0005699238463789378],
+        [-0.00018988422610872723, -0.00041448050154852174, -0.0005699238463789378, 0.0011527226306405492],
+    ],
+)
+
+
+class TestPowerGrid:
+    def test_matches_one_gamma_solutions_on_every_study_cell(self, tmp_path):
+        cfg = StudyConfig(
+            seed=11,
+            k_range=(3, 6),
+            gamma_grid=(0.4, 0.8, 1.0, 2.0, 5.0, 1e4),
+            output_dir=tmp_path,
+            synth=default_synth_spec(),
+            n_subsets_cap=12,
+        )
+        report = run_study(cfg)
+        study_utility = {
+            (r["k"], r["subset_index"], r["gamma"]): r["utility_optimal"]
+            for r in report.strategy_utilities
+        }
+        values = synth_market(cfg.synth, cfg.seed).values
+        n_ok = 0
+        for k in cfg.k_range:
+            for si, sub in enumerate(_draw_subsets(values.shape[1], k, cfg.n_subsets_cap, cfg.seed)):
+                params = estimate_params(ReturnMatrix(values[:, list(sub)]))
+                con = efficient_constants(params)
+                grid = power_grid(con, cfg.gamma_grid, cfg.w0)
+                for gi, gamma in enumerate(cfg.gamma_grid):
+                    if not grid.ok[gi]:
+                        assert np.isnan(grid.x[gi]) and np.isnan(grid.utility[gi])
+                        with pytest.raises((ValueError, ArithmeticError)):
+                            power_solution(gamma, params, cfg.w0)
+                        continue
+                    n_ok += 1
+                    sol = power_solution(gamma, params, cfg.w0)
+                    assert grid.x[gi] == pytest.approx(sol.x, rel=1e-12)
+                    assert grid.y[gi] == pytest.approx(sol.y, rel=1e-12)
+                    assert grid.utility[gi] == pytest.approx(sol.expected_utility, rel=1e-12)
+                    assert grid.t[gi] == pytest.approx((sol.x - con.r_gmv) / con.s, rel=1e-9)
+                    w = con.w_gmv.w + grid.t[gi] * con.tilt
+                    assert np.max(np.abs(w - sol.weights.w)) <= 1e-10 * np.abs(w).sum()
+                    key = (k, si, gamma)
+                    if key in study_utility:
+                        assert study_utility[key] == pytest.approx(sol.expected_utility, rel=1e-12)
+        assert n_ok > 0 and len(study_utility) > 0
+
+    def test_outcomes_name_the_failed_check(self, worked_market):
+        con = efficient_constants(worked_market)
+        gm = gamma_min(con)
+        grid = power_grid(con, [0.5, gm * (1.0 - 1e-3), gm, 3.0, 1e8])
+        assert [OUTCOMES[c] for c in grid.outcome] == [
+            "below_gamma_min", "below_gamma_min", "ok", "ok", "ok"
+        ]
+        assert np.all(np.isnan(grid.x[:2])) and np.all(np.isnan(grid.t[:2]))
+        assert np.all(np.diff(grid.x[2:]) < 0.0)
+        negative = efficient_constants(MarketParams(*NEGATIVE_R_MARKET))
+        grid = power_grid(negative, [gamma_min(negative) + 1.0])
+        assert OUTCOMES[grid.outcome[0]] == "nonpositive_mean"
+
+    def test_invalid_inputs(self, worked_market):
+        con = efficient_constants(worked_market)
+        with pytest.raises(ValueError, match="risk aversion"):
+            power_grid(con, [2.0, 0.0])
+        with pytest.raises(ValueError, match="wealth"):
+            power_grid(con, [2.0], w0=0.0)
+        flat = efficient_constants(MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4])))
+        with pytest.raises(ValueError, match="degenerate frontier"):
+            power_grid(flat, [2.0])
+
+    def test_levered_market_near_threshold(self):
+        params = MarketParams(*LEVERED_MARKET)
+        gm = gamma_min(efficient_constants(params))
+        sol = power_solution(gm * 1.001, params)
+        assert np.abs(sol.weights.w).sum() > 70.0
+        assert abs(sol.weights.w.sum() - 1.0) <= 1e-12 * np.abs(sol.weights.w).sum()
 
 
 class TestLogSolution:

@@ -3,13 +3,17 @@ import pytest
 
 from crraport import (
     MarketParams,
+    ReturnMatrix,
     Weights,
+    default_synth_spec,
     efficient_constants,
+    estimate_params,
     gmv_weights,
     markowitz_weights,
     parabola_variance,
     portfolio_moments,
     sharpe_weights,
+    synth_market,
 )
 from helpers import random_feasible_weights, random_market
 
@@ -20,9 +24,8 @@ class TestEfficientConstants:
         assert con.r_gmv == pytest.approx(worked_values["r_gmv"], rel=1e-12)
         assert con.v_gmv == pytest.approx(worked_values["v_gmv"], rel=1e-12)
         assert con.s == pytest.approx(worked_values["s"], rel=1e-12)
-        np.testing.assert_allclose(
-            con.q @ worked_market.mu, worked_values["q_mu"], atol=1e-10
-        )
+        np.testing.assert_allclose(con.tilt, worked_values["q_mu"], atol=1e-10)
+        np.testing.assert_allclose(con.w_gmv.w, [0.8, 0.2], rtol=1e-12)
 
     def test_equal_means_zero_slope(self):
         params = MarketParams([1.03, 1.03, 1.03], np.diag([1e-4, 2e-4, 3e-4]))
@@ -38,17 +41,21 @@ class TestEfficientConstants:
             assert con_t.v_gmv == pytest.approx(t * con.v_gmv, rel=1e-10)
             assert con_t.s == pytest.approx(con.s / t, rel=1e-10)
 
-    def test_q_properties_random_markets(self):
+    def test_tilt_properties_random_markets(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             params = random_market(rng, int(rng.integers(2, 9)))
             con = efficient_constants(params)
-            ones = np.ones(params.k)
-            assert np.max(np.abs(con.q @ ones)) <= 1e-10 * max(
-                1.0, np.max(np.abs(con.q))
+            excess = params.mu - con.r_gmv
+            # Sigma tilt = mu - r_gmv 1, i.e. tilt = Q mu
+            np.testing.assert_allclose(
+                params.sigma @ con.tilt, excess, rtol=0, atol=1e-10 * np.max(np.abs(excess))
             )
-            s_q = float(params.mu @ (con.q @ params.mu))
-            assert s_q == pytest.approx(con.s, rel=1e-10, abs=1e-14)
+            # 1' tilt = 0 relative to its terms
+            assert abs(con.tilt.sum()) <= 1e-12 * np.abs(con.tilt).sum()
+            assert float(params.mu @ con.tilt) == pytest.approx(con.s, rel=1e-10)
+            assert float(con.tilt @ params.sigma @ con.tilt) == pytest.approx(con.s, rel=1e-10)
+            np.testing.assert_allclose(con.w_gmv.w, gmv_weights(params).w, rtol=0, atol=1e-12)
             # solve-route slope agrees up to the cancellation floor
             ones_v = params.solve(np.ones(params.k))
             mu_v = params.solve(params.mu)
@@ -56,9 +63,38 @@ class TestEfficientConstants:
                 np.ones(params.k) @ ones_v
             )
             assert s_solve == pytest.approx(con.s, rel=1e-7, abs=1e-10)
-            np.testing.assert_allclose(con.q, con.q.T, atol=1e-12 * np.max(np.abs(con.q)))
-            eigs = np.linalg.eigvalsh(con.q)
-            assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
+
+    def test_slope_accuracy_against_50_digits(self):
+        import mpmath as mp
+
+        mp.mp.dps = 50
+        values = synth_market(default_synth_spec(), 7).values
+        rng = np.random.default_rng(26)
+        worst = 0.0
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            cols = np.sort(rng.choice(values.shape[1], size=k, replace=False))
+            params = estimate_params(ReturnMatrix(values[:, cols]))
+            sigma = mp.matrix([[mp.mpf(float(v)) for v in row] for row in params.sigma])
+            mu = mp.matrix([mp.mpf(float(v)) for v in params.mu])
+            sinv_one = mp.lu_solve(sigma, mp.matrix([1] * k))
+            sinv_mu = mp.lu_solve(sigma, mu)
+            a, b = sum(sinv_one), sum(sinv_mu)
+            s_ref = sum(m * v for m, v in zip(mu, sinv_mu)) - b * b / a
+            s = efficient_constants(params).s
+            worst = max(worst, float(abs(mp.mpf(s) - s_ref) / s_ref))
+        assert worst <= 1e-10
+
+    def test_small_volatility_market_accepted(self):
+        # Volatilities of 0.2%-0.45% put |Sigma^-1| near 4e7; the
+        # null-space and slope checks must scale with it.
+        spec = default_synth_spec()
+        params = MarketParams(spec.mu0, spec.sigma0 * 1e-4)
+        con = efficient_constants(params)
+        ref = efficient_constants(MarketParams(spec.mu0, spec.sigma0))
+        assert con.r_gmv == pytest.approx(ref.r_gmv, rel=1e-12)
+        assert con.v_gmv == pytest.approx(1e-4 * ref.v_gmv, rel=1e-10)
+        assert con.s == pytest.approx(1e4 * ref.s, rel=1e-10)
 
 
 class TestGmvWeights:
@@ -206,3 +242,12 @@ def test_weights_validation():
     w = Weights([0.25, 0.75])
     with pytest.raises(ValueError):
         w.w[0] = 1.0
+
+
+def test_weights_sum_tolerance_scales_with_leverage():
+    # sum|w| = 78: rounding of 1.13e-10 in the sum is 1.5e-12 of it
+    Weights([39.5, -38.5 + 1.13e-10])
+    with pytest.raises(ValueError, match="sum to 1"):
+        Weights([39.5, -38.5 + 1e-8])
+    with pytest.raises(ValueError, match="sum to 1"):
+        Weights([0.5, 0.5 + 2e-10])

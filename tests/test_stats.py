@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import shapiro as scipy_shapiro
 
-from crraport import empirical_cdf, normal_cdf, quantile, shapiro_wilk
+from crraport import normal_cdf, quantile, shapiro_wilk, shapiro_wilk_rows
 from crraport.stats import TestResult as SWResult
+from helpers import empirical_cdf
 
 
 class TestNormalCdf:
@@ -129,6 +130,44 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             empirical_cdf([])
+
+
+class TestShapiroWilkRows:
+    @pytest.mark.parametrize("n", list(range(3, 13)) + [156, 520])
+    def test_matches_scalar_and_scipy(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.vstack(
+            [
+                0.001 + 0.03 * rng.standard_normal((4, n)),
+                rng.exponential(size=(2, n)),
+                np.r_[np.zeros(n - 1), 1.0],
+            ]
+        )
+        w, p = shapiro_wilk_rows(rows)
+        for i, row in enumerate(rows):
+            one = shapiro_wilk(row)
+            ref = scipy_shapiro(row)
+            assert w[i] == pytest.approx(one.statistic, rel=1e-13, abs=1e-15)
+            assert p[i] == pytest.approx(one.p_value, rel=1e-10, abs=1e-15)
+            assert abs(w[i] - ref.statistic) <= 1e-8
+            assert abs(p[i] - ref.pvalue) <= 1e-6
+
+    def test_zero_range_row(self):
+        rng = np.random.default_rng(12)
+        rows = np.vstack([rng.standard_normal(20), np.full(20, 0.3), rng.standard_normal(20)])
+        w, p = shapiro_wilk_rows(rows)
+        assert np.isnan(w[1]) and np.isnan(p[1])
+        for i in (0, 2):
+            assert w[i] == pytest.approx(shapiro_wilk(rows[i]).statistic, rel=1e-13)
+            assert 0.0 <= p[i] <= 1.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="2-d"):
+            shapiro_wilk_rows(np.arange(5.0))
+        with pytest.raises(ValueError, match=r"\[3, 5000\]"):
+            shapiro_wilk_rows(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            shapiro_wilk_rows([[1.0, 2.0, np.nan]])
 
 
 class TestQuantile:

@@ -6,12 +6,17 @@ import pytest
 
 from crraport import (
     StudyConfig,
+    SynthSpec,
     default_synth_spec,
-    empirical_cdf,
+    efficient_constants,
+    estimate_params,
+    gamma_min,
     run_study,
     synth_market,
+    ReturnMatrix,
 )
 from crraport.study import _draw_subsets
+from helpers import empirical_cdf
 
 
 def _small_config(tmp_path, **overrides):
@@ -185,3 +190,23 @@ class TestRunStudy:
         assert report.metadata["source"].startswith("csv:")
         assert report.metadata["n_assets"] == 17
         assert report.strategy_utilities
+
+    def test_frontier_market_failures_coded_by_cause(self, tmp_path):
+        # Gross means of -0.1 and 0.2 give r_gmv < 0: below gamma_min
+        # there is no optimum, and above it the optimal mean is negative.
+        spec = SynthSpec(n=120, mu0=[-0.1, 0.2, 0.15], sigma0=np.diag([0.01, 0.04, 0.03]))
+        cfg = _small_config(
+            tmp_path, synth=spec, k_range=(2,), gamma_grid=(2.0, 20.0, 200.0, 2000.0), n_subsets_cap=3
+        )
+        report = run_study(cfg)
+        values = synth_market(spec, cfg.seed).values
+        constants = efficient_constants(estimate_params(ReturnMatrix(values[:, :2])))
+        assert constants.r_gmv < 0.0
+        gm = gamma_min(constants)
+        coded = {
+            e["gamma"]: e["code"] for e in report.cell_errors if e["subset_index"] == -1
+        }
+        assert coded == {
+            g: "below_gamma_min" if g < gm else "solve_failed" for g in cfg.gamma_grid
+        }
+        assert set(coded.values()) == {"below_gamma_min", "solve_failed"}
