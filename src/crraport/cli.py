@@ -7,8 +7,11 @@ subset-sampling pipeline, ``solve`` computes one optimal portfolio,
 ``lemma1`` tabulates the log-normal approximation bound against the
 grid-searched sup, and ``synth`` writes a synthetic returns CSV.
 
-Every flag can also be supplied through an environment variable with
-the ``CRRAPORT_`` prefix (e.g. ``CRRAPORT_SEED=7``); explicit flags win.
+Most flags can also be supplied through an environment variable named
+``CRRAPORT_`` plus the flag in upper snake case (``CRRAPORT_K_RANGE=4:8``);
+explicit flags win. ``synth --spec`` reads ``CRRAPORT_SYNTH``. Without a
+mirror are ``solve --gamma``, ``frontier --points/--span``, ``verify
+--n-starts/--tol-w/--tol-obj`` and ``lemma1 --ratios/--mu/--n-grid``.
 Errors exit nonzero with a one-line JSON message on stderr.
 """
 

@@ -197,7 +197,6 @@ def estimate_params(returns: ReturnMatrix) -> MarketParams:
     mu = gross.mean(axis=0)
     dev = gross - mu
     sigma = dev.T @ dev / (returns.n_periods - 1)
-    sigma = 0.5 * (sigma + sigma.T)
     try:
         return MarketParams(mu, sigma)
     except ValueError as exc:

@@ -47,7 +47,6 @@ class OracleConfig:
     n_starts: int = 16
     max_iters: int = 20_000
     tol_obj: float = 1e-12
-    tol_w: float = 1e-6
     seed: int = 0
     max_leverage: float = 100.0
 
@@ -56,7 +55,7 @@ class OracleConfig:
             raise ValueError("n_starts must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol_obj <= 0.0 or self.tol_w <= 0.0:
+        if self.tol_obj <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_leverage <= 10.0:
             raise ValueError("max_leverage must exceed 10")
@@ -158,7 +157,7 @@ def maximize_numeric(
     options = {
         "maxiter": cfg.max_iters,
         "maxfev": cfg.max_iters,
-        "xatol": min(1e-9, cfg.tol_w * 1e-3),
+        "xatol": 1e-9,
         "fatol": cfg.tol_obj,
         "adaptive": params.k > 4,
     }

@@ -5,9 +5,15 @@ synthetic), solves the closed-form optimal portfolio across a gamma
 grid for each subset, screens the realized optimal-portfolio log gross
 returns for normality, tracks how often the existence and efficiency
 conditions fail, and compares the naive / Sharpe / optimal strategies
-by their expected-utility samples. Emits one CSV per table plus a JSON
-summary; everything is deterministic given the seed (per-k subset
-draws use independent child streams, so evaluation order never matters).
+by their expected-utility samples. Per k it also places the GMV, Sharpe
+and optimal portfolios of the first-k-assets market on its frontier.
+Every market goes through one path, ``_solve_market``; the optimum at
+each gamma is ``w_gmv + t tilt`` and the Sharpe portfolio that line's
+gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come
+from the market's one set of frontier constants. Emits one CSV per
+table plus a JSON summary; everything is deterministic given the seed
+(per-k subset draws use independent child streams, so evaluation order
+never matters).
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .crra import OUTCOMES, gamma_min, objective_value, power_grid
-from .frontier import Weights, efficient_constants, portfolio_moments, sharpe_weights
+from .crra import gamma_min, objective_value, power_grid
+from .frontier import FrontierConstants, Weights, efficient_constants, portfolio_moments
 from .market import ReturnMatrix, SynthSpec, estimate_params, load_returns_csv, synth_market
 from .stats import quantile, shapiro_wilk_rows
 
@@ -175,15 +181,43 @@ def _code_cells(
         errors.append({"k": k, "subset_index": si, "gamma": gammas[gi], "code": codes[ci]})
 
 
-def _strategy_utilities(
-    weights: Weights | None, params, gammas: np.ndarray, w0: float
-) -> np.ndarray | None:
-    """A fixed portfolio's expected utility at every gamma, or None when
-    the portfolio is undefined or outside the objective's domain."""
-    if weights is None:
-        return None
+def _solve_market(values: np.ndarray, gammas: np.ndarray, w0: float):
+    """Estimate one market, build its frontier constants and gamma_min,
+    and solve the whole gamma grid. Returns the market's error code if a
+    step fails, else ``(params, constants, grid, masks)`` with ``masks``
+    coding ``below_gamma_min`` where gamma < gamma_min and
+    ``solve_failed`` where the grid failed above it."""
     try:
-        return objective_value(weights, params, gammas, w0)
+        params = estimate_params(ReturnMatrix(values))
+    except ValueError:
+        return "singular_covariance"
+    try:
+        constants = efficient_constants(params)
+        exists = gammas >= gamma_min(constants)
+    except ValueError:
+        return "degenerate_frontier"
+    except ArithmeticError:
+        return "solve_failed"
+    grid = power_grid(constants, gammas, w0)
+    masks = {"below_gamma_min": ~exists, "solve_failed": exists & ~grid.ok}
+    return params, constants, grid, masks
+
+
+def _sharpe_weights(constants: FrontierConstants) -> Weights | None:
+    """The Sharpe portfolio Sigma^-1 mu / (1' Sigma^-1 mu), read off the
+    frontier as its gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``;
+    None where it is undefined."""
+    try:
+        return Weights(constants.w_gmv.w + constants.v_gmv / constants.r_gmv * constants.tilt)
+    except ValueError:
+        return None
+
+
+def _utilities(w: Weights, params, gammas: np.ndarray, w0: float) -> np.ndarray | None:
+    """A fixed portfolio's expected utility at every gamma, or None
+    outside the objective's domain."""
+    try:
+        return objective_value(w, params, gammas, w0)
     except ValueError:
         return None
 
@@ -221,28 +255,17 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 
         for si, sub in enumerate(subsets):
             sub_values = returns.values[:, list(sub)]
-            try:
-                params = estimate_params(ReturnMatrix(sub_values))
-            except ValueError:
-                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {"singular_covariance": everywhere})
+            market = _solve_market(sub_values, gammas, cfg.w0)
+            if isinstance(market, str):
+                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {market: everywhere})
                 continue
-            try:
-                constants = efficient_constants(params)
-                gm = gamma_min(constants)
-            except ValueError:
-                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {"degenerate_frontier": everywhere})
-                continue
-            except ArithmeticError:
-                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {"solve_failed": everywhere})
-                continue
+            params, constants, grid, masks = market
 
             n_eval += 1
-            exists = gammas >= gm
+            exists = ~masks["below_gamma_min"]
             gamma_fail += ~exists
             mv_fail += ~(exists & (constants.r_gmv > 0.0))
-            grid = power_grid(constants, gammas, cfg.w0)
             solved = exists & grid.ok
-            masks = {"below_gamma_min": ~exists, "solve_failed": exists & ~grid.ok}
 
             if not sw_ok:
                 masks["sw_sample_size"] = solved
@@ -261,12 +284,9 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                 for gi in np.flatnonzero(tested).tolist():
                     pvals[gi].append(float(p_values[gi]))
 
-            try:
-                sharpe_w = sharpe_weights(params)
-            except ValueError:
-                sharpe_w = None
-            naive = _strategy_utilities(Weights(np.full(k, 1.0 / k)), params, gammas, cfg.w0)
-            sharpe = _strategy_utilities(sharpe_w, params, gammas, cfg.w0)
+            sharpe_w = _sharpe_weights(constants)
+            naive = _utilities(Weights(np.full(k, 1.0 / k)), params, gammas, cfg.w0)
+            sharpe = None if sharpe_w is None else _utilities(sharpe_w, params, gammas, cfg.w0)
             masks["naive_outside_domain"] = solved & (naive is None)
             masks["sharpe_undefined"] = solved & (sharpe_w is None)
             masks["sharpe_outside_domain"] = solved & (sharpe_w is not None and sharpe is None)
@@ -310,64 +330,38 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                     }
                 )
 
-        _frontier_rows(report, returns, k, cfg)
+        # The deterministic first-k-assets market (subset_index -1) locates
+        # the GMV, Sharpe and optimal portfolios on its frontier.
+        market = _solve_market(returns.values[:, :k], gammas, cfg.w0)
+        if isinstance(market, str):
+            report.cell_errors.append({"k": k, "subset_index": -1, "gamma": None, "code": market})
+            continue
+        params, constants, grid, masks = market
+        report.frontier_locations.append(
+            {"k": k, "portfolio": "gmv", "gamma": None, "x": constants.r_gmv, "v": constants.v_gmv}
+        )
+        sharpe_w = _sharpe_weights(constants)
+        if sharpe_w is None:
+            report.cell_errors.append(
+                {"k": k, "subset_index": -1, "gamma": None, "code": "sharpe_undefined"}
+            )
+        else:
+            x, v = portfolio_moments(sharpe_w, params)
+            report.frontier_locations.append(
+                {"k": k, "portfolio": "sharpe", "gamma": None, "x": x, "v": v}
+            )
+        _code_cells(report.cell_errors, k, -1, cfg.gamma_grid, masks)
+        xs, ys = grid.x.tolist(), grid.y.tolist()
+        for gi in np.flatnonzero(~masks["below_gamma_min"] & grid.ok).tolist():
+            report.frontier_locations.append(
+                {
+                    "k": k,
+                    "portfolio": "optimal",
+                    "gamma": cfg.gamma_grid[gi],
+                    "x": xs[gi],
+                    "v": ys[gi] - xs[gi] * xs[gi],
+                }
+            )
 
     report.write(cfg.output_dir)
     return report
-
-
-def _frontier_rows(report: StudyReport, returns: ReturnMatrix, k: int, cfg: StudyConfig) -> None:
-    """Frontier locations of the GMV / Sharpe / optimal portfolios for
-    the deterministic first-k-assets market (subset_index -1)."""
-
-    def market_error(code: str) -> None:
-        report.cell_errors.append({"k": k, "subset_index": -1, "gamma": None, "code": code})
-
-    try:
-        params = estimate_params(ReturnMatrix(returns.values[:, :k]))
-    except ValueError:
-        market_error("singular_covariance")
-        return
-    try:
-        constants = efficient_constants(params)
-    except ValueError:
-        market_error("degenerate_frontier")
-        return
-    except ArithmeticError:
-        market_error("solve_failed")
-        return
-    report.frontier_locations.append(
-        {"k": k, "portfolio": "gmv", "gamma": None, "x": constants.r_gmv, "v": constants.v_gmv}
-    )
-    try:
-        x, v = portfolio_moments(sharpe_weights(params), params)
-        report.frontier_locations.append(
-            {"k": k, "portfolio": "sharpe", "gamma": None, "x": x, "v": v}
-        )
-    except ValueError:
-        market_error("sharpe_undefined")
-    try:
-        grid = power_grid(constants, cfg.gamma_grid, cfg.w0)
-    except ValueError:  # degenerate frontier
-        everywhere = np.ones(len(cfg.gamma_grid), dtype=bool)
-        _code_cells(report.cell_errors, k, -1, cfg.gamma_grid, {"degenerate_frontier": everywhere})
-        return
-    below = grid.outcome == OUTCOMES.index("below_gamma_min")
-    _code_cells(
-        report.cell_errors,
-        k,
-        -1,
-        cfg.gamma_grid,
-        {"below_gamma_min": below, "solve_failed": ~grid.ok & ~below},
-    )
-    xs, ys = grid.x.tolist(), grid.y.tolist()
-    for gi in np.flatnonzero(grid.ok).tolist():
-        report.frontier_locations.append(
-            {
-                "k": k,
-                "portfolio": "optimal",
-                "gamma": cfg.gamma_grid[gi],
-                "x": xs[gi],
-                "v": ys[gi] - xs[gi] * xs[gi],
-            }
-        )

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import importlib
 import json
 import shutil
 import subprocess
@@ -248,3 +249,16 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "study" in proc.stdout and "verify" in proc.stdout
+
+
+def test_console_script_target_runs_help(capsys):
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["crraport"]
+    module_name, func_name = target.split(":")
+    entry = getattr(importlib.import_module(module_name), func_name)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "study" in out and "verify" in out

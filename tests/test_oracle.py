@@ -18,7 +18,7 @@ from helpers import market_with_constants, random_market
 class TestOracleConfig:
     def test_defaults(self):
         cfg = OracleConfig()
-        assert cfg.n_starts == 16 and cfg.tol_obj == 1e-12 and cfg.tol_w == 1e-6
+        assert cfg.n_starts == 16 and cfg.tol_obj == 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_starts"):

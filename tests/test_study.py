@@ -12,10 +12,11 @@ from crraport import (
     estimate_params,
     gamma_min,
     run_study,
+    sharpe_weights,
     synth_market,
     ReturnMatrix,
 )
-from crraport.study import _draw_subsets
+from crraport.study import _draw_subsets, _sharpe_weights, _solve_market
 from helpers import empirical_cdf
 
 
@@ -210,3 +211,44 @@ class TestRunStudy:
             g: "below_gamma_min" if g < gm else "solve_failed" for g in cfg.gamma_grid
         }
         assert set(coded.values()) == {"below_gamma_min", "solve_failed"}
+
+    def test_sharpe_weights_read_off_constants_match_direct_solve(self, tmp_path):
+        # The study's Sharpe portfolio w_gmv + (v_gmv / r_gmv) tilt against
+        # the Sigma^-1 mu solve, on every evaluated market of a small study.
+        cfg = _small_config(tmp_path)
+        values = synth_market(cfg.synth, cfg.seed).values
+        gammas = np.array(cfg.gamma_grid)
+        checked = 0
+        for k in cfg.k_range:
+            subsets = _draw_subsets(values.shape[1], k, cfg.n_subsets_cap, cfg.seed)
+            for sub in subsets + [tuple(range(k))]:
+                market = _solve_market(values[:, list(sub)], gammas, cfg.w0)
+                if isinstance(market, str):
+                    continue
+                params, constants, _, _ = market
+                ref = sharpe_weights(params).w
+                gap = np.max(np.abs(_sharpe_weights(constants).w - ref))
+                assert gap <= 1e-12 * np.abs(ref).sum(), (k, sub)
+                checked += 1
+        assert checked == 2 * (cfg.n_subsets_cap + 1)
+
+    def test_degenerate_frontier_market_gets_one_market_level_row(self, tmp_path):
+        # Every column a permutation of one draw: equal sample means (up
+        # to rounding), a positive definite covariance, and a zero slope.
+        rng = np.random.default_rng(3)
+        base = rng.normal(0.002, 0.03, 60)
+        columns = [base] + [rng.permutation(base) for _ in range(3)]
+        csv_path = tmp_path / "equal_means.csv"
+        lines = ["a,b,c,d"] + [",".join(repr(float(v)) for v in row) for row in np.column_stack(columns)]
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = _small_config(
+            tmp_path, synth=None, data_csv=csv_path, k_range=(3,), gamma_grid=(2.0, 5.0)
+        )
+        report = run_study(cfg)
+        market_rows = [e for e in report.cell_errors if e["subset_index"] == -1]
+        assert market_rows == [
+            {"k": 3, "subset_index": -1, "gamma": None, "code": "degenerate_frontier"}
+        ]
+        assert report.frontier_locations == []
+        assert {e["code"] for e in report.cell_errors} == {"degenerate_frontier"}
+        assert not report.strategy_utilities
