@@ -13,6 +13,7 @@ from .crra import (
     discriminant,
     gamma_min,
     log_solution,
+    objective_rows,
     objective_value,
     power_grid,
     power_solution,
@@ -21,10 +22,12 @@ from .frontier import (
     FrontierConstants,
     Weights,
     efficient_constants,
+    efficient_constants_rows,
     gmv_weights,
     markowitz_weights,
     parabola_variance,
     portfolio_moments,
+    portfolio_moments_rows,
     sharpe_weights,
 )
 from .lognormal import (
@@ -40,6 +43,7 @@ from .market import (
     ReturnMatrix,
     SynthSpec,
     estimate_params,
+    estimate_rows,
     load_returns_csv,
     subset,
     synth_market,
@@ -66,7 +70,9 @@ __all__ = [
     "default_synth_spec",
     "discriminant",
     "efficient_constants",
+    "efficient_constants_rows",
     "estimate_params",
+    "estimate_rows",
     "gamma_min",
     "gmv_weights",
     "load_returns_csv",
@@ -76,9 +82,11 @@ __all__ = [
     "match_params",
     "maximize_numeric",
     "normal_cdf",
+    "objective_rows",
     "objective_value",
     "parabola_variance",
     "portfolio_moments",
+    "portfolio_moments_rows",
     "power_grid",
     "power_solution",
     "psi",

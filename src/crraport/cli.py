@@ -222,8 +222,8 @@ def _cmd_study(args) -> int:
         json.dumps(
             {
                 "output_dir": str(cfg.output_dir),
-                "cells_with_errors": len(report.cell_errors),
-                "strategy_rows": len(report.strategy_utilities),
+                "cells_with_errors": len(report.cell_errors["code"]),
+                "strategy_rows": len(report.strategy_utilities["k"]),
             },
             sort_keys=True,
         )

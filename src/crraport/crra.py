@@ -19,8 +19,9 @@ frontier portfolio with that mean,
 
 so one market's ``FrontierConstants`` serve every g and only the scalar
 t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
-at once and is the one place the optimum is computed; ``power_solution``
-is its one-gamma call. Logarithmic utility is its g = 1 case, with value
+(G,) for a batch of markets (B,) at once, on (B, G) arrays, and is the
+one place the optimum is computed; ``power_solution`` is its
+one-market, one-gamma call. Logarithmic utility is its g = 1 case, with value
 ln W0 + 2 ln X - ln(Y)/2, and exists iff gamma_min <= 1
 (``log_solution``). The optimum is mean-variance efficient iff it exists
 and r_gmv > 0, it never coincides with the GMV portfolio, and as
@@ -35,7 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import S_MIN, FrontierConstants, Weights, efficient_constants
+from .frontier import (
+    S_MIN,
+    FrontierConstants,
+    Weights,
+    _first_failures,
+    efficient_constants,
+    portfolio_moments,
+    portfolio_moments_rows,
+)
 from .market import MarketParams
 
 __all__ = [
@@ -48,10 +57,11 @@ __all__ = [
     "power_solution",
     "log_solution",
     "objective_value",
+    "objective_rows",
 ]
 
 _NO_SOLUTION_MSG = "no solution exists below gamma_min"
-_NONPOS_MEAN_MSG = "optimal mean non-positive; log-utility objective undefined"
+_NONPOS_MEAN_MSG = "optimal mean non-positive; the objective's ln X is undefined"
 _PARABOLA_RTOL = 1e-8
 
 # The checks every optimum must pass, in the order they apply, with the
@@ -80,7 +90,8 @@ class CrraSolution:
 
     ``x`` is the optimal expected gross return w*'mu, ``y`` the second
     moment E[(w'R)^2], ``v = y - x^2`` the variance. ``gamma = 1``
-    marks logarithmic utility.
+    marks logarithmic utility. Built from a ``power_grid`` cell that
+    passed every check.
     """
 
     gamma: float
@@ -92,24 +103,17 @@ class CrraSolution:
     mv_efficient: bool
     w0: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.y <= 0.0:
-            raise ValueError("second moment must be positive")
-        if abs(self.y - (self.v + self.x * self.x)) > 1e-12 * self.y:
-            raise ValueError("inconsistent moments: y != v + x^2")
-        if math.isnan(self.expected_utility):
-            raise ValueError("expected utility must not be NaN")
-
 
 @dataclass(frozen=True, eq=False)
 class PowerGrid:
-    """Closed-form optima of one market across a gamma grid.
+    """Closed-form optima of a batch of markets across a gamma grid.
 
-    Per gamma of the grid, in its order: the optimal mean ``x``, second moment ``y``, frontier
-    coordinate ``t = (x - r_gmv)/s`` (the optimal weights are
-    ``w_gmv.w + t * tilt`` of the market's constants), the expected
-    utility, and ``outcome``, an index into ``OUTCOMES``. Cells that
-    failed a check hold NaN in every float field.
+    Every field has shape B + (G,): the constants' batch shape, then one
+    cell per gamma of the grid, in its order. Per cell: the optimal mean
+    ``x``, second moment ``y``, frontier coordinate ``t = (x - r_gmv)/s``
+    (the optimal weights are ``w_gmv + t * tilt`` of the market's
+    constants), the expected utility, and ``outcome``, an index into
+    ``OUTCOMES``. Cells that failed a check hold NaN in every float field.
     """
 
     x: np.ndarray
@@ -123,28 +127,32 @@ class PowerGrid:
         return self.outcome == 0
 
 
-def gamma_min(constants: FrontierConstants) -> float:
+def gamma_min(constants: FrontierConstants):
     """Smallest risk aversion for which the power-utility optimum exists.
 
     2s + 2 [ s(1+s) v/r^2 + sqrt(s(1+s)(1 + s v/r^2)(1 + (1+s) v/r^2)) ]
-    with r = r_gmv, v = v_gmv; always exceeds 2s.
+    with r = r_gmv, v = v_gmv; always exceeds 2s. Undefined for a
+    degenerate frontier (s <= S_MIN) and for r_gmv = 0: one market
+    raises ValueError there, a batch gets NaN for those markets.
     """
-    if constants.s <= S_MIN:
+    s, r, v = constants.s, constants.r_gmv, constants.v_gmv
+    one_market = np.ndim(s) == 0
+    if one_market and s <= S_MIN:
         raise ValueError("degenerate frontier")
-    if constants.r_gmv == 0.0:
+    if one_market and r == 0.0:
         raise ValueError("existence threshold undefined for r_gmv = 0")
-    s = constants.s
-    ratio = constants.v_gmv / (constants.r_gmv * constants.r_gmv)
-    root = math.sqrt(s * (1.0 + s) * (1.0 + s * ratio) * (1.0 + (1.0 + s) * ratio))
-    return 2.0 * s + 2.0 * (s * (1.0 + s) * ratio + root)
+    with np.errstate(all="ignore"):
+        ratio = v / (r * r)
+        root = np.sqrt(s * (1.0 + s) * (1.0 + s * ratio) * (1.0 + (1.0 + s) * ratio))
+        gm = 2.0 * s + 2.0 * (s * (1.0 + s) * ratio + root)
+    if one_market:
+        return float(gm)
+    return np.where(~(s > S_MIN) | (r == 0.0), np.nan, gm)
 
 
-def _discriminants(
-    gamma: np.ndarray, constants: FrontierConstants
-) -> tuple[np.ndarray, np.ndarray]:
+def _discriminants(gamma, r, s, v) -> tuple[np.ndarray, np.ndarray]:
     """Existence discriminant, and where its two algebraic forms disagree."""
-    r2 = constants.r_gmv * constants.r_gmv
-    s, v = constants.s, constants.v_gmv
+    r2 = r * r
     d = (gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v)
     alt = (gamma - 2.0 * s) ** 2 * r2 - 4.0 * (1.0 + s) * s * (r2 + (gamma + 1.0) * v)
     scale = np.maximum(np.maximum(np.abs(d), (gamma + 2.0) ** 2 * r2), 1.0)
@@ -157,7 +165,9 @@ def discriminant(gamma: float, constants: FrontierConstants) -> float:
     (g+2)^2 r^2 - 4 (g+1) (1+s) (r^2 + s v); nonnegative exactly when
     the power-utility optimum exists.
     """
-    d, mismatch = _discriminants(np.float64(gamma), constants)
+    d, mismatch = _discriminants(
+        np.float64(gamma), constants.r_gmv, constants.s, constants.v_gmv
+    )
     if mismatch:
         raise ArithmeticError("discriminant forms disagree")
     return float(d)
@@ -182,7 +192,9 @@ def _utility(x, y, gamma, w0: float) -> np.ndarray:
 
 
 def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGrid:
-    """Optimal portfolios for every risk aversion in ``gammas`` at once.
+    """Optimal portfolios for every risk aversion in ``gammas`` (G,) and
+    every market of ``constants`` (batch shape B) at once; every field of
+    the result has shape B + (G,).
 
     Each gamma gets the smaller root of the optimal-mean quadratic, its
     second moment, frontier coordinate and expected utility, and the
@@ -191,25 +203,28 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
     reaches gamma_min up to rounding), x > 0, y > 0, the utility is not
     NaN, the point lies on the mean-variance parabola, and it is not the
     GMV portfolio. Raises ValueError for a nonpositive gamma or wealth
-    and for a degenerate frontier.
+    and if any market has a degenerate frontier.
     """
     g = np.array(gammas, dtype=float).ravel()
     if not np.all(g > 0.0):
         raise ValueError("relative risk aversion must be positive")
     if not w0 > 0.0:
         raise ValueError("initial wealth must be positive")
-    if constants.s <= S_MIN:
+    if not np.all(constants.s > S_MIN):
         raise ValueError("degenerate frontier")
-    r, s, v = constants.r_gmv, constants.s, constants.v_gmv
-    d, mismatch = _discriminants(g, constants)
+    r, s, v = (
+        np.asarray(c)[..., None] for c in (constants.r_gmv, constants.s, constants.v_gmv)
+    )
+    d, mismatch = _discriminants(g, r, s, v)
     with np.errstate(all="ignore"):
         below = d < -1e-12 * r * r * (g + 2.0) ** 2
         sq = np.sqrt(np.maximum(d, 0.0))
-        if r > 0.0:
+        x = np.where(
+            r > 0.0,
             # Conjugate form: no cancellation as gamma grows large.
-            x = 2.0 * (g + 1.0) * (r * r + s * v) / ((g + 2.0) * r + sq)
-        else:
-            x = ((g + 2.0) * r - sq) / (2.0 * (1.0 + s))
+            2.0 * (g + 1.0) * (r * r + s * v) / ((g + 2.0) * r + sq),
+            ((g + 2.0) * r - sq) / (2.0 * (1.0 + s)),
+        )
         # t = (x - r)/s through the conjugate of the alternate
         # discriminant form: exact algebra, and it dodges the small-s
         # cancellation that the literal (gamma/s)(x r - r^2 - s v)
@@ -237,14 +252,7 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
             ~(np.abs(lhs - rhs) <= tol),
             x == r,
         )
-    outcome = np.zeros(g.shape, dtype=np.int8)
-    for code in range(len(failed), 0, -1):
-        outcome[failed[code - 1]] = code
-    bad = outcome != 0
-    for arr in (x, y, t, utility):
-        arr[bad] = np.nan
-        arr.flags.writeable = False
-    outcome.flags.writeable = False
+    outcome, x, y, t, utility = _first_failures(failed, (x, y, t, utility))
     return PowerGrid(x=x, y=y, t=t, utility=utility, outcome=outcome)
 
 
@@ -263,9 +271,9 @@ def _solution(gamma: float, constants: FrontierConstants, w0: float) -> CrraSolu
         x=x,
         y=y,
         v=y - x * x,
-        weights=Weights(constants.w_gmv.w + float(grid.t[0]) * constants.tilt),
+        weights=Weights(constants.weights_at(grid.t[0])),
         expected_utility=float(grid.utility[0]),
-        mv_efficient=constants.r_gmv > 0.0,
+        mv_efficient=bool(constants.r_gmv > 0.0),
         w0=w0,
     )
 
@@ -299,6 +307,18 @@ def log_solution(params: MarketParams, w0: float = 1.0) -> CrraSolution:
     return _solution(1.0, constants, w0)
 
 
+def objective_rows(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray, gammas, w0: float = 1.0):
+    """Expected utility of a batch of portfolios ``w`` (B, k) in their
+    markets ``mu`` (B, k), ``sigma`` (B, k, k) at every gamma of
+    ``gammas`` (G,), as (B, G), and the portfolios inside the
+    objective's domain (w'mu > 0; the others get NaN)."""
+    x, v = portfolio_moments_rows(w, mu, sigma)
+    inside = x > 0.0
+    utility = _utility(x[..., None], (v + x * x)[..., None], gammas, w0)
+    utility[~inside] = np.nan
+    return utility, inside
+
+
 def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
     """Expected utility of an arbitrary feasible portfolio.
 
@@ -312,9 +332,8 @@ def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
         raise ValueError("relative risk aversion must be positive")
     if w0 <= 0.0:
         raise ValueError("initial wealth must be positive")
-    x = float(w.w @ params.mu)
+    x, v = portfolio_moments(w, params)
     if x <= 0.0:
         raise ValueError("outside objective domain")
-    y = float(w.w @ params.sigma @ w.w) + x * x
-    utility = _utility(x, y, g, w0)
+    utility = _utility(x, v + x * x, g, w0)
     return float(utility) if g.ndim == 0 else utility

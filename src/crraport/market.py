@@ -4,17 +4,18 @@ Returns are simple per-period returns ``r``; everything downstream works
 with gross returns ``R = 1 + r``, so ``MarketParams.mu`` is the mean of
 gross returns and ``MarketParams.sigma`` their covariance (identical to
 the covariance of simple returns). All values are immutable after
-construction.
+construction. ``estimate_rows`` estimates a stack of panels (B, n, k)
+at once, with a per-panel flag where ``estimate_params`` would raise.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, get_lapack_funcs
 
 __all__ = [
     "ReturnMatrix",
@@ -22,6 +23,8 @@ __all__ = [
     "SynthSpec",
     "load_returns_csv",
     "estimate_params",
+    "estimate_rows",
+    "cho_solve_rows",
     "synth_market",
     "subset",
 ]
@@ -33,25 +36,59 @@ _SYMMETRY_RTOL = 1e-10
 
 _SINGULAR_MSG = "singular covariance; need n > k and non-degenerate returns"
 
+# LAPACK's Cholesky solve for doubles, as scipy's cho_solve calls it.
+(_POTRS,) = get_lapack_funcs(("potrs",), (np.empty((1, 1)),))
 
-def _spd_cholesky(sigma: np.ndarray, what: str = "covariance") -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix, or ValueError.
 
-    Fails if the factorization breaks down or any pivot falls at or
-    below ``1e-12 * max(diag)``.
+def _spd_cholesky_rows(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices (B, k, k),
+    and which of them are positive definite.
+
+    A matrix passes when its largest diagonal entry is positive, the
+    factorization succeeds and every pivot exceeds ``1e-12 * max(diag)``
+    (a matrix without a positive diagonal entry fails to factor). A
+    failed matrix gets the identity as its factor, so solves against it
+    stay finite.
     """
-    diag = np.diag(sigma)
-    max_diag = float(np.max(diag)) if diag.size else 0.0
-    if max_diag <= 0.0:
-        raise ValueError(f"{what} is not positive definite")
+    max_diag = sigma.diagonal(axis1=1, axis2=2).max(axis=1)
+    ok = max_diag > 0.0
     try:
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        raise ValueError(f"{what} is not positive definite") from None
-    pivots = np.diag(lower) ** 2
-    if not np.all(pivots > _PIVOT_RTOL * max_diag):
-        raise ValueError(f"{what} is not positive definite (pivot below tolerance)")
-    return lower
+        # One failed factorization fails the whole stack: factor each
+        # matrix on its own to find the failures.
+        lower = np.zeros_like(sigma)
+        for i, matrix in enumerate(sigma):
+            try:
+                lower[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    ok &= (lower.diagonal(axis1=1, axis2=2) ** 2 > _PIVOT_RTOL * max_diag[:, None]).all(axis=1)
+    if not ok.all():
+        lower[~ok] = np.eye(sigma.shape[-1])
+    return lower, ok
+
+
+def cho_solve_rows(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((lower, True), rhs)`` for one lower
+    Cholesky factor (k, k) or a stack of them (B, k, k) with matching
+    right-hand sides: the same LAPACK potrs call per factor, without
+    scipy's per-call input checks and batch dispatch."""
+    if lower.ndim == 2:
+        return _POTRS(lower, rhs, lower=True)[0]
+    out = np.empty_like(rhs)
+    for i, factor in enumerate(lower):
+        out[i] = _POTRS(factor, rhs[i], lower=True)[0]
+    return out
+
+
+def _spd_cholesky(sigma: np.ndarray, what: str = "covariance") -> np.ndarray:
+    """Lower Cholesky factor of one SPD matrix, or ValueError: the
+    one-matrix call of ``_spd_cholesky_rows``."""
+    lower, ok = _spd_cholesky_rows(sigma[None])
+    if not ok[0]:
+        raise ValueError(f"{what} is not positive definite")
+    return lower[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +132,13 @@ class MarketParams:
     """Mean vector and covariance matrix of gross returns.
 
     ``sigma`` must be symmetric (relative tolerance 1e-10) and positive
-    definite; the Cholesky factor is computed once at construction and
-    reused for every linear solve against sigma.
+    definite; its lower Cholesky factor ``lower`` is computed once at
+    construction and reused for every linear solve against sigma.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
+    lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mu = np.array(self.mu, dtype=float).ravel()
@@ -115,12 +153,12 @@ class MarketParams:
         if scale <= 0.0 or np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_RTOL * scale:
             raise ValueError("sigma must be symmetric within relative tolerance 1e-10")
         sigma = 0.5 * (sigma + sigma.T)
-        chol = _spd_cholesky(sigma)
-        mu.flags.writeable = False
-        sigma.flags.writeable = False
+        lower = _spd_cholesky(sigma)
+        for arr in (mu, sigma, lower):
+            arr.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "lower", lower)
 
     @property
     def k(self) -> int:
@@ -128,7 +166,7 @@ class MarketParams:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``sigma @ x = rhs`` via the cached Cholesky factor."""
-        return cho_solve((self._chol, True), np.asarray(rhs, dtype=float))
+        return cho_solve((self.lower, True), np.asarray(rhs, dtype=float))
 
 
 def load_returns_csv(
@@ -191,16 +229,39 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
+def _sample_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and unbiased sample covariance of gross returns, for a
+    panel (n, k) or a stack of panels (B, n, k)."""
+    dev = values + 1.0
+    mu = dev.mean(axis=-2)
+    dev -= mu[..., None, :]
+    sigma = np.matrix_transpose(dev) @ dev / (values.shape[-2] - 1)
+    return mu, sigma
+
+
 def estimate_params(returns: ReturnMatrix) -> MarketParams:
     """Sample mean and unbiased sample covariance of gross returns."""
-    gross = returns.values + 1.0
-    mu = gross.mean(axis=0)
-    dev = gross - mu
-    sigma = dev.T @ dev / (returns.n_periods - 1)
     try:
-        return MarketParams(mu, sigma)
+        return MarketParams(*_sample_moments(returns.values))
     except ValueError as exc:
         raise ValueError(_SINGULAR_MSG) from exc
+
+
+def estimate_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``estimate_params`` for a stack of panels of simple returns
+    (B, n, k) that share n and k, with one flag per panel in place of
+    its error.
+
+    Returns the gross means (B, k), the covariances (B, k, k), their
+    lower Cholesky factors (B, k, k) and ``ok`` (B,), False where
+    ``estimate_params`` raises its singular-covariance error (those
+    panels get the identity as their factor). A panel's results are
+    bitwise those of its own call when the stack keeps its memory
+    layout.
+    """
+    mu, sigma = _sample_moments(values)
+    lower, ok = _spd_cholesky_rows(sigma)
+    return mu, sigma, lower, ok
 
 
 @dataclass(frozen=True, eq=False)

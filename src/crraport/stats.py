@@ -147,9 +147,11 @@ def shapiro_wilk_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     coef = _sw_coefficients(n)
     n2 = coef.size
 
+    # A per-row reduction, not a matrix-vector product: BLAS gemv would
+    # make a row's rounding depend on how many rows share the call.
+    sax = np.vecdot(x[:, : -n2 - 1 : -1] - x[:, :n2], coef)
     centred = x - x.mean(axis=1, keepdims=True)
     ssx = np.einsum("ij,ij->i", centred, centred)
-    sax = (x[:, : -n2 - 1 : -1] - x[:, :n2]) @ coef
     flat = x[:, -1] - x[:, 0] <= 0.0
     with np.errstate(all="ignore"):
         w = np.minimum(sax * sax / ssx, 1.0)
@@ -177,12 +179,18 @@ def shapiro_wilk(sample) -> TestResult:
     return TestResult(float(w[0]), float(p[0]))
 
 
-def quantile(values, q: float) -> float:
-    """Order-statistic quantile with linear interpolation (type 7)."""
+def quantile(values, q):
+    """Order-statistic quantile with linear interpolation (type 7).
+
+    ``q`` is one level (returns a float) or a sequence of levels
+    (returns an array, one quantile per level, each equal to its
+    one-level call).
+    """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
-    qf = float(q)
-    if not 0.0 <= qf <= 1.0:
+    levels = np.asarray(q, dtype=float)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
         raise ValueError("quantile level must lie in [0, 1]")
-    return float(np.quantile(arr, qf))
+    out = np.quantile(arr, levels)
+    return float(out) if levels.ndim == 0 else out

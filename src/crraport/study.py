@@ -7,13 +7,24 @@ returns for normality, tracks how often the existence and efficiency
 conditions fail, and compares the naive / Sharpe / optimal strategies
 by their expected-utility samples. Per k it also places the GMV, Sharpe
 and optimal portfolios of the first-k-assets market on its frontier.
-Every market goes through one path, ``_solve_market``; the optimum at
-each gamma is ``w_gmv + t tilt`` and the Sharpe portfolio that line's
+
+Each k is solved in batched passes over blocks of its sampled subsets
+(sized so memory stays bounded whatever the cap). A block of B subsets
+is stacked as simple-return panels (B, n, k) and goes through the
+library's batch calls on arrays: estimate (B, k) and (B, k, k), frontier
+constants and gamma_min (B,), the closed-form grid (B, G), the realized
+gross returns of every optimum (B, G, n), one Shapiro-Wilk call on
+every solved cell, and the naive and Sharpe utilities (B, G). The
+first-k market is the same solve with B = 1. The optimum at each gamma is
+``w_gmv + t tilt`` and the Sharpe portfolio that line's
 gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come
-from the market's one set of frontier constants. Emits one CSV per
-table plus a JSON summary; everything is deterministic given the seed
-(per-k subset draws use independent child streams, so evaluation order
-never matters).
+from the market's one set of frontier constants.
+
+The report keeps each table as columns, one list per CSV column, and
+writes one CSV per table plus a JSON summary. The summary's
+``timings_s`` holds the seconds spent per stage; everything else is
+deterministic given the seed (per-k subset draws use independent child
+streams, so evaluation order never matters).
 """
 
 from __future__ import annotations
@@ -22,15 +33,22 @@ import csv
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .crra import gamma_min, objective_value, power_grid
-from .frontier import FrontierConstants, Weights, efficient_constants, portfolio_moments
-from .market import ReturnMatrix, SynthSpec, estimate_params, load_returns_csv, synth_market
+from .crra import gamma_min, objective_rows, power_grid
+from .frontier import (
+    FRONTIER_ERRORS,
+    efficient_constants_rows,
+    feasible_rows,
+    portfolio_moments_rows,
+)
+from .market import ReturnMatrix, SynthSpec, estimate_rows, load_returns_csv, synth_market
 from .stats import quantile, shapiro_wilk_rows
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "default_synth_spec"]
@@ -58,6 +76,42 @@ _CSV_FILES = {
     ),
     "cell_errors": ("k", "subset_index", "gamma", "code"),
 }
+
+# Cell codes, in the order a cell lists them. The first two, and
+# solve_failed when it comes from the frontier constants, are
+# market-level: they fill every gamma of a market, alone.
+_CODES = (
+    "singular_covariance",
+    "degenerate_frontier",
+    "below_gamma_min",
+    "solve_failed",
+    "sw_sample_size",
+    "nonpositive_realized_gross_return",
+    "sw_degenerate",
+    "naive_outside_domain",
+    "sharpe_undefined",
+    "sharpe_outside_domain",
+)
+# Market-level code of each frontier outcome: a ValueError is a
+# degenerate frontier, an ArithmeticError a failed solve.
+_FRONTIER_CODES = np.array(
+    [-1]
+    + [
+        _CODES.index("degenerate_frontier" if error is ValueError else "solve_failed")
+        for error in FRONTIER_ERRORS[1:]
+    ]
+)
+
+# Subsets are solved in blocks whose largest arrays, (B, G, n) and
+# (B, n, k), hold at most this many values, so memory stays bounded
+# whatever the subset cap.
+_BLOCK_VALUES = 2**17
+
+# Rows formatted at a time when writing a table.
+_WRITE_ROWS = 4096
+
+# Stages timed into summary.json's timings_s.
+_STAGES = ("estimate", "constants", "grid", "realized_returns", "shapiro_wilk", "utilities", "csv_write")
 
 
 def default_synth_spec() -> SynthSpec:
@@ -103,33 +157,49 @@ class StudyConfig:
 
 @dataclass(frozen=True, eq=False)
 class StudyReport:
-    """Aggregated study results plus per-cell error codes."""
+    """Aggregated study results plus per-cell error codes.
+
+    Each table maps its CSV columns, in order, to equal-length lists
+    (``None`` is an empty cell). ``timings_s`` holds the seconds spent
+    per stage of the run that made the report.
+    """
 
     metadata: dict
-    pvalue_quantiles: list = field(default_factory=list)
-    condition_failure_rates: list = field(default_factory=list)
-    frontier_locations: list = field(default_factory=list)
-    strategy_utilities: list = field(default_factory=list)
-    cell_errors: list = field(default_factory=list)
+    pvalue_quantiles: dict = field(default_factory=dict)
+    condition_failure_rates: dict = field(default_factory=dict)
+    frontier_locations: dict = field(default_factory=dict)
+    strategy_utilities: dict = field(default_factory=dict)
+    cell_errors: dict = field(default_factory=dict)
+    timings_s: dict = field(default_factory=dict)
 
     def write(self, output_dir: Path) -> dict[str, Path]:
-        """Write one CSV per table plus summary.json; returns the paths."""
+        """Write one CSV per table plus summary.json; returns the paths.
+
+        The time spent on the CSVs goes into ``timings_s["csv_write"]``.
+        """
+        start = time.perf_counter()
         output_dir = Path(output_dir)
         output_dir.mkdir(parents=True, exist_ok=True)
         paths: dict[str, Path] = {}
+        counts: dict[str, int] = {}
         for name, header in _CSV_FILES.items():
+            columns = [getattr(self, name).get(col, []) for col in header]
+            counts[name] = len(columns[0])
             path = output_dir / f"{name}.csv"
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
-                for row in getattr(self, name):
-                    writer.writerow([_cell_str(row[col]) for col in header])
+                for first in range(0, counts[name], _WRITE_ROWS):
+                    cells = [_column_strs(col[first : first + _WRITE_ROWS]) for col in columns]
+                    writer.writerows(zip(*cells, strict=True))
             paths[name] = path
+        self.timings_s["csv_write"] = time.perf_counter() - start
         summary = {
             "schema_version": SCHEMA_VERSION,
             "metadata": self.metadata,
             "tables": {name: f"{name}.csv" for name in _CSV_FILES},
-            "counts": {name: len(getattr(self, name)) for name in _CSV_FILES},
+            "counts": counts,
+            "timings_s": self.timings_s,
         }
         path = output_dir / "summary.json"
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -137,12 +207,35 @@ class StudyReport:
         return paths
 
 
-def _cell_str(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
+def _column_strs(values: list) -> list[str]:
+    """CSV cells of one column: None is empty, a float its repr (which
+    ``str`` gives for Python floats), anything else its str."""
+    return ["" if v is None else str(v) for v in values]
+
+
+def _append(table: dict, n_rows: int, /, **columns) -> None:
+    """Append n_rows rows to a column table; a scalar fills its column."""
+    for name, values in columns.items():
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        elif not isinstance(values, list):
+            values = [values] * n_rows
+        table[name].extend(values)
+
+
+class _Stopwatch:
+    """Seconds per stage, from ``time.perf_counter`` laps."""
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(_STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str | None = None) -> None:
+        """Charge the time since the last lap to ``stage`` (None: to none)."""
+        now = time.perf_counter()
+        if stage is not None:
+            self.seconds[stage] += now - self._last
+        self._last = now
 
 
 def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> list[tuple[int, ...]]:
@@ -170,56 +263,175 @@ def _load_source(cfg: StudyConfig) -> tuple[ReturnMatrix, str]:
     return synth_market(cfg.synth, cfg.seed), f"synth:k={cfg.synth.k},n={cfg.synth.n}"
 
 
-def _code_cells(
-    errors: list, k: int, si: int, gammas: tuple[float, ...], masks: dict[str, np.ndarray]
+def _solve_markets(values: np.ndarray, cfg: StudyConfig, clock: _Stopwatch) -> SimpleNamespace:
+    """Estimate a stack of simple-return panels (B, n, k), build their
+    frontier constants and gamma_min, and solve the gamma grid for the
+    markets that have them.
+
+    Returns each market's market-level ``code`` (an index into
+    ``_CODES``, or -1) and, for the ``good`` markets without one, their
+    ``mu``, ``sigma``, ``constants``, ``grid`` and per-gamma ``codes``,
+    (B_good, G) masks by name.
+    """
+    mu, sigma, lower, chol_ok = estimate_rows(values)
+    clock.lap("estimate")
+    constants = efficient_constants_rows(mu, lower)
+    gm = gamma_min(constants)
+    code = _FRONTIER_CODES[constants.outcome]
+    code[(code < 0) & np.isnan(gm)] = _CODES.index("degenerate_frontier")
+    code[~chol_ok] = _CODES.index("singular_covariance")
+    good = code < 0
+    clock.lap("constants")
+    gammas = np.array(cfg.gamma_grid)
+    constants = constants[good]
+    grid = power_grid(constants, gammas, cfg.w0)
+    exists = gammas >= gm[good][:, None]
+    clock.lap("grid")
+    return SimpleNamespace(
+        gammas=gammas,
+        code=code,
+        good=good,
+        mu=mu[good],
+        sigma=sigma[good],
+        constants=constants,
+        grid=grid,
+        codes={"below_gamma_min": ~exists, "solve_failed": exists & ~grid.ok},
+    )
+
+
+def _append_cells(table: dict, k: int, m: SimpleNamespace, subset_index: np.ndarray) -> None:
+    """A cell_errors row per code of every cell of ``_solve_markets``'
+    markets ``m``: market by market, gamma by gamma, and within a cell in
+    the order of ``_CODES``."""
+    flags = np.zeros((m.code.size, m.gammas.size, len(_CODES)), dtype=bool)
+    coded = np.flatnonzero(~m.good)
+    flags[coded, :, m.code[coded]] = True
+    none = np.zeros(m.grid.ok.shape, dtype=bool)
+    flags[m.good] = np.stack([m.codes.get(c, none) for c in _CODES], axis=-1)
+    row, gi, ci = np.nonzero(flags)
+    codes = [_CODES[c] for c in ci.tolist()]
+    _append(table, row.size, k=k, subset_index=subset_index[row], gamma=m.gammas[gi], code=codes)
+
+
+def _subsets_pass(
+    tables: dict, k: int, panel: np.ndarray, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
 ) -> None:
-    """Append a cell_errors row for every (gamma, code) whose mask is set:
-    gamma by gamma, and within a gamma in the order of ``masks``."""
-    codes = list(masks)
-    gi_idx, code_idx = np.nonzero(np.column_stack(list(masks.values())))
-    for gi, ci in zip(gi_idx.tolist(), code_idx.tolist()):
-        errors.append({"k": k, "subset_index": si, "gamma": gammas[gi], "code": codes[ci]})
+    """Solve one k's subsets (B, k) of ``panel`` block by block and
+    append their rows."""
+    n_periods, n_gammas = panel.shape[0], len(cfg.gamma_grid)
+    block = max(1, _BLOCK_VALUES // (n_periods * max(n_gammas, k)))
+    # Stacked from the transposed panel, so every subset's (n, k) panel
+    # has the memory layout of panel[:, subset] and its results are
+    # bitwise those of its own solve.
+    blocks = [
+        _solve_block(tables, k, panel.T[subsets[i : i + block]].transpose(0, 2, 1), i, cfg, clock)
+        for i in range(0, len(subsets), block)
+    ]
+    exists, mv_ok, p_values = (np.concatenate(parts) for parts in zip(*blocks))
+
+    n_eval = len(exists)
+    fails = {"rate_gamma_min_violated": ~exists, "rate_mv_violated": ~(exists & mv_ok[:, None])}
+    _append(
+        tables["condition_failure_rates"],
+        n_gammas,
+        k=k,
+        gamma=list(cfg.gamma_grid),
+        n_subsets=len(subsets),
+        n_evaluated=n_eval,
+        **{
+            name: [f / n_eval if n_eval else None for f in mask.sum(axis=0).tolist()]
+            for name, mask in fails.items()
+        },
+    )
+    n_levels = len(cfg.quantiles)
+    for gi, gamma in enumerate(cfg.gamma_grid):
+        sample = p_values[~np.isnan(p_values[:, gi]), gi]
+        _append(
+            tables["pvalue_quantiles"],
+            n_levels,
+            k=k,
+            gamma=gamma,
+            quantile=list(cfg.quantiles),
+            n=sample.size,
+            value=quantile(sample, cfg.quantiles) if sample.size else None,
+        )
 
 
-def _solve_market(values: np.ndarray, gammas: np.ndarray, w0: float):
-    """Estimate one market, build its frontier constants and gamma_min,
-    and solve the whole gamma grid. Returns the market's error code if a
-    step fails, else ``(params, constants, grid, masks)`` with ``masks``
-    coding ``below_gamma_min`` where gamma < gamma_min and
-    ``solve_failed`` where the grid failed above it."""
-    try:
-        params = estimate_params(ReturnMatrix(values))
-    except ValueError:
-        return "singular_covariance"
-    try:
-        constants = efficient_constants(params)
-        exists = gammas >= gamma_min(constants)
-    except ValueError:
-        return "degenerate_frontier"
-    except ArithmeticError:
-        return "solve_failed"
-    grid = power_grid(constants, gammas, w0)
-    masks = {"below_gamma_min": ~exists, "solve_failed": exists & ~grid.ok}
-    return params, constants, grid, masks
+def _solve_block(
+    tables: dict, k: int, values: np.ndarray, first: int, cfg: StudyConfig, clock: _Stopwatch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a block of stacked subsets (B, n, k), the first of them
+    subset ``first``, and append their cell and strategy rows. Returns,
+    for the markets without a market-level code, where gamma reaches
+    gamma_min (B_good, G), where r_gmv > 0 (B_good,) and the p-values of
+    the tested cells (B_good, G; NaN elsewhere)."""
+    m = _solve_markets(values, cfg, clock)
+    constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
+    exists = ~codes["below_gamma_min"]
+    solved = exists & grid.ok
+
+    p_values = np.full(solved.shape, np.nan)
+    if not 3 <= values.shape[1] <= 5000:
+        codes["sw_sample_size"] = solved
+    else:
+        realized = constants.returns_at(values[m.good] + 1.0, grid.t)[solved]
+        clock.lap("realized_returns")
+        positive = solved.copy()
+        positive[solved] = realized.min(axis=-1) > 0.0
+        realized = realized[positive[solved]]
+        p_values[positive] = shapiro_wilk_rows(np.log(realized, out=realized))[1]
+        clock.lap("shapiro_wilk")
+        codes["nonpositive_realized_gross_return"] = solved & ~positive
+        codes["sw_degenerate"] = positive & np.isnan(p_values)
+
+    n_good, n_assets = m.mu.shape
+    naive_w = np.full((n_good, n_assets), 1.0 / n_assets)
+    naive, naive_inside = objective_rows(naive_w, m.mu, m.sigma, gammas, cfg.w0)
+    sharpe_w = constants.weights_at(constants.t_sharpe)
+    sharpe_defined = feasible_rows(sharpe_w)
+    sharpe, sharpe_inside = objective_rows(sharpe_w, m.mu, m.sigma, gammas, cfg.w0)
+    clock.lap("utilities")
+    codes["naive_outside_domain"] = solved & ~naive_inside[:, None]
+    codes["sharpe_undefined"] = solved & ~sharpe_defined[:, None]
+    codes["sharpe_outside_domain"] = solved & (sharpe_defined & ~sharpe_inside)[:, None]
+
+    subset_index = first + np.arange(m.code.size)
+    _append_cells(tables["cell_errors"], k, m, subset_index)
+    row, gi = np.nonzero(solved & (naive_inside & sharpe_defined & sharpe_inside)[:, None])
+    _append(
+        tables["strategy_utilities"],
+        row.size,
+        k=k,
+        gamma=gammas[gi],
+        subset_index=subset_index[m.good][row],
+        utility_naive=naive[row, gi],
+        utility_sharpe=sharpe[row, gi],
+        utility_optimal=grid.utility[row, gi],
+    )
+    return exists, constants.r_gmv > 0.0, p_values
 
 
-def _sharpe_weights(constants: FrontierConstants) -> Weights | None:
-    """The Sharpe portfolio Sigma^-1 mu / (1' Sigma^-1 mu), read off the
-    frontier as its gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``;
-    None where it is undefined."""
-    try:
-        return Weights(constants.w_gmv.w + constants.v_gmv / constants.r_gmv * constants.tilt)
-    except ValueError:
-        return None
-
-
-def _utilities(w: Weights, params, gammas: np.ndarray, w0: float) -> np.ndarray | None:
-    """A fixed portfolio's expected utility at every gamma, or None
-    outside the objective's domain."""
-    try:
-        return objective_value(w, params, gammas, w0)
-    except ValueError:
-        return None
+def _frontier_pass(tables: dict, k: int, values: np.ndarray, cfg: StudyConfig, clock: _Stopwatch) -> None:
+    """Place the GMV, Sharpe and optimal portfolios of the first-k-assets
+    market (subset_index -1; ``values`` its panel as a stack of one) on
+    its frontier."""
+    m = _solve_markets(values, cfg, clock)
+    cells, frontier = tables["cell_errors"], tables["frontier_locations"]
+    if not m.good[0]:
+        _append(cells, 1, k=k, subset_index=-1, gamma=None, code=_CODES[m.code[0]])
+        return
+    constants, grid = m.constants, m.grid
+    _append(frontier, 1, k=k, portfolio="gmv", gamma=None, x=constants.r_gmv, v=constants.v_gmv)
+    sharpe_w = constants.weights_at(constants.t_sharpe)
+    if feasible_rows(sharpe_w)[0]:
+        x, v = portfolio_moments_rows(sharpe_w, m.mu, m.sigma)
+        _append(frontier, 1, k=k, portfolio="sharpe", gamma=None, x=x, v=v)
+    else:
+        _append(cells, 1, k=k, subset_index=-1, gamma=None, code="sharpe_undefined")
+    _append_cells(cells, k, m, np.array([-1]))
+    on = np.flatnonzero(grid.ok[0] & ~m.codes["below_gamma_min"][0])
+    x, y = grid.x[0, on], grid.y[0, on]
+    _append(frontier, on.size, k=k, portfolio="optimal", gamma=m.gammas[on], x=x, v=y - x * x)
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -227,7 +439,16 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     returns, source = _load_source(cfg)
     if any(k > returns.n_assets for k in cfg.k_range):
         raise ValueError("k_range exceeds the number of assets in the data")
-    sw_ok = 3 <= returns.n_periods <= 5000
+
+    clock = _Stopwatch()
+    tables = {name: {col: [] for col in header} for name, header in _CSV_FILES.items()}
+    for k in cfg.k_range:
+        subsets = np.array(_draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed))
+        clock.lap()
+        _subsets_pass(tables, k, returns.values, subsets, cfg, clock)
+        clock.lap()
+        _frontier_pass(tables, k, returns.values[None, :, :k], cfg, clock)
+        clock.lap()
 
     report = StudyReport(
         metadata={
@@ -241,127 +462,9 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             "w0": cfg.w0,
             "quantiles": list(cfg.quantiles),
             "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
+        },
+        timings_s=clock.seconds,
+        **tables,
     )
-    gammas = np.array(cfg.gamma_grid)
-    everywhere = np.ones(gammas.size, dtype=bool)
-
-    for k in cfg.k_range:
-        subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
-        pvals: list[list[float]] = [[] for _ in cfg.gamma_grid]
-        gamma_fail = np.zeros(gammas.size, dtype=int)
-        mv_fail = np.zeros(gammas.size, dtype=int)
-        n_eval = 0
-
-        for si, sub in enumerate(subsets):
-            sub_values = returns.values[:, list(sub)]
-            market = _solve_market(sub_values, gammas, cfg.w0)
-            if isinstance(market, str):
-                _code_cells(report.cell_errors, k, si, cfg.gamma_grid, {market: everywhere})
-                continue
-            params, constants, grid, masks = market
-
-            n_eval += 1
-            exists = ~masks["below_gamma_min"]
-            gamma_fail += ~exists
-            mv_fail += ~(exists & (constants.r_gmv > 0.0))
-            solved = exists & grid.ok
-
-            if not sw_ok:
-                masks["sw_sample_size"] = solved
-            elif solved.any():
-                # Every optimum is the frontier portfolio w_gmv + t tilt, so
-                # two mat-vecs give the realized gross returns at every gamma.
-                gross = sub_values + 1.0
-                realized = np.outer(grid.t[solved], gross @ constants.tilt) + gross @ constants.w_gmv.w
-                positive = solved.copy()
-                positive[solved] = realized.min(axis=1) > 0.0
-                p_values = np.full(gammas.size, np.nan)
-                p_values[positive] = shapiro_wilk_rows(np.log(realized[positive[solved]]))[1]
-                tested = positive & ~np.isnan(p_values)
-                masks["nonpositive_realized_gross_return"] = solved & ~positive
-                masks["sw_degenerate"] = positive & ~tested
-                for gi in np.flatnonzero(tested).tolist():
-                    pvals[gi].append(float(p_values[gi]))
-
-            sharpe_w = _sharpe_weights(constants)
-            naive = _utilities(Weights(np.full(k, 1.0 / k)), params, gammas, cfg.w0)
-            sharpe = None if sharpe_w is None else _utilities(sharpe_w, params, gammas, cfg.w0)
-            masks["naive_outside_domain"] = solved & (naive is None)
-            masks["sharpe_undefined"] = solved & (sharpe_w is None)
-            masks["sharpe_outside_domain"] = solved & (sharpe_w is not None and sharpe is None)
-            _code_cells(report.cell_errors, k, si, cfg.gamma_grid, masks)
-
-            if naive is not None and sharpe is not None:
-                optimal = grid.utility.tolist()
-                naive, sharpe = naive.tolist(), sharpe.tolist()
-                for gi in np.flatnonzero(solved).tolist():
-                    report.strategy_utilities.append(
-                        {
-                            "k": k,
-                            "gamma": cfg.gamma_grid[gi],
-                            "subset_index": si,
-                            "utility_naive": naive[gi],
-                            "utility_sharpe": sharpe[gi],
-                            "utility_optimal": optimal[gi],
-                        }
-                    )
-
-        for gi, g in enumerate(cfg.gamma_grid):
-            report.condition_failure_rates.append(
-                {
-                    "k": k,
-                    "gamma": g,
-                    "n_subsets": len(subsets),
-                    "n_evaluated": n_eval,
-                    "rate_gamma_min_violated": int(gamma_fail[gi]) / n_eval if n_eval else None,
-                    "rate_mv_violated": int(mv_fail[gi]) / n_eval if n_eval else None,
-                }
-            )
-            for q in cfg.quantiles:
-                sample = pvals[gi]
-                report.pvalue_quantiles.append(
-                    {
-                        "k": k,
-                        "gamma": g,
-                        "quantile": q,
-                        "n": len(sample),
-                        "value": quantile(sample, q) if sample else None,
-                    }
-                )
-
-        # The deterministic first-k-assets market (subset_index -1) locates
-        # the GMV, Sharpe and optimal portfolios on its frontier.
-        market = _solve_market(returns.values[:, :k], gammas, cfg.w0)
-        if isinstance(market, str):
-            report.cell_errors.append({"k": k, "subset_index": -1, "gamma": None, "code": market})
-            continue
-        params, constants, grid, masks = market
-        report.frontier_locations.append(
-            {"k": k, "portfolio": "gmv", "gamma": None, "x": constants.r_gmv, "v": constants.v_gmv}
-        )
-        sharpe_w = _sharpe_weights(constants)
-        if sharpe_w is None:
-            report.cell_errors.append(
-                {"k": k, "subset_index": -1, "gamma": None, "code": "sharpe_undefined"}
-            )
-        else:
-            x, v = portfolio_moments(sharpe_w, params)
-            report.frontier_locations.append(
-                {"k": k, "portfolio": "sharpe", "gamma": None, "x": x, "v": v}
-            )
-        _code_cells(report.cell_errors, k, -1, cfg.gamma_grid, masks)
-        xs, ys = grid.x.tolist(), grid.y.tolist()
-        for gi in np.flatnonzero(~masks["below_gamma_min"] & grid.ok).tolist():
-            report.frontier_locations.append(
-                {
-                    "k": k,
-                    "portfolio": "optimal",
-                    "gamma": cfg.gamma_grid[gi],
-                    "x": xs[gi],
-                    "v": ys[gi] - xs[gi] * xs[gi],
-                }
-            )
-
     report.write(cfg.output_dir)
     return report

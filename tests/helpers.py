@@ -186,3 +186,8 @@ class EmpiricalCdf:
 def empirical_cdf(values) -> EmpiricalCdf:
     """Build the right-continuous ECDF of a nonempty sample."""
     return EmpiricalCdf(values)
+
+
+def table_rows(table: dict) -> list[dict]:
+    """The rows of a study report table, stored as columns, as dicts."""
+    return [dict(zip(table, row)) for row in zip(*table.values(), strict=True)]

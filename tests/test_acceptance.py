@@ -33,7 +33,7 @@ from crraport import (
     sharpe_weights,
     OracleConfig,
 )
-from helpers import empirical_cdf, market_with_constants, random_market
+from helpers import empirical_cdf, market_with_constants, random_market, table_rows
 
 
 @pytest.fixture
@@ -321,7 +321,7 @@ def test_criterion_10_study_harness(announce, tmp_path):
 
     rates_ok = True
     by_k: dict = {}
-    for row in report.condition_failure_rates:
+    for row in table_rows(report.condition_failure_rates):
         by_k.setdefault(row["k"], []).append((row["gamma"], row["rate_gamma_min_violated"]))
     for k, rows in by_k.items():
         rates = [r for _, r in sorted(rows)]
@@ -329,7 +329,7 @@ def test_criterion_10_study_harness(announce, tmp_path):
 
     ecdf_ok = True
     groups: dict = {}
-    for row in report.strategy_utilities:
+    for row in table_rows(report.strategy_utilities):
         groups.setdefault((row["k"], row["gamma"]), []).append(row)
     for rows in groups.values():
         if len(rows) < 3:
@@ -355,8 +355,9 @@ def test_criterion_10_study_harness(announce, tmp_path):
     )
     sa = json.loads((tmp_path / "a" / "summary.json").read_text())
     sb = json.loads((tmp_path / "b" / "summary.json").read_text())
-    sa["metadata"].pop("timestamp")
-    sb["metadata"].pop("timestamp")
+    for summary in (sa, sb):
+        summary["metadata"].pop("timestamp")
+        summary.pop("timings_s")
     bytes_ok = bytes_ok and sa == sb
 
     ok = rates_ok and ecdf_ok and bytes_ok

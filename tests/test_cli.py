@@ -181,7 +181,9 @@ class TestStudy:
         assert code == 0
         payload = json.loads(out)
         assert payload["strategy_rows"] > 0
-        assert (out_dir / "summary.json").exists()
+        counts = json.loads((out_dir / "summary.json").read_text())["counts"]
+        assert payload["strategy_rows"] == counts["strategy_utilities"]
+        assert payload["cells_with_errors"] == counts["cell_errors"] > 0
 
     def test_k_range_colon_syntax(self, capsys, tmp_path):
         out_dir = tmp_path / "study2"

@@ -11,6 +11,7 @@ from crraport import (
     default_synth_spec,
     discriminant,
     efficient_constants,
+    efficient_constants_rows,
     estimate_params,
     gamma_min,
     gmv_weights,
@@ -32,6 +33,7 @@ from helpers import (
     market_with_constants,
     monotonicity_check,
     random_market,
+    table_rows,
 )
 
 # mu = (-0.1, 0.2), sigma = diag(0.01, 0.04): 1'S^-1 mu = -10 + 5 = -5,
@@ -310,7 +312,7 @@ class TestPowerGrid:
         report = run_study(cfg)
         study_utility = {
             (r["k"], r["subset_index"], r["gamma"]): r["utility_optimal"]
-            for r in report.strategy_utilities
+            for r in table_rows(report.strategy_utilities)
         }
         values = synth_market(cfg.synth, cfg.seed).values
         n_ok = 0
@@ -331,12 +333,39 @@ class TestPowerGrid:
                     assert grid.y[gi] == pytest.approx(sol.y, rel=1e-12)
                     assert grid.utility[gi] == pytest.approx(sol.expected_utility, rel=1e-12)
                     assert grid.t[gi] == pytest.approx((sol.x - con.r_gmv) / con.s, rel=1e-9)
-                    w = con.w_gmv.w + grid.t[gi] * con.tilt
+                    w = con.w_gmv + grid.t[gi] * con.tilt
                     assert np.max(np.abs(w - sol.weights.w)) <= 1e-10 * np.abs(w).sum()
                     key = (k, si, gamma)
                     if key in study_utility:
                         assert study_utility[key] == pytest.approx(sol.expected_utility, rel=1e-12)
         assert n_ok > 0 and len(study_utility) > 0
+
+    def test_batch_rows_equal_one_market_grids(self):
+        rng = np.random.default_rng(34)
+        markets = [random_market(rng, 4) for _ in range(6)]
+        con = efficient_constants_rows(
+            np.stack([m.mu for m in markets]), np.stack([m.lower for m in markets])
+        )
+        gammas = [0.5, 2.0, 7.0, 1e4]
+        grid = power_grid(con, gammas)
+        gm = gamma_min(con)
+        assert grid.x.shape == grid.outcome.shape == (6, 4)
+        for b, params in enumerate(markets):
+            one = efficient_constants(params)
+            ref = power_grid(one, gammas)
+            for name in ("x", "y", "t", "utility", "outcome"):
+                assert np.array_equal(getattr(grid, name)[b], getattr(ref, name), equal_nan=True)
+            assert gm[b] == gamma_min(one)
+
+    def test_gamma_min_batch_gives_nan_where_undefined(self):
+        flat = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
+        ok = MarketParams([1.05, 1.15], np.diag([0.01, 0.04]))
+        con = efficient_constants_rows(np.stack([flat.mu, ok.mu]), np.stack([flat.lower, ok.lower]))
+        gm = gamma_min(con)
+        assert np.isnan(gm[0]) and gm[1] == gamma_min(efficient_constants(ok))
+        with pytest.raises(ValueError, match="degenerate frontier"):
+            power_grid(con, [2.0])
+        assert power_grid(con[1:], [2.0]).ok.all()
 
     def test_outcomes_name_the_failed_check(self, worked_market):
         con = efficient_constants(worked_market)

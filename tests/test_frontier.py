@@ -7,6 +7,7 @@ from crraport import (
     Weights,
     default_synth_spec,
     efficient_constants,
+    efficient_constants_rows,
     estimate_params,
     gmv_weights,
     markowitz_weights,
@@ -15,6 +16,7 @@ from crraport import (
     sharpe_weights,
     synth_market,
 )
+from crraport.frontier import FRONTIER_OUTCOMES
 from helpers import random_feasible_weights, random_market
 
 
@@ -25,7 +27,7 @@ class TestEfficientConstants:
         assert con.v_gmv == pytest.approx(worked_values["v_gmv"], rel=1e-12)
         assert con.s == pytest.approx(worked_values["s"], rel=1e-12)
         np.testing.assert_allclose(con.tilt, worked_values["q_mu"], atol=1e-10)
-        np.testing.assert_allclose(con.w_gmv.w, [0.8, 0.2], rtol=1e-12)
+        np.testing.assert_allclose(con.w_gmv, [0.8, 0.2], rtol=1e-12)
 
     def test_equal_means_zero_slope(self):
         params = MarketParams([1.03, 1.03, 1.03], np.diag([1e-4, 2e-4, 3e-4]))
@@ -41,6 +43,26 @@ class TestEfficientConstants:
             assert con_t.v_gmv == pytest.approx(t * con.v_gmv, rel=1e-10)
             assert con_t.s == pytest.approx(con.s / t, rel=1e-10)
 
+    def test_batch_rows_equal_one_market_calls(self):
+        # A stack of markets: each row is bitwise its own call, and a row
+        # that fails a check is coded without stopping the others.
+        rng = np.random.default_rng(33)
+        markets = [random_market(rng, 5) for _ in range(7)]
+        mu = np.stack([m.mu for m in markets])
+        mu[3, 2] = np.nan
+        con = efficient_constants_rows(mu, np.stack([m.lower for m in markets]))
+        assert con.r_gmv.shape == (7,) and con.tilt.shape == (7, 5)
+        assert [FRONTIER_OUTCOMES[c] for c in con.outcome] == ["ok"] * 3 + ["nonfinite_tilt"] + ["ok"] * 3
+        assert np.isnan(con.r_gmv[3]) and np.all(np.isnan(con.w_gmv[3]))
+        for b, params in enumerate(markets):
+            if b == 3:
+                continue
+            one = efficient_constants(params)
+            for name in ("r_gmv", "v_gmv", "s", "w_gmv", "tilt"):
+                assert np.array_equal(getattr(con, name)[b], getattr(one, name)), (b, name)
+        one = efficient_constants_rows(mu[3], markets[3].lower)
+        assert FRONTIER_OUTCOMES[one.outcome] == "nonfinite_tilt" and np.isnan(one.r_gmv)
+
     def test_tilt_properties_random_markets(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -55,7 +77,7 @@ class TestEfficientConstants:
             assert abs(con.tilt.sum()) <= 1e-12 * np.abs(con.tilt).sum()
             assert float(params.mu @ con.tilt) == pytest.approx(con.s, rel=1e-10)
             assert float(con.tilt @ params.sigma @ con.tilt) == pytest.approx(con.s, rel=1e-10)
-            np.testing.assert_allclose(con.w_gmv.w, gmv_weights(params).w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(con.w_gmv, gmv_weights(params).w, rtol=0, atol=1e-12)
             # solve-route slope agrees up to the cancellation floor
             ones_v = params.solve(np.ones(params.k))
             mu_v = params.solve(params.mu)

@@ -6,6 +6,7 @@ from crraport import (
     ReturnMatrix,
     SynthSpec,
     estimate_params,
+    estimate_rows,
     load_returns_csv,
     subset,
     synth_market,
@@ -226,3 +227,23 @@ def test_return_matrix_validation():
         ReturnMatrix(np.array([[0.1, np.nan], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="labels"):
         ReturnMatrix(np.zeros((3, 2)), ("only_one",))
+
+
+class TestEstimateRows:
+    def test_each_panel_matches_its_own_estimate_and_failures_are_flagged(self):
+        rng = np.random.default_rng(8)
+        panels = rng.normal(0.002, 0.03, (4, 40, 5))
+        panels[1, :, 2] = 0.01  # a constant column: zero variance
+        panels[3, :, 4] = panels[3, :, 0] - panels[3, :, 1]  # a collinear column
+        mu, sigma, lower, ok = estimate_rows(panels)
+        assert ok.tolist() == [True, False, True, False]
+        for b in range(4):
+            if ok[b]:
+                params = estimate_params(ReturnMatrix(panels[b]))
+                assert np.array_equal(mu[b], params.mu)
+                assert np.array_equal(sigma[b], params.sigma)
+                assert np.array_equal(lower[b], params.lower)
+            else:
+                with pytest.raises(ValueError, match="singular covariance"):
+                    estimate_params(ReturnMatrix(panels[b]))
+                assert np.array_equal(lower[b], np.eye(5))

@@ -169,6 +169,15 @@ class TestShapiroWilkRows:
         with pytest.raises(ValueError, match="finite"):
             shapiro_wilk_rows([[1.0, 2.0, np.nan]])
 
+    @pytest.mark.parametrize("n", [156, 520])
+    @pytest.mark.parametrize("rows", [1, 9, 2000])
+    def test_row_result_independent_of_batch_size(self, n, rows):
+        x = np.random.default_rng([n, rows]).normal(0.001, 0.02, (rows, n))
+        w, p = shapiro_wilk_rows(x)
+        for i in range(rows):
+            one = shapiro_wilk(x[i])
+            assert w[i] == one.statistic and p[i] == one.p_value, i
+
 
 class TestQuantile:
     def test_extremes(self):
@@ -199,6 +208,16 @@ class TestQuantile:
             quantile([], 0.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             quantile([1.0], 1.5)
+
+    def test_sequence_of_levels(self):
+        data = np.random.default_rng(12).uniform(size=37)
+        levels = (0.05, 0.25, 0.5, 0.975)
+        out = quantile(data, levels)
+        assert isinstance(out, np.ndarray) and out.shape == (4,)
+        assert out.tolist() == [quantile(data, q) for q in levels]
+        assert isinstance(quantile(data, 0.5), float)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            quantile(data, [0.5, -0.1])
 
 
 def test_test_result_validation():

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 
 import numpy as np
@@ -11,13 +12,15 @@ from crraport import (
     efficient_constants,
     estimate_params,
     gamma_min,
+    load_returns_csv,
+    power_solution,
     run_study,
     sharpe_weights,
     synth_market,
     ReturnMatrix,
 )
-from crraport.study import _draw_subsets, _sharpe_weights, _solve_market
-from helpers import empirical_cdf
+from crraport.study import _draw_subsets, _solve_markets, _Stopwatch
+from helpers import empirical_cdf, table_rows
 
 
 def _small_config(tmp_path, **overrides):
@@ -89,7 +92,7 @@ class TestRunStudy:
     def test_failure_rate_non_increasing_in_gamma(self, tmp_path):
         report = run_study(_small_config(tmp_path))
         by_k: dict = {}
-        for row in report.condition_failure_rates:
+        for row in table_rows(report.condition_failure_rates):
             by_k.setdefault(row["k"], []).append(
                 (row["gamma"], row["rate_gamma_min_violated"])
             )
@@ -102,14 +105,14 @@ class TestRunStudy:
 
     def test_optimal_dominates_other_strategies(self, tmp_path):
         report = run_study(_small_config(tmp_path))
-        assert report.strategy_utilities
-        for row in report.strategy_utilities:
+        assert table_rows(report.strategy_utilities)
+        for row in table_rows(report.strategy_utilities):
             assert row["utility_optimal"] >= row["utility_naive"] - 1e-12
             assert row["utility_optimal"] >= row["utility_sharpe"] - 1e-12
 
     def test_ecdf_first_order_dominance(self, tmp_path):
         report = run_study(_small_config(tmp_path))
-        rows = [r for r in report.strategy_utilities if r["k"] == 4 and r["gamma"] == 2.0]
+        rows = [r for r in table_rows(report.strategy_utilities) if r["k"] == 4 and r["gamma"] == 2.0]
         opt = [r["utility_optimal"] for r in rows]
         naive = [r["utility_naive"] for r in rows]
         f_opt, f_naive = empirical_cdf(opt), empirical_cdf(naive)
@@ -118,26 +121,26 @@ class TestRunStudy:
 
     def test_below_threshold_cells_recorded(self, tmp_path):
         report = run_study(_small_config(tmp_path))
-        codes = {e["code"] for e in report.cell_errors}
+        codes = {e["code"] for e in table_rows(report.cell_errors)}
         assert "below_gamma_min" in codes
         # errors carry their cell coordinates
-        err = next(e for e in report.cell_errors if e["code"] == "below_gamma_min")
+        err = next(e for e in table_rows(report.cell_errors) if e["code"] == "below_gamma_min")
         assert err["gamma"] in (0.4, 0.8) and err["k"] in (4, 6)
 
     def test_pvalue_quantiles_shape(self, tmp_path):
         cfg = _small_config(tmp_path)
         report = run_study(cfg)
-        assert len(report.pvalue_quantiles) == len(cfg.k_range) * len(
+        assert len(table_rows(report.pvalue_quantiles)) == len(cfg.k_range) * len(
             cfg.gamma_grid
         ) * len(cfg.quantiles)
-        for row in report.pvalue_quantiles:
+        for row in table_rows(report.pvalue_quantiles):
             if row["value"] is not None:
                 assert 0.0 <= row["value"] <= 1.0
                 assert row["n"] > 0
 
     def test_frontier_locations_present(self, tmp_path):
         report = run_study(_small_config(tmp_path))
-        kinds = {(r["k"], r["portfolio"]) for r in report.frontier_locations}
+        kinds = {(r["k"], r["portfolio"]) for r in table_rows(report.frontier_locations)}
         assert (4, "gmv") in kinds and (4, "sharpe") in kinds and (4, "optimal") in kinds
 
     def test_outputs_written(self, tmp_path):
@@ -174,9 +177,45 @@ class TestRunStudy:
             ), name
         sa = json.loads((cfg_a.output_dir / "summary.json").read_text())
         sb = json.loads((cfg_b.output_dir / "summary.json").read_text())
-        sa["metadata"].pop("timestamp")
-        sb["metadata"].pop("timestamp")
+        for summary in (sa, sb):
+            summary["metadata"].pop("timestamp")
+            summary.pop("timings_s")
         assert sa == sb
+
+    def test_summary_records_stage_timings(self, tmp_path):
+        cfg = _small_config(tmp_path)
+        report = run_study(cfg)
+        summary = json.loads((cfg.output_dir / "summary.json").read_text())
+        stages = {
+            "estimate",
+            "constants",
+            "grid",
+            "realized_returns",
+            "shapiro_wilk",
+            "utilities",
+            "csv_write",
+        }
+        assert set(summary["timings_s"]) == stages
+        assert all(isinstance(t, float) and t >= 0.0 for t in summary["timings_s"].values())
+        assert summary["timings_s"] == report.timings_s
+
+    def test_golden_digests(self, tmp_path):
+        # SHA-256 of two tables as written before the per-k batched solve.
+        cfg = _small_config(
+            tmp_path,
+            k_range=(3, 4, 6, 9),
+            gamma_grid=(0.4, 0.8, 1.0, 2.0, 5.0, 1e4),
+            n_subsets_cap=25,
+        )
+        run_study(cfg)
+        digests = {
+            name: hashlib.sha256((cfg.output_dir / f"{name}.csv").read_bytes()).hexdigest()
+            for name in ("cell_errors", "condition_failure_rates")
+        }
+        assert digests == {
+            "cell_errors": "547d39f5ab0a652fa1b55f185fafffdb182e1c7dfcf044897979801e18e077e4",
+            "condition_failure_rates": "a093fe8611f6188dd33c0caa678ec96ca8d09e6af23d54950ba80deb33d1c8cf",
+        }
 
     def test_csv_source(self, tmp_path):
         returns = synth_market(default_synth_spec(), seed=5)
@@ -190,7 +229,7 @@ class TestRunStudy:
         report = run_study(cfg)
         assert report.metadata["source"].startswith("csv:")
         assert report.metadata["n_assets"] == 17
-        assert report.strategy_utilities
+        assert table_rows(report.strategy_utilities)
 
     def test_frontier_market_failures_coded_by_cause(self, tmp_path):
         # Gross means of -0.1 and 0.2 give r_gmv < 0: below gamma_min
@@ -205,7 +244,7 @@ class TestRunStudy:
         assert constants.r_gmv < 0.0
         gm = gamma_min(constants)
         coded = {
-            e["gamma"]: e["code"] for e in report.cell_errors if e["subset_index"] == -1
+            e["gamma"]: e["code"] for e in table_rows(report.cell_errors) if e["subset_index"] == -1
         }
         assert coded == {
             g: "below_gamma_min" if g < gm else "solve_failed" for g in cfg.gamma_grid
@@ -217,20 +256,67 @@ class TestRunStudy:
         # the Sigma^-1 mu solve, on every evaluated market of a small study.
         cfg = _small_config(tmp_path)
         values = synth_market(cfg.synth, cfg.seed).values
-        gammas = np.array(cfg.gamma_grid)
         checked = 0
         for k in cfg.k_range:
             subsets = _draw_subsets(values.shape[1], k, cfg.n_subsets_cap, cfg.seed)
-            for sub in subsets + [tuple(range(k))]:
-                market = _solve_market(values[:, list(sub)], gammas, cfg.w0)
-                if isinstance(market, str):
-                    continue
-                params, constants, _, _ = market
+            subsets.append(tuple(range(k)))
+            stack = np.stack([values[:, list(sub)] for sub in subsets])
+            markets = _solve_markets(stack, cfg, _Stopwatch())
+            con = markets.constants
+            study_w = con.weights_at(con.t_sharpe)
+            for row, si in enumerate(np.flatnonzero(markets.good)):
+                params = estimate_params(ReturnMatrix(stack[si]))
                 ref = sharpe_weights(params).w
-                gap = np.max(np.abs(_sharpe_weights(constants).w - ref))
-                assert gap <= 1e-12 * np.abs(ref).sum(), (k, sub)
+                gap = np.max(np.abs(study_w[row] - ref))
+                assert gap <= 1e-12 * np.abs(ref).sum(), (k, subsets[si])
                 checked += 1
         assert checked == 2 * (cfg.n_subsets_cap + 1)
+
+    def test_collinear_subsets_coded_singular_and_others_match_reference(self, tmp_path):
+        # Column f is d + 2e: the subsets holding d, e and f have a
+        # singular covariance; the rest of their k batch must not notice.
+        rng = np.random.default_rng(5)
+        panel = rng.normal(0.002, 0.03, (80, 6))
+        panel[:, 5] = panel[:, 3] + 2.0 * panel[:, 4]
+        csv_path = tmp_path / "collinear.csv"
+        lines = ["a,b,c,d,e,f"] + [",".join(repr(float(v)) for v in row) for row in panel]
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = _small_config(
+            tmp_path,
+            synth=None,
+            data_csv=csv_path,
+            k_range=(3, 4),
+            gamma_grid=(0.5, 2.0, 5.0, 20.0),
+        )
+        report = run_study(cfg)
+        cells = table_rows(report.cell_errors)
+        utility = {
+            (r["k"], r["subset_index"], r["gamma"]): r["utility_optimal"]
+            for r in table_rows(report.strategy_utilities)
+        }
+        values = load_returns_csv(csv_path).values
+        n_singular = n_solved = 0
+        for k in cfg.k_range:
+            for si, sub in enumerate(_draw_subsets(6, k, cfg.n_subsets_cap, cfg.seed)):
+                codes = {
+                    (e["gamma"], e["code"]) for e in cells if (e["k"], e["subset_index"]) == (k, si)
+                }
+                if {3, 4, 5} <= set(sub):
+                    assert codes == {(g, "singular_covariance") for g in cfg.gamma_grid}
+                    n_singular += 1
+                    continue
+                assert "singular_covariance" not in {code for _, code in codes}
+                params = estimate_params(ReturnMatrix(values[:, list(sub)]))
+                for gamma in cfg.gamma_grid:
+                    try:
+                        sol = power_solution(gamma, params, cfg.w0)
+                    except (ValueError, ArithmeticError):
+                        assert (k, si, gamma) not in utility
+                        continue
+                    assert utility[(k, si, gamma)] == pytest.approx(sol.expected_utility, rel=1e-12)
+                    n_solved += 1
+        assert n_singular == 1 + 3  # C(3, 3) subsets at k = 3, C(3, 1) at k = 4
+        assert n_solved > 0
 
     def test_degenerate_frontier_market_gets_one_market_level_row(self, tmp_path):
         # Every column a permutation of one draw: equal sample means (up
@@ -245,10 +331,10 @@ class TestRunStudy:
             tmp_path, synth=None, data_csv=csv_path, k_range=(3,), gamma_grid=(2.0, 5.0)
         )
         report = run_study(cfg)
-        market_rows = [e for e in report.cell_errors if e["subset_index"] == -1]
+        market_rows = [e for e in table_rows(report.cell_errors) if e["subset_index"] == -1]
         assert market_rows == [
             {"k": 3, "subset_index": -1, "gamma": None, "code": "degenerate_frontier"}
         ]
-        assert report.frontier_locations == []
-        assert {e["code"] for e in report.cell_errors} == {"degenerate_frontier"}
-        assert not report.strategy_utilities
+        assert table_rows(report.frontier_locations) == []
+        assert {e["code"] for e in table_rows(report.cell_errors)} == {"degenerate_frontier"}
+        assert not table_rows(report.strategy_utilities)
