@@ -12,12 +12,16 @@ Most flags can also be supplied through an environment variable named
 explicit flags win. ``synth --spec`` reads ``CRRAPORT_SYNTH``. Without a
 mirror are ``solve --gamma``, ``frontier --points/--span``, ``verify
 --n-starts/--tol-w/--tol-obj`` and ``lemma1 --ratios/--mu/--n-grid``.
-Errors exit nonzero with a one-line JSON message on stderr.
+A mirror is a string default that argparse parses with the flag's
+``type``, so a bad value is a usage error (exit 2). CSV output writes
+floats by their repr. Other errors exit nonzero with a one-line JSON
+message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -79,7 +83,17 @@ def _add_market_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--synth", default=_env("SYNTH"), help="synthetic spec JSON, or 'default'"
     )
-    parser.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+    parser.add_argument("--seed", type=int, default=_env("SEED", "0"))
+
+
+def _write_csv(path: str | None, header, rows) -> None:
+    """Write a CSV, with floats by their repr, to ``path`` or, without
+    one, to stdout."""
+    out = open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _solution_payload(sol, constants) -> dict:
@@ -112,25 +126,20 @@ def _cmd_frontier(args) -> int:
     constants = efficient_constants(params)
     half_span = args.span * (constants.s * constants.v_gmv) ** 0.5
     xs = np.linspace(constants.r_gmv - half_span, constants.r_gmv + half_span, args.points)
-    rows = []
-    for x in xs:
-        w = markowitz_weights(float(x), params, constants)
-        rows.append((float(x), parabola_variance(float(x), constants), w))
+    rows = [
+        [x, parabola_variance(x, constants), *markowitz_weights(x, params, constants).w.tolist()]
+        for x in xs.tolist()
+    ]
     payload = {
         "r_gmv": constants.r_gmv,
         "v_gmv": constants.v_gmv,
         "s": constants.s,
         "gamma_min": gamma_min(constants),
-        "points": [{"x": x, "v": v} for x, v, _ in rows],
+        "points": [{"x": x, "v": v} for x, v, *_ in rows],
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        path = Path(args.out)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "v"] + [f"w_{j + 1}" for j in range(params.k)])
-            for x, v, w in rows:
-                writer.writerow([repr(x), repr(v)] + [repr(float(c)) for c in w.w])
+        _write_csv(args.out, ["x", "v"] + [f"w_{j + 1}" for j in range(params.k)], rows)
     return 0
 
 
@@ -173,32 +182,14 @@ def _cmd_lemma1(args) -> int:
         bound = psi_sup_bound(args.mu, sigma)
         emp = psi_sup_empirical(args.mu, sigma, args.n_grid)
         rows.append((ratio, bound, emp, bound / ratio, emp <= bound))
-    out = args.out and Path(args.out)
-    fh = out.open("w", newline="", encoding="utf-8") if out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ratio", "bound", "empirical", "bound_over_ratio", "empirical_le_bound"])
-        for row in rows:
-            writer.writerow([repr(row[0]), repr(row[1]), repr(row[2]), repr(row[3]), row[4]])
-    finally:
-        if out:
-            fh.close()
+    _write_csv(args.out, ["ratio", "bound", "empirical", "bound_over_ratio", "empirical_le_bound"], rows)
     return 0
 
 
 def _cmd_synth(args) -> int:
     spec = _load_synth_spec(args.spec)
     returns = synth_market(spec, args.seed)
-    out = args.out and Path(args.out)
-    fh = out.open("w", newline="", encoding="utf-8") if out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(returns.asset_labels)
-        for row in returns.values:
-            writer.writerow([repr(float(v)) for v in row])
-    finally:
-        if out:
-            fh.close()
+    _write_csv(args.out, returns.asset_labels, returns.values.tolist())
     return 0
 
 
@@ -242,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="one market, one gamma -> solution JSON")
     _add_market_args(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--w0", type=float, default=float(_env("W0", "1.0")))
+    p.add_argument("--w0", type=float, default=_env("W0", "1.0"))
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("frontier", help="efficient-set constants + sampled parabola")
@@ -254,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed form vs numerical oracle")
     _add_market_args(p)
-    p.add_argument("--gammas", type=_floats, default=_env("GAMMAS") and _floats(_env("GAMMAS")))
+    p.add_argument("--gammas", type=_floats, default=_env("GAMMAS"))
     p.add_argument("--n-starts", type=int, default=8)
     p.add_argument("--tol-w", type=float, default=1e-5)
     p.add_argument("--tol-obj", type=float, default=1e-9)
@@ -269,19 +260,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit a synthetic returns CSV")
     p.add_argument("--spec", default=_env("SYNTH", "default"))
-    p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
     p.add_argument("--out", default=_env("OUT"))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("study", help="full subset-sampling study")
     p.add_argument("--data", default=_env("DATA"))
     p.add_argument("--synth", default=_env("SYNTH"), help="spec JSON or 'default'")
-    p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    p.add_argument("--k-range", type=_ints, default=_ints(_env("K_RANGE", "4:14")))
-    p.add_argument("--gammas", type=_floats, default=_floats(_env("GAMMAS", "2,3,4,5,6,7,8,9,10")))
-    p.add_argument("--subset-cap", type=int, default=int(_env("SUBSET_CAP", "200")))
-    p.add_argument("--w0", type=float, default=float(_env("W0", "1.0")))
-    p.add_argument("--quantiles", type=_floats, default=_floats(_env("QUANTILES", "0.05,0.25,0.5")))
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--k-range", type=_ints, default=_env("K_RANGE", "4:14"))
+    p.add_argument("--gammas", type=_floats, default=_env("GAMMAS", "2,3,4,5,6,7,8,9,10"))
+    p.add_argument("--subset-cap", type=int, default=_env("SUBSET_CAP", "200"))
+    p.add_argument("--w0", type=float, default=_env("W0", "1.0"))
+    p.add_argument("--quantiles", type=_floats, default=_env("QUANTILES", "0.05,0.25,0.5"))
     p.add_argument("--out", default=_env("OUT", "study_out"))
     p.set_defaults(func=_cmd_study)
 

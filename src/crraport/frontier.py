@@ -152,15 +152,12 @@ def _first_failures(failed: tuple, values: tuple) -> tuple:
     in the failed cells. Returns (outcome, *values), with numpy scalars
     in place of 0-d arrays."""
     bad = functools.reduce(np.logical_or, failed)
-    any_bad = bool(bad.any())
     outcome = np.zeros(np.shape(bad), dtype=np.int8)
     out = [outcome]
-    if any_bad:
-        for code in range(len(failed), 0, -1):
-            outcome[failed[code - 1]] = code
+    for code in range(len(failed), 0, -1):
+        outcome[failed[code - 1]] = code
     for arr in map(np.asarray, values):
-        if any_bad:
-            arr[bad] = np.nan
+        arr[bad] = np.nan
         out.append(arr)
     for arr in out:
         arr.flags.writeable = False
@@ -291,4 +288,4 @@ def parabola_variance(x: float, constants: FrontierConstants) -> float:
     if constants.s <= S_MIN:
         raise ValueError("degenerate frontier")
     d = float(x) - constants.r_gmv
-    return d * d / constants.s + constants.v_gmv
+    return float(d * d / constants.s + constants.v_gmv)

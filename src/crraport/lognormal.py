@@ -78,17 +78,10 @@ def psi(x, mu: float, sigma: float):
     if mu <= 0.0 or sigma <= 0.0:
         raise ValueError("mu and sigma must be positive")
     arr = np.asarray(x, dtype=float)
-    first = normal_cdf((arr - mu) / sigma)
-    second = np.zeros_like(np.atleast_1d(first))
-    flat = np.atleast_1d(arr)
-    pos = flat > 0.0
-    if np.any(pos):
-        ratio = sigma / mu
-        second[pos] = normal_cdf((np.log(flat[pos]) - math.log(mu)) / ratio)
-    gap = np.atleast_1d(first) - second
-    if arr.ndim == 0:
-        return float(gap[0])
-    return gap.reshape(arr.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_cdf = normal_cdf((np.log(arr) - math.log(mu)) / (sigma / mu))
+    gap = normal_cdf((arr - mu) / sigma) - np.where(arr > 0.0, log_cdf, 0.0)
+    return float(gap) if arr.ndim == 0 else gap
 
 
 def psi_sup_bound(mu: float, sigma: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "ReturnMatrix",
@@ -70,7 +70,7 @@ def _spd_cholesky_rows(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cho_solve_rows(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.cho_solve((lower, True), rhs)`` for one lower
+    """Scipy's ``cho_solve((lower, True), rhs)`` for one lower
     Cholesky factor (k, k) or a stack of them (B, k, k) with matching
     right-hand sides: the same LAPACK potrs call per factor, without
     scipy's per-call input checks and batch dispatch."""
@@ -166,7 +166,7 @@ class MarketParams:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``sigma @ x = rhs`` via the cached Cholesky factor."""
-        return cho_solve((self.lower, True), np.asarray(rhs, dtype=float))
+        return cho_solve_rows(self.lower, np.asarray(rhs, dtype=float))
 
 
 def load_returns_csv(

@@ -34,31 +34,27 @@ logger = logging.getLogger(__name__)
 # steering the simplex back into the log's domain.
 _DOMAIN_FLOOR = 1e-10
 _POLISH_ROUNDS = 4
+# Nelder-Mead's iteration and evaluation budget per run, and its
+# objective tolerance (also the polish rounds' relative stopping gain).
+_MAX_ITERS = 20_000
+_TOL_OBJ = 1e-12
+# The search box: |w_i| is bounded by this, and runs ending beyond half
+# of it are treated as divergent and dropped.
+_MAX_LEVERAGE = 100.0
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search budget and tolerances for the numerical maximizer.
-
-    ``max_leverage`` bounds |w_i| during the search; runs ending beyond
-    half of it are treated as divergent and dropped.
-    """
+    """Number of search starts (at least 1) and the seed of the random
+    ones; the iteration budget, objective tolerance and leverage box
+    are the module's constants."""
 
     n_starts: int = 16
-    max_iters: int = 20_000
-    tol_obj: float = 1e-12
     seed: int = 0
-    max_leverage: float = 100.0
 
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol_obj <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_leverage <= 10.0:
-            raise ValueError("max_leverage must exceed 10")
 
 
 def random_feasible(params: MarketParams, n: int, seed: int) -> list[Weights]:
@@ -124,11 +120,11 @@ def maximize_numeric(
         raise ValueError("relative risk aversion must be positive")
     cfg = cfg or OracleConfig()
     mu, sigma = params.mu, params.sigma
-    interior = 0.5 * cfg.max_leverage
+    interior = 0.5 * _MAX_LEVERAGE
 
     def neg_objective(u: np.ndarray) -> float:
         w = _full_weights(u)
-        if np.max(np.abs(w)) > cfg.max_leverage:
+        if np.max(np.abs(w)) > _MAX_LEVERAGE:
             return np.inf
         x = float(w @ mu)
         if x <= _DOMAIN_FLOOR:
@@ -149,16 +145,16 @@ def maximize_numeric(
     reduced = [
         w[:-1]
         for w in starts
-        if w @ mu > _DOMAIN_FLOOR and np.max(np.abs(w)) <= cfg.max_leverage
+        if w @ mu > _DOMAIN_FLOOR and np.max(np.abs(w)) <= _MAX_LEVERAGE
     ]
     if not reduced:
         raise ValueError("objective domain empty along search")
 
     options = {
-        "maxiter": cfg.max_iters,
-        "maxfev": cfg.max_iters,
+        "maxiter": _MAX_ITERS,
+        "maxfev": _MAX_ITERS,
         "xatol": 1e-9,
-        "fatol": cfg.tol_obj,
+        "fatol": _TOL_OBJ,
         "adaptive": params.k > 4,
     }
 
@@ -184,7 +180,7 @@ def maximize_numeric(
         gain = best_f - float(res.fun)
         if res.fun < best_f:
             best_u, best_f = res.x, float(res.fun)
-        if gain <= cfg.tol_obj * max(1.0, abs(best_f)):
+        if gain <= _TOL_OBJ * max(1.0, abs(best_f)):
             break
 
     return Weights(_full_weights(best_u)), -best_f

@@ -21,16 +21,16 @@ gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come
 from the market's one set of frontier constants.
 
 The report keeps each table as columns, one list per CSV column, and
-writes one CSV per table plus a JSON summary. The summary's
-``timings_s`` holds the seconds spent per stage; everything else is
-deterministic given the seed (per-k subset draws use independent child
-streams, so evaluation order never matters).
+writes one CSV per table plus a JSON summary; the csv module writes the
+zipped columns, a float by its repr and None as an empty cell. The
+summary's ``timings_s`` holds the seconds spent per stage; everything
+else is deterministic given the seed (per-k subset draws use independent
+child streams, so evaluation order never matters).
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import time
@@ -107,9 +107,6 @@ _FRONTIER_CODES = np.array(
 # whatever the subset cap.
 _BLOCK_VALUES = 2**17
 
-# Rows formatted at a time when writing a table.
-_WRITE_ROWS = 4096
-
 # Stages timed into summary.json's timings_s.
 _STAGES = ("estimate", "constants", "grid", "realized_returns", "shapiro_wilk", "utilities", "csv_write")
 
@@ -159,9 +156,9 @@ class StudyConfig:
 class StudyReport:
     """Aggregated study results plus per-cell error codes.
 
-    Each table maps its CSV columns, in order, to equal-length lists
-    (``None`` is an empty cell). ``timings_s`` holds the seconds spent
-    per stage of the run that made the report.
+    Each table maps its CSV columns, in order, to equal-length lists of
+    Python values (``None`` is an empty cell). ``timings_s`` holds the
+    seconds spent per stage of the run that made the report.
     """
 
     metadata: dict
@@ -189,9 +186,7 @@ class StudyReport:
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
-                for first in range(0, counts[name], _WRITE_ROWS):
-                    cells = [_column_strs(col[first : first + _WRITE_ROWS]) for col in columns]
-                    writer.writerows(zip(*cells, strict=True))
+                writer.writerows(zip(*columns, strict=True))
             paths[name] = path
         self.timings_s["csv_write"] = time.perf_counter() - start
         summary = {
@@ -205,12 +200,6 @@ class StudyReport:
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         paths["summary"] = path
         return paths
-
-
-def _column_strs(values: list) -> list[str]:
-    """CSV cells of one column: None is empty, a float its repr (which
-    ``str`` gives for Python floats), anything else its str."""
-    return ["" if v is None else str(v) for v in values]
 
 
 def _append(table: dict, n_rows: int, /, **columns) -> None:
@@ -239,14 +228,16 @@ class _Stopwatch:
 
 
 def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> list[tuple[int, ...]]:
-    """Seeded sampling of distinct k-subsets, without replacement."""
+    """Seeded sampling of distinct k-subsets, without replacement. Up to
+    100,000 subsets in all, it draws distinct ranks in their
+    lexicographic order and unranks them; beyond that, it rejects
+    repeated draws."""
     total = math.comb(n_assets, k)
     take = min(cap, total)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
     if total <= 100_000:
-        combos = list(itertools.combinations(range(n_assets), k))
         chosen = np.sort(rng.choice(total, size=take, replace=False))
-        return [combos[i] for i in chosen]
+        return list(zip(*_unrank(chosen, n_assets, k, total).T.tolist()))
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     while len(out) < take:
@@ -254,6 +245,28 @@ def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> list[tuple[int,
         if pick not in seen:
             seen.add(pick)
             out.append(pick)
+    return out
+
+
+def _unrank(ranks: np.ndarray, n: int, k: int, total: int) -> np.ndarray:
+    """The k-subsets of range(n) at positions ``ranks`` of their
+    lexicographic order (that of ``itertools.combinations``), as rows.
+
+    Through the combinatorial number system: the subset at rank r has
+    ``N = total - 1 - r = sum_i C(d_i, k - i)`` with ``d_i = n - 1 - c_i``
+    strictly falling, so each d_i is the largest d with C(d, k - i) at
+    most what is left of N. Binomials are clipped at ``total``, which
+    keeps them exact where they are compared and subtracted.
+    """
+    binom = [np.ones(n, dtype=np.int64)]  # C(d, j) for d < n, j = 0..k
+    for _ in range(k):
+        binom.append(np.minimum(np.concatenate(([0], np.cumsum(binom[-1])[:-1])), total))
+    rest = total - 1 - ranks
+    out = np.empty((ranks.size, k), dtype=np.int64)
+    for i in range(k):
+        d = np.searchsorted(binom[k - i], rest, side="right") - 1
+        rest = rest - binom[k - i][d]
+        out[:, i] = n - 1 - d
     return out
 
 

@@ -79,6 +79,20 @@ class TestFrontier:
         w_sum = float(rows[0]["w_1"]) + float(rows[0]["w_2"])
         assert w_sum == pytest.approx(1.0, abs=1e-9)
 
+    def test_csv_cells_are_plain_floats(self, capsys, tmp_path):
+        out_csv = tmp_path / "parabola.csv"
+        code, out, _ = _run(
+            capsys, ["frontier", "--synth", "default", "--points", "9", "--out", str(out_csv)]
+        )
+        assert code == 0
+        points = json.loads(out)["points"]
+        with out_csv.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:2] == ["x", "v"] and len(rows) == len(points) == 9
+        for row, point in zip(rows, points):
+            values = [float(cell) for cell in row]
+            assert values[0] == point["x"] and values[1] == point["v"]
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys, market_file):
@@ -232,6 +246,14 @@ class TestEnvOverrides:
         assert main(["synth", "--seed", "123", "--out", str(out_flag)]) == 0
         capsys.readouterr()
         assert filecmp.cmp(out_env, out_flag, shallow=False)
+
+    def test_bad_environment_value_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CRRAPORT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "invalid int value: 'abc'" in err
 
     def test_flag_beats_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CRRAPORT_SEED", "123")

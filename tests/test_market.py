@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crraport import (
     MarketParams,
@@ -141,6 +142,16 @@ class TestMarketParams:
         np.testing.assert_allclose(
             params.solve(rhs), np.linalg.solve(params.sigma, rhs), rtol=1e-9
         )
+
+    def test_solve_bitwise_scipy_cho_solve(self):
+        rng = np.random.default_rng(12)
+        for k in range(2, 13):
+            params = random_market(rng, k)
+            for rhs in (rng.normal(size=k), rng.normal(size=(k, 3))):
+                expected = scipy.linalg.cho_solve((params.lower, True), rhs)
+                got = params.solve(rhs)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected), k
 
     def test_immutables(self):
         params = MarketParams([1.05, 1.15], np.diag([0.01, 0.04]))

@@ -18,15 +18,11 @@ from helpers import market_with_constants, random_market
 class TestOracleConfig:
     def test_defaults(self):
         cfg = OracleConfig()
-        assert cfg.n_starts == 16 and cfg.tol_obj == 1e-12
+        assert cfg.n_starts == 16
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_starts"):
             OracleConfig(n_starts=0)
-        with pytest.raises(ValueError, match="tolerances"):
-            OracleConfig(tol_obj=0.0)
-        with pytest.raises(ValueError, match="max_iters"):
-            OracleConfig(max_iters=0)
 
 
 class TestRandomFeasible:

@@ -1,6 +1,9 @@
+import csv
 import filecmp
 import hashlib
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +90,22 @@ class TestDrawSubsets:
     def test_seed_changes_draw(self):
         assert _draw_subsets(17, 5, 50, seed=3) != _draw_subsets(17, 5, 50, seed=4)
 
+    def test_draws_equal_indexing_the_listed_combinations(self):
+        # The reference lists every combination in itertools' order and
+        # indexes it with the same seeded ranks.
+        for n in range(1, 21):
+            for k in range(1, n + 1):
+                total = math.comb(n, k)
+                if total > 100_000:
+                    continue
+                combos = list(itertools.combinations(range(n), k))
+                for cap in (1, 3, 200, total + 1):
+                    for seed in (0, 7, 45):
+                        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                        ranks = np.sort(rng.choice(total, size=min(cap, total), replace=False))
+                        expected = [combos[i] for i in ranks]
+                        assert _draw_subsets(n, k, cap, seed) == expected, (n, k, cap, seed)
+
 
 class TestRunStudy:
     def test_failure_rate_non_increasing_in_gamma(self, tmp_path):
@@ -159,6 +178,24 @@ class TestRunStudy:
         assert summary["schema_version"] == "1"
         assert summary["metadata"]["seed"] == 11
         assert "timestamp" in summary["metadata"]
+
+    def test_csv_cells_are_the_table_values(self, tmp_path):
+        # Every written cell is str() of its column value, empty for None
+        # (the GMV and Sharpe rows have no gamma); a numpy scalar in a
+        # column would show as its repr, np.float64(...).
+        cfg = _small_config(tmp_path)
+        report = run_study(cfg)
+        assert None in report.frontier_locations["gamma"]
+        for name in ("pvalue_quantiles", "condition_failure_rates", "frontier_locations",
+                     "strategy_utilities", "cell_errors"):
+            table = getattr(report, name)
+            with (cfg.output_dir / f"{name}.csv").open(newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == list(table)
+            assert len(rows) == len(table[header[0]]) > 0, name
+            for i, row in enumerate(rows):
+                expected = ["" if v is None else str(v) for v in (table[col][i] for col in header)]
+                assert row == expected, (name, i)
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg_a = _small_config(tmp_path, output_dir=tmp_path / "a")
