@@ -10,10 +10,10 @@ reduces the problem to a quadratic in X,
 
     (1+s) X^2 - (g+2) r_gmv X + (g+1) (r_gmv^2 + s v_gmv) = 0,
 
-whose discriminant gates existence: a real optimum requires the risk
-aversion g to reach a market-determined threshold ``gamma_min``. The
-maximum sits at the smaller root X-, and the optimal portfolio is the
-frontier portfolio with that mean,
+whose discriminant is nonnegative exactly when g reaches a
+market-determined threshold: existence is the one test g >= ``gamma_min``.
+The maximum sits at the smaller root X-, and the optimal portfolio is
+the frontier portfolio with that mean,
 
     w* = w_gmv + t(g) tilt,    t(g) = (X- - r_gmv) / s,
 
@@ -127,6 +127,14 @@ class PowerGrid:
         return self.outcome == 0
 
 
+def _threshold(r, s, v):
+    """``gamma_min``'s formula, elementwise; inf or NaN where r = 0."""
+    with np.errstate(all="ignore"):
+        ratio = v / (r * r)
+        root = np.sqrt(s * (1.0 + s) * (1.0 + s * ratio) * (1.0 + (1.0 + s) * ratio))
+        return 2.0 * s + 2.0 * (s * (1.0 + s) * ratio + root)
+
+
 def gamma_min(constants: FrontierConstants):
     """Smallest risk aversion for which the power-utility optimum exists.
 
@@ -135,19 +143,14 @@ def gamma_min(constants: FrontierConstants):
     degenerate frontier (s <= S_MIN) and for r_gmv = 0: one market
     raises ValueError there, a batch gets NaN for those markets.
     """
-    s, r, v = constants.s, constants.r_gmv, constants.v_gmv
-    one_market = np.ndim(s) == 0
-    if one_market and s <= S_MIN:
+    s, r = constants.s, constants.r_gmv
+    if np.ndim(s):
+        return np.where(~(s > S_MIN) | (r == 0.0), np.nan, _threshold(r, s, constants.v_gmv))
+    if s <= S_MIN:
         raise ValueError("degenerate frontier")
-    if one_market and r == 0.0:
+    if r == 0.0:
         raise ValueError("existence threshold undefined for r_gmv = 0")
-    with np.errstate(all="ignore"):
-        ratio = v / (r * r)
-        root = np.sqrt(s * (1.0 + s) * (1.0 + s * ratio) * (1.0 + (1.0 + s) * ratio))
-        gm = 2.0 * s + 2.0 * (s * (1.0 + s) * ratio + root)
-    if one_market:
-        return float(gm)
-    return np.where(~(s > S_MIN) | (r == 0.0), np.nan, gm)
+    return float(_threshold(r, s, constants.v_gmv))
 
 
 def _discriminants(gamma, r, s, v) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +201,11 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
 
     Each gamma gets the smaller root of the optimal-mean quadratic, its
     second moment, frontier coordinate and expected utility, and the
-    first check it fails, if any: the two discriminant forms agree, the
-    discriminant is at least its tiny-negative clamp floor (gamma
-    reaches gamma_min up to rounding), x > 0, y > 0, the utility is not
-    NaN, the point lies on the mean-variance parabola, and it is not the
-    GMV portfolio. Raises ValueError for a nonpositive gamma or wealth
-    and if any market has a degenerate frontier.
+    first check it fails, if any: the discriminant forms agree, gamma >=
+    gamma_min (as ``gamma_min`` gives it; never for r_gmv = 0), x > 0,
+    y > 0, the utility is not NaN, the point lies on the parabola, and it
+    is not the GMV portfolio. Raises ValueError for a nonpositive gamma or
+    wealth and if any market has a degenerate frontier.
     """
     g = np.array(gammas, dtype=float).ravel()
     if not np.all(g > 0.0):
@@ -216,8 +218,8 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
         np.asarray(c)[..., None] for c in (constants.r_gmv, constants.s, constants.v_gmv)
     )
     d, mismatch = _discriminants(g, r, s, v)
+    below = ~(g >= _threshold(r, s, v))
     with np.errstate(all="ignore"):
-        below = d < -1e-12 * r * r * (g + 2.0) ** 2
         sq = np.sqrt(np.maximum(d, 0.0))
         x = np.where(
             r > 0.0,
@@ -283,8 +285,7 @@ def power_solution(
 ) -> CrraSolution:
     """Optimal portfolio maximizing expected power utility.
 
-    Requires gamma >= gamma_min (a discriminant within rounding of zero
-    is treated as the boundary case). gamma = 1 is logarithmic utility.
+    Requires gamma >= gamma_min. gamma = 1 is logarithmic utility.
     """
     return _solution(gamma, efficient_constants(params), w0)
 

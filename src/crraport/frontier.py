@@ -60,10 +60,11 @@ _SUM_RTOL = 1e-10
 def feasible_rows(w: np.ndarray) -> np.ndarray:
     """Which rows of ``w`` (..., k) are valid ``Weights``: finite, and
     summing to 1 within 1e-10 of their sum of magnitudes."""
-    total = np.abs(w).sum(axis=-1)
-    return np.isfinite(w).all(axis=-1) & (
-        np.abs(w.sum(axis=-1) - 1.0) <= _SUM_RTOL * np.maximum(1.0, total)
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+        total = np.abs(w).sum(axis=-1)
+        return np.isfinite(w).all(axis=-1) & (
+            np.abs(w.sum(axis=-1) - 1.0) <= _SUM_RTOL * np.maximum(1.0, total)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,24 +230,21 @@ def efficient_constants(params: MarketParams) -> FrontierConstants:
 
 
 def gmv_weights(params: MarketParams) -> Weights:
-    """Global minimum variance portfolio, Sigma^-1 1 / (1' Sigma^-1 1)."""
-    ones = np.ones(params.k)
-    sinv_one = params.solve(ones)
-    return Weights(sinv_one / (ones @ sinv_one))
+    """Global minimum variance portfolio, the ``w_gmv`` of ``efficient_constants``."""
+    return Weights(efficient_constants(params).w_gmv)
 
 
 def sharpe_weights(params: MarketParams) -> Weights:
-    """Sharpe ratio portfolio, Sigma^-1 mu / (1' Sigma^-1 mu).
-
-    Note mu is the mean of GROSS returns, so this differs slightly from
-    the textbook net-return Sharpe portfolio. Undefined when
-    1' Sigma^-1 mu = 0.
-    """
-    sinv_mu = params.solve(params.mu)
-    b = float(sinv_mu.sum())
-    if abs(b) <= 1e-12 * max(1.0, float(np.max(np.abs(sinv_mu)))):
+    """Sharpe ratio portfolio Sigma^-1 mu / (1' Sigma^-1 mu), ``t_sharpe``
+    on the frontier of ``efficient_constants``. mu is the mean of GROSS
+    returns, so this differs slightly from the textbook net-return Sharpe
+    portfolio. Undefined (ValueError) wherever ``feasible_rows`` rejects
+    it, as when 1' Sigma^-1 mu = 0."""
+    constants = efficient_constants(params)
+    w = constants.weights_at(constants.t_sharpe)
+    if not feasible_rows(w):
         raise ValueError("Sharpe portfolio undefined")
-    return Weights(sinv_mu / b)
+    return Weights(w)
 
 
 def portfolio_moments_rows(

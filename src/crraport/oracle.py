@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .frontier import Weights, gmv_weights, sharpe_weights
+from .frontier import Weights, efficient_constants, feasible_rows
 from .market import MarketParams
 
 __all__ = ["OracleConfig", "maximize_numeric", "random_feasible"]
@@ -111,10 +111,10 @@ def maximize_numeric(
 ) -> tuple[Weights, float]:
     """Numerically maximize expected utility over {w : w'1 = 1}.
 
-    Multi-start Nelder-Mead from the GMV, Sharpe, and equal-weight
-    portfolios plus seeded random feasible points, followed by
-    restarted polishing of the best surviving candidate. Returns the
-    argmax weights and the attained objective (W0 = 1).
+    Multi-start Nelder-Mead from the GMV, Sharpe (if defined; both off
+    ``efficient_constants``) and equal-weight portfolios plus seeded random
+    feasible points, then restarted polishing of the best surviving
+    candidate. Returns the argmax weights and attained objective (W0 = 1).
     """
     if gamma <= 0.0:
         raise ValueError("relative risk aversion must be positive")
@@ -132,11 +132,11 @@ def maximize_numeric(
         y = float(w @ sigma @ w) + x * x
         return -_objective(x, y, gamma, 1.0)
 
-    starts = [gmv_weights(params).w]
-    try:
-        starts.append(sharpe_weights(params).w)
-    except ValueError:
-        pass
+    constants = efficient_constants(params)
+    sharpe = constants.weights_at(constants.t_sharpe)
+    starts = [constants.w_gmv]
+    if feasible_rows(sharpe):
+        starts.append(sharpe)
     starts.append(np.full(params.k, 1.0 / params.k))
     n_random = max(0, cfg.n_starts - len(starts))
     if n_random:

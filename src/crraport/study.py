@@ -140,9 +140,15 @@ class StudyConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if (self.data_csv is None) == (self.synth is None):
             raise ValueError("exactly one of data_csv / synth must be given")
-        if not self.k_range or any(k < 2 for k in self.k_range):
+        for name in ("k_range", "gamma_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for name in ("k_range", "gamma_grid", "quantiles"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} entries must be distinct")
+        if any(k < 2 for k in self.k_range):
             raise ValueError("k_range entries must be >= 2")
-        if not self.gamma_grid or any(g <= 0.0 for g in self.gamma_grid):
+        if any(g <= 0.0 for g in self.gamma_grid):
             raise ValueError("gamma_grid entries must be positive")
         if self.n_subsets_cap < 1:
             raise ValueError("n_subsets_cap must be at least 1")
@@ -380,8 +386,7 @@ def _solve_block(
     the tested cells (B_good, G; NaN elsewhere)."""
     m = _solve_markets(values, cfg, clock)
     constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
-    exists = ~codes["below_gamma_min"]
-    solved = exists & grid.ok
+    solved = grid.ok
 
     p_values = np.full(solved.shape, np.nan)
     if not 3 <= values.shape[1] <= 5000:
@@ -421,7 +426,7 @@ def _solve_block(
         utility_sharpe=sharpe[row, gi],
         utility_optimal=grid.utility[row, gi],
     )
-    return exists, constants.r_gmv > 0.0, p_values
+    return ~codes["below_gamma_min"], constants.r_gmv > 0.0, p_values
 
 
 def _frontier_pass(tables: dict, k: int, values: np.ndarray, cfg: StudyConfig, clock: _Stopwatch) -> None:
@@ -442,7 +447,7 @@ def _frontier_pass(tables: dict, k: int, values: np.ndarray, cfg: StudyConfig, c
     else:
         _append(cells, 1, k=k, subset_index=-1, gamma=None, code="sharpe_undefined")
     _append_cells(cells, k, m, np.array([-1]))
-    on = np.flatnonzero(grid.ok[0] & ~m.codes["below_gamma_min"][0])
+    on = np.flatnonzero(grid.ok[0])
     x, y = grid.x[0, on], grid.y[0, on]
     _append(frontier, on.size, k=k, portfolio="optimal", gamma=m.gammas[on], x=x, v=y - x * x)
 

@@ -213,6 +213,15 @@ class TestStudy:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["metadata"]["k_range"] == [4, 5, 6]
 
+    def test_empty_k_range_is_usage_error(self, capsys, tmp_path):
+        code, _, err = _run(
+            capsys,
+            ["study", "--k-range", "14:4", "--out", str(tmp_path / "empty")],
+        )
+        assert code == 2
+        assert json.loads(err) == {"error": "k_range must not be empty"}
+        assert not (tmp_path / "empty").exists()
+
     def test_small_volatility_market_completes(self, capsys, tmp_path):
         # The shipped calibration at a tenth of its volatility: every
         # subset is well conditioned, so the study must code cells, not abort.

@@ -29,6 +29,7 @@ from crraport.crra import OUTCOMES
 from crraport.study import _draw_subsets
 from helpers import (
     gamma_condition,
+    ill_conditioned_market,
     is_mv_efficient_power,
     market_with_constants,
     monotonicity_check,
@@ -379,6 +380,39 @@ class TestPowerGrid:
         negative = efficient_constants(MarketParams(*NEGATIVE_R_MARKET))
         grid = power_grid(negative, [gamma_min(negative) + 1.0])
         assert OUTCOMES[grid.outcome[0]] == "nonpositive_mean"
+
+    def test_below_gamma_min_is_the_gamma_min_test(self):
+        # Ill-conditioned markets, at gammas within rounding of the
+        # threshold: below_gamma_min is gamma < gamma_min, bitwise, in
+        # every cell that passed the discriminant-forms check before it.
+        rng = np.random.default_rng(80)
+        below, earlier = OUTCOMES.index("below_gamma_min"), OUTCOMES.index("discriminant_mismatch")
+        n_below = n_above = 0
+        for _ in range(60):
+            con = efficient_constants(ill_conditioned_market(rng))
+            gm = gamma_min(con)
+            gammas = gm * np.array([1 - 1e-9, 1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-12, 1 + 1e-6, 2.0])
+            grid = power_grid(con, gammas)
+            checked = grid.outcome != earlier
+            np.testing.assert_array_equal((grid.outcome == below)[checked], (gammas < gm)[checked])
+            n_below += np.count_nonzero(checked & (gammas < gm))
+            n_above += np.count_nonzero(checked & (gammas >= gm))
+        assert n_below > 100 and n_above > 200
+
+    def test_just_below_gamma_min_raises(self):
+        rng = np.random.default_rng(81)
+        for _ in range(40):
+            params = ill_conditioned_market(rng)
+            gm = gamma_min(efficient_constants(params))
+            with pytest.raises(ValueError, match="below gamma_min"):
+                power_solution(gm * (1.0 - 1e-12), params)
+
+    def test_zero_r_gmv_market_is_below_everywhere(self):
+        # 1' Sigma^-1 mu = 100*0.04 + 25*(-0.16) = 0: no threshold.
+        con = efficient_constants(MarketParams([0.04, -0.16], np.diag([0.01, 0.04])))
+        assert con.r_gmv == 0.0
+        grid = power_grid(con, [0.5, 2.0, 1e8])
+        assert [OUTCOMES[c] for c in grid.outcome] == ["below_gamma_min"] * 3
 
     def test_invalid_inputs(self, worked_market):
         con = efficient_constants(worked_market)

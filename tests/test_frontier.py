@@ -17,7 +17,7 @@ from crraport import (
     synth_market,
 )
 from crraport.frontier import FRONTIER_OUTCOMES
-from helpers import random_feasible_weights, random_market
+from helpers import ill_conditioned_market, random_feasible_weights, random_market
 
 
 class TestEfficientConstants:
@@ -77,9 +77,10 @@ class TestEfficientConstants:
             assert abs(con.tilt.sum()) <= 1e-12 * np.abs(con.tilt).sum()
             assert float(params.mu @ con.tilt) == pytest.approx(con.s, rel=1e-10)
             assert float(con.tilt @ params.sigma @ con.tilt) == pytest.approx(con.s, rel=1e-10)
-            np.testing.assert_allclose(con.w_gmv, gmv_weights(params).w, rtol=0, atol=1e-12)
-            # solve-route slope agrees up to the cancellation floor
+            # GMV weights and solve-route slope agree with the separate
+            # solves, the slope up to the cancellation floor
             ones_v = params.solve(np.ones(params.k))
+            np.testing.assert_allclose(con.w_gmv, ones_v / ones_v.sum(), rtol=0, atol=1e-12)
             mu_v = params.solve(params.mu)
             s_solve = float(params.mu @ mu_v) - float(np.ones(params.k) @ mu_v) ** 2 / float(
                 np.ones(params.k) @ ones_v
@@ -158,6 +159,22 @@ class TestSharpeWeights:
         with pytest.raises(ValueError, match="Sharpe portfolio undefined"):
             sharpe_weights(params)
 
+    def test_tiny_denominator_is_the_frontier_read(self):
+        # 1' Sigma^-1 mu = 25e-13 against terms of 4: tiny but not zero.
+        # The result is the Sharpe portfolio the study reads off the
+        # constants, accurate to the conditioning |Sigma^-1 mu| / |1' Sigma^-1 mu|
+        # (about 3e12) times the rounding unit.
+        import mpmath as mp
+
+        params = MarketParams([0.04, -0.16 + 1e-13], np.diag([0.01, 0.04]))
+        con = efficient_constants(params)
+        w = sharpe_weights(params).w
+        assert np.array_equal(w, con.weights_at(con.t_sharpe))
+        mp.mp.dps = 50
+        sinv_mu = [mp.mpf(float(m)) / mp.mpf(float(v)) for m, v in zip(params.mu, np.diag(params.sigma))]
+        ref = np.array([float(x / sum(sinv_mu)) for x in sinv_mu])
+        np.testing.assert_allclose(w, ref, rtol=1e-3)
+
     def test_scale_invariance(self, worked_market):
         base = sharpe_weights(worked_market).w
         scaled = MarketParams(worked_market.mu, 3.0 * worked_market.sigma)
@@ -165,6 +182,16 @@ class TestSharpeWeights:
         np.testing.assert_allclose(
             gmv_weights(scaled).w, gmv_weights(worked_market).w, atol=1e-10
         )
+
+
+def test_gmv_and_sharpe_are_the_frontier_reads(worked_market):
+    rng = np.random.default_rng(82)
+    markets = [worked_market] + [random_market(rng, k) for k in range(2, 12)]
+    markets += [ill_conditioned_market(rng) for _ in range(20)]
+    for params in markets:
+        con = efficient_constants(params)
+        assert np.array_equal(gmv_weights(params).w, con.w_gmv)
+        assert np.array_equal(sharpe_weights(params).w, con.weights_at(con.t_sharpe))
 
 
 class TestPortfolioMoments:

@@ -104,6 +104,25 @@ class TestMaximizeNumeric:
         w2, o2 = maximize_numeric(worked_market, 3.0, cfg)
         assert np.array_equal(w1.w, w2.w) and o1 == o2
 
+    @pytest.mark.parametrize(
+        "mu, n_fixed", [([1.05, 1.15], 3), ([0.04, -0.16], 2)], ids=["sharpe_defined", "sharpe_undefined"]
+    )
+    def test_random_starts_fill_the_fixed_ones(self, monkeypatch, mu, n_fixed):
+        # GMV, Sharpe where it is defined (1' Sigma^-1 mu != 0) and equal
+        # weights, then random starts up to n_starts.
+        import crraport.oracle
+
+        asked = []
+
+        def spy(params, n, seed):
+            asked.append(n)
+            raise LookupError("stop before the search")
+
+        monkeypatch.setattr(crraport.oracle, "random_feasible", spy)
+        with pytest.raises(LookupError):
+            maximize_numeric(MarketParams(mu, np.diag([0.01, 0.04])), 3.0, OracleConfig(n_starts=6, seed=3))
+        assert asked == [6 - n_fixed]
+
     def test_empty_domain_error(self):
         # all-negative gross means: every candidate in the sampling box
         # has w'mu < 0

@@ -69,6 +69,19 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="w0"):
             StudyConfig(seed=0, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec, w0=-1.0)
 
+    @pytest.mark.parametrize("field", ["k_range", "gamma_grid"])
+    def test_empty_grid_rejected(self, tmp_path, field):
+        with pytest.raises(ValueError, match=f"^{field} must not be empty$"):
+            _small_config(tmp_path, **{field: ()})
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [("k_range", (4, 6, 4)), ("gamma_grid", (2.0, 5.0, 2.0)), ("quantiles", (0.25, 0.25))],
+    )
+    def test_duplicate_entries_rejected(self, tmp_path, field, values):
+        with pytest.raises(ValueError, match=f"^{field} entries must be distinct$"):
+            _small_config(tmp_path, **{field: values})
+
     def test_k_range_checked_against_data(self, tmp_path):
         cfg = _small_config(tmp_path, k_range=(40,))
         with pytest.raises(ValueError, match="exceeds"):
