@@ -3,8 +3,9 @@
 Maximizes the expected-utility objective numerically over the
 fully-invested set by eliminating the budget constraint (the last
 weight closes the sum) and running multi-start Nelder-Mead simplex
-descent on the reduced coordinates. Deliberately derivative-free and
-independent of the closed-form derivation.
+descent on the reduced coordinates, where the portfolio's mean and
+variance are per-market linear and quadratic forms. Deliberately
+derivative-free and independent of the closed-form derivation.
 
 The moment-matched log-normal objective is only meaningful where the
 portfolio's coefficient of variation is small; at extreme leverage it
@@ -38,6 +39,10 @@ _POLISH_ROUNDS = 4
 # objective tolerance (also the polish rounds' relative stopping gain).
 _MAX_ITERS = 20_000
 _TOL_OBJ = 1e-12
+# The looser stopping rule of the multi-start screen; only the polish of
+# its best candidate runs to the tight one above.
+_SCREEN_XATOL = 1e-6
+_SCREEN_FATOL = 1e-9
 # The search box: |w_i| is bounded by this, and runs ending beyond half
 # of it are treated as divergent and dropped.
 _MAX_LEVERAGE = 100.0
@@ -102,8 +107,31 @@ def _objective(x: float, y: float, gamma: float, w0: float) -> float:
         return math.copysign(math.inf, prefactor)
 
 
-def _full_weights(u: np.ndarray) -> np.ndarray:
-    return np.append(u, 1.0 - u.sum())
+def _reduced_moments(params: MarketParams):
+    """The map u -> (w'mu, w'Sigma w) for w = (u, 1 - 1'u).
+
+    Built from per-market reduced forms, w'mu = m0 + d'u and
+    w'Sigma w = c0 + 2 g'u + u'H u: plain algebra of the budget
+    constraint, not of the closed-form optimum.
+    """
+    mu, sigma = params.mu, params.sigma
+    m0 = float(mu[-1])
+    d = mu[:-1] - m0
+    c0 = float(sigma[-1, -1])
+    col = sigma[:-1, -1]
+    g2 = 2.0 * (col - c0)
+    h = sigma[:-1, :-1] - col[:, None] - col[None, :] + c0
+
+    def moments(u: np.ndarray) -> tuple[float, float]:
+        return m0 + float(d @ u), c0 + float(u @ (g2 + h @ u))
+
+    return moments
+
+
+def _leverage(u: np.ndarray) -> float:
+    """max |w_i| of w = (u, 1 - 1'u), read off the reduced coordinates."""
+    head = u.tolist()  # Python floats: cheaper than numpy reductions at small k
+    return max(abs(1.0 - sum(head)), *map(abs, head))
 
 
 def maximize_numeric(
@@ -113,24 +141,24 @@ def maximize_numeric(
 
     Multi-start Nelder-Mead from the GMV, Sharpe (if defined; both off
     ``efficient_constants``) and equal-weight portfolios plus seeded random
-    feasible points, then restarted polishing of the best surviving
-    candidate. Returns the argmax weights and attained objective (W0 = 1).
+    feasible points, each run to a coarse stopping rule, then restarted
+    tight polishing of the best surviving candidate. Returns the argmax
+    weights and attained objective (W0 = 1).
     """
     if gamma <= 0.0:
         raise ValueError("relative risk aversion must be positive")
     cfg = cfg or OracleConfig()
-    mu, sigma = params.mu, params.sigma
+    mu = params.mu
     interior = 0.5 * _MAX_LEVERAGE
+    moments = _reduced_moments(params)
 
     def neg_objective(u: np.ndarray) -> float:
-        w = _full_weights(u)
-        if np.max(np.abs(w)) > _MAX_LEVERAGE:
+        if _leverage(u) > _MAX_LEVERAGE:
             return np.inf
-        x = float(w @ mu)
+        x, v = moments(u)
         if x <= _DOMAIN_FLOOR:
             return np.inf
-        y = float(w @ sigma @ w) + x * x
-        return -_objective(x, y, gamma, 1.0)
+        return -_objective(x, v + x * x, gamma, 1.0)
 
     constants = efficient_constants(params)
     sharpe = constants.weights_at(constants.t_sharpe)
@@ -150,31 +178,42 @@ def maximize_numeric(
     if not reduced:
         raise ValueError("objective domain empty along search")
 
-    options = {
+    polish = {
         "maxiter": _MAX_ITERS,
         "maxfev": _MAX_ITERS,
         "xatol": 1e-9,
         "fatol": _TOL_OBJ,
         "adaptive": params.k > 4,
     }
+    screen = {**polish, "xatol": _SCREEN_XATOL, "fatol": _SCREEN_FATOL}
+
+    def diverged(res) -> bool:
+        return _leverage(res.x) >= interior
 
     def accept(res) -> bool:
-        if not res.success or not np.isfinite(res.fun):
-            return False
-        return np.max(np.abs(_full_weights(res.x))) < interior
+        return bool(res.success) and np.isfinite(res.fun) and not diverged(res)
 
     best_u, best_f = None, np.inf
+    n_divergent = screen_nfev = 0
     for u0 in reduced:
-        res = minimize(neg_objective, u0, method="Nelder-Mead", options=options)
+        res = minimize(neg_objective, u0, method="Nelder-Mead", options=screen)
+        screen_nfev += res.nfev
+        n_divergent += diverged(res)
         if accept(res) and res.fun < best_f:
             best_u, best_f = res.x, float(res.fun)
     if best_u is None:
-        raise ValueError("objective domain empty along search")
+        raise ValueError(
+            "no search run converged inside the leverage box: "
+            f"{n_divergent} of {len(reduced)} diverged to it"
+        )
 
-    # Restarted polish: a fresh simplex around the incumbent escapes
-    # the stagnation Nelder-Mead is prone to near an optimum.
-    for _ in range(_POLISH_ROUNDS):
-        res = minimize(neg_objective, best_u, method="Nelder-Mead", options=options)
+    # Restarted tight polish: a fresh simplex around the incumbent
+    # escapes the stagnation Nelder-Mead is prone to near an optimum,
+    # and sets the returned optimum's accuracy.
+    polish_nfev, gain = 0, 0.0
+    for rounds in range(1, _POLISH_ROUNDS + 1):
+        res = minimize(neg_objective, best_u, method="Nelder-Mead", options=polish)
+        polish_nfev += res.nfev
         if not accept(res):
             break
         gain = best_f - float(res.fun)
@@ -183,4 +222,10 @@ def maximize_numeric(
         if gain <= _TOL_OBJ * max(1.0, abs(best_f)):
             break
 
-    return Weights(_full_weights(best_u)), -best_f
+    logger.debug(
+        "maximize_numeric k=%d gamma=%g: %d starts, %d kept, %d divergent; "
+        "screen nfev %d; polish %d rounds, nfev %d, last gain %.3g; max|w| %.6g",
+        params.k, gamma, len(starts), len(reduced), n_divergent,
+        screen_nfev, rounds, polish_nfev, gain, _leverage(best_u),
+    )
+    return Weights(np.append(best_u, 1.0 - best_u.sum())), -best_f

@@ -1,9 +1,15 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+import crraport.oracle
 from crraport import (
     MarketParams,
     OracleConfig,
+    Weights,
     efficient_constants,
     gamma_min,
     log_solution,
@@ -12,7 +18,17 @@ from crraport import (
     power_solution,
     random_feasible,
 )
-from helpers import market_with_constants, random_market
+from crraport.oracle import (
+    _DOMAIN_FLOOR,
+    _MAX_LEVERAGE,
+    _TOL_OBJ,
+    _leverage,
+    _objective,
+    _reduced_moments,
+)
+from helpers import ill_conditioned_market, market_with_constants, random_market
+
+EPS = np.finfo(float).eps
 
 
 class TestOracleConfig:
@@ -110,8 +126,6 @@ class TestMaximizeNumeric:
     def test_random_starts_fill_the_fixed_ones(self, monkeypatch, mu, n_fixed):
         # GMV, Sharpe where it is defined (1' Sigma^-1 mu != 0) and equal
         # weights, then random starts up to n_starts.
-        import crraport.oracle
-
         asked = []
 
         def spy(params, n, seed):
@@ -133,3 +147,110 @@ class TestMaximizeNumeric:
     def test_gamma_validation(self, worked_market):
         with pytest.raises(ValueError, match="risk aversion"):
             maximize_numeric(worked_market, 0.0)
+
+    def test_every_run_divergent_error(self):
+        # r_gmv = 0, so no bounded maximum exists; the starts themselves
+        # are in the domain (w = (1, 0) has w'mu = 0.04 > 0).
+        params = MarketParams([0.04, -0.16], np.diag([0.01, 0.04]))
+        message = r"converged inside the leverage box: (\d+) of \1 diverged to it"
+        with pytest.raises(ValueError, match=message):
+            maximize_numeric(params, 3.0, OracleConfig(n_starts=6, seed=3))
+
+    def test_debug_line_reports_the_search(self, monkeypatch, caplog, worked_market):
+        nfevs = []
+
+        def counting(*args, **kwargs):
+            res = scipy.optimize.minimize(*args, **kwargs)
+            nfevs.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(crraport.oracle, "minimize", counting)
+        with caplog.at_level(logging.DEBUG, logger="crraport.oracle"):
+            w, _ = maximize_numeric(
+                worked_market, 3.0, OracleConfig(n_starts=8, seed=4)
+            )
+        (record,) = [r for r in caplog.records if r.name == "crraport.oracle"]
+        m = re.search(
+            r"(\d+) starts, (\d+) kept, (\d+) divergent; screen nfev (\d+); "
+            r"polish (\d+) rounds, nfev (\d+), last gain \S+; max\|w\| (\S+)",
+            record.getMessage(),
+        )
+        starts, kept, divergent, screen, rounds, polish = map(int, m.groups()[:6])
+        assert (starts, kept, divergent) == (8, 8, 0)
+        assert len(nfevs) == kept + rounds
+        assert screen + polish == sum(nfevs)
+        assert float(m.group(7)) == pytest.approx(np.max(np.abs(w.w)), rel=1e-5)
+
+    def test_screen_leaves_no_coarse_answer(self, worked_market):
+        # One more tight Nelder-Mead run from the returned weights, on
+        # the objective evaluated from the full weights, gains nothing.
+        rng = np.random.default_rng(61)
+        cases = [(worked_market, 3.0)]
+        for _ in range(4):
+            params = random_market(rng, int(rng.integers(2, 8)))
+            cases.append((params, gamma_min(efficient_constants(params)) + 0.5))
+        for i, (params, gamma) in enumerate(cases):
+            w, obj = maximize_numeric(params, gamma, OracleConfig(n_starts=6, seed=i))
+
+            def neg_objective(u):
+                full = np.append(u, 1.0 - u.sum())
+                x = float(full @ params.mu)
+                if np.max(np.abs(full)) > _MAX_LEVERAGE or x <= _DOMAIN_FLOOR:
+                    return np.inf
+                y = float(full @ params.sigma @ full) + x * x
+                return -_objective(x, y, gamma, 1.0)
+
+            res = scipy.optimize.minimize(
+                neg_objective,
+                w.w[:-1],
+                method="Nelder-Mead",
+                options={"xatol": 1e-9, "fatol": _TOL_OBJ, "adaptive": params.k > 4},
+            )
+            assert -res.fun - obj <= _TOL_OBJ * max(1.0, abs(obj))
+            sol = power_solution(gamma, params)
+            assert np.max(np.abs(w.w - sol.weights.w)) <= 1e-5
+            assert abs(obj - sol.expected_utility) <= 1e-9 * max(
+                1.0, abs(sol.expected_utility)
+            )
+
+    def test_benchmark_contract(self, worked_market):
+        # benchmarks/layertrace.py counts nfev by wrapping this binding.
+        assert crraport.oracle.minimize is scipy.optimize.minimize
+        out = maximize_numeric(worked_market, 3.0, OracleConfig(n_starts=3, seed=0))
+        assert isinstance(out, tuple) and len(out) == 2
+        assert isinstance(out[0], Weights) and isinstance(out[1], float)
+
+
+class TestReducedForms:
+    """The moments the search evaluates against those of the full weights."""
+
+    @staticmethod
+    def _draws(rng, k):
+        inside = rng.uniform(-3.0, 3.0, (20, k - 1))
+        edge = 1.2 * _MAX_LEVERAGE
+        straddling = rng.uniform(-edge, edge, (20, k - 1))
+        # every |u_i| < _MAX_LEVERAGE, but 1 - 1'u beyond it
+        last_only = np.full((5, k - 1), -1.0 / (k - 1)) * (
+            _MAX_LEVERAGE + rng.uniform(0.1, 5.0, (5, 1))
+        )
+        return np.vstack([inside, straddling, last_only])
+
+    def test_against_full_weights(self):
+        rng = np.random.default_rng(70)
+        markets = [random_market(rng, int(rng.integers(2, 9))) for _ in range(10)]
+        markets += [ill_conditioned_market(rng) for _ in range(20)]
+        n_last_only = 0
+        for params in markets:
+            moments = _reduced_moments(params)
+            for u in self._draws(rng, params.k):
+                w = np.append(u, 1.0 - u.sum())
+                x, v = moments(u)
+                scale_x = np.abs(w) @ np.abs(params.mu)
+                assert abs(x - w @ params.mu) <= 4 * EPS * scale_x
+                # a few ulps of |w|'|Sigma||w|, the scale of the sum's terms
+                scale_v = np.abs(w) @ np.abs(params.sigma) @ np.abs(w)
+                assert abs(v - w @ params.sigma @ w) <= 32 * EPS * scale_v
+                outside = np.max(np.abs(w)) > _MAX_LEVERAGE
+                assert (_leverage(u) > _MAX_LEVERAGE) == outside
+                n_last_only += outside and np.max(np.abs(u)) <= _MAX_LEVERAGE
+        assert n_last_only >= 5 * len(markets)
