@@ -19,6 +19,7 @@ from crraport import (
     random_feasible,
 )
 from crraport.oracle import (
+    _ADAPTIVE_ABOVE_K,
     _DOMAIN_FLOOR,
     _MAX_LEVERAGE,
     _TOL_OBJ,
@@ -29,6 +30,10 @@ from crraport.oracle import (
 from helpers import ill_conditioned_market, market_with_constants, random_market
 
 EPS = np.finfo(float).eps
+
+# scipy warns "invalid value encountered in subtract" when a whole simplex
+# scores inf: no solve here may search from such a simplex.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestOracleConfig:
@@ -143,6 +148,62 @@ class TestMaximizeNumeric:
         params = MarketParams([-0.5, -0.6], np.diag([0.01, 0.04]))
         with pytest.raises(ValueError, match="objective domain empty"):
             maximize_numeric(params, 3.0, OracleConfig(n_starts=6, seed=11))
+
+    def test_agreement_above_the_adaptive_threshold(self):
+        # The Gao-Han coefficients run only above _ADAPTIVE_ABOVE_K assets;
+        # criterion 1's tolerances hold there too, just above gamma_min
+        # (where the objective is flattest) and at gamma 5. The k = 17
+        # market of seed 0 (optimum at max|w| = 24) is missed by 1.1e-4
+        # with the classic coefficients and by 6.9e-5 when the polish
+        # restarts from scipy's default simplex.
+        cases = []
+        for seed in (0, 5):
+            rng = np.random.default_rng(seed)
+            cases += [(seed, random_market(rng, k)) for k in (12, 17)]
+        n_solves = 0
+        for seed, params in cases:
+            assert params.k > _ADAPTIVE_ABOVE_K
+            gm = gamma_min(efficient_constants(params))
+            for gamma in sorted({gm + 0.1} | ({5.0} if 5.0 > gm else set())):
+                sol = power_solution(gamma, params)
+                assert np.max(np.abs(sol.weights.w)) < 0.5 * _MAX_LEVERAGE
+                w, obj = maximize_numeric(
+                    params, gamma, OracleConfig(n_starts=6, seed=seed)
+                )
+                assert np.max(np.abs(w.w - sol.weights.w)) <= 1e-5
+                assert abs(obj - sol.expected_utility) <= 1e-9 * max(
+                    1.0, abs(sol.expected_utility)
+                )
+                n_solves += 1
+        assert n_solves >= 5
+
+    def test_overflowing_starts_are_dropped(self, caplog):
+        # At gamma 200 some random starts' expected utility overflows to
+        # -inf; they are dropped before the search, not searched from.
+        params = random_market(np.random.default_rng(1), 3)
+        sol = power_solution(200.0, params)
+        with caplog.at_level(logging.DEBUG, logger="crraport.oracle"):
+            w, obj = maximize_numeric(params, 200.0, OracleConfig())
+        assert np.max(np.abs(w.w - sol.weights.w)) <= 1e-5
+        assert abs(obj - sol.expected_utility) <= 1e-9 * max(
+            1.0, abs(sol.expected_utility)
+        )
+        (record,) = [r for r in caplog.records if r.name == "crraport.oracle"]
+        starts, kept = map(
+            int, re.search(r"(\d+) starts, (\d+) kept", record.getMessage()).groups()
+        )
+        assert 0 < kept < starts == 16
+
+    def test_overflow_at_every_start_error(self, monkeypatch):
+        # At gamma 1e4 every start overflows: the oracle says so before
+        # running a single search.
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(crraport.oracle, "minimize", no_search)
+        params = random_market(np.random.default_rng(1), 3)
+        with pytest.raises(ValueError, match="overflows at every start"):
+            maximize_numeric(params, 1e4, OracleConfig())
 
     def test_gamma_validation(self, worked_market):
         with pytest.raises(ValueError, match="risk aversion"):
