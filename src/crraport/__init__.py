@@ -3,7 +3,7 @@
 The package estimates market parameters from simple-return panels,
 computes the classical efficient-frontier machinery, solves the power-
 and log-utility portfolio problems in closed form, cross-checks every
-closed form against a derivative-free numerical maximizer, and ships a
+closed form against an independent numerical maximizer, and ships a
 desk-scale study harness with a CLI front end.
 """
 

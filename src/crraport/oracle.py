@@ -1,25 +1,20 @@
 """Brute-force verification of the closed-form portfolios.
 
-Maximizes the expected-utility objective numerically over the
-fully-invested set by eliminating the budget constraint (the last
-weight closes the sum) and running multi-start Nelder-Mead simplex
-descent on the reduced coordinates, where the portfolio's mean and
-variance are per-market linear and quadratic forms. Deliberately
-derivative-free and independent of the closed-form derivation.
-
-Every run starts from the simplex u0 + 0.25 I (edges in weight units),
-not scipy's default of 5% of each coordinate. Each start is screened to a
-loose stopping rule (``xatol`` 1e-3, ``fatol`` 1e-6) and only the best
-candidate is polished to the tight one. Nelder-Mead uses the classic
-coefficients up to k = 8 and Gao & Han's adaptive ones above. Starts
-whose expected utility overflows (large variance at high gamma) are
-dropped before the search.
+Maximizes expected utility numerically over the fully-invested set: the
+last weight closes the budget, and the search runs on the remaining
+coordinates u, where the portfolio's mean x and variance v are linear
+and quadratic forms. It minimizes -ln CE = -(ln x - (gamma/2) log1p(v/x^2)),
+the log certainty equivalent, which rises strictly with expected utility
+at every gamma > 0 and never overflows, with scipy's trust-exact
+(Moré-Sorensen trust-region Newton; Nocedal & Wright, *Numerical
+Optimization*, ch. 4). Its gradient and Hessian are chain-rule calculus
+of those forms; nothing of the closed-form derivation enters.
 
 The moment-matched log-normal objective is only meaningful where the
 portfolio's coefficient of variation is small; at extreme leverage it
 spuriously improves toward its (unattained) supremum at infinity. The
 search is therefore confined to a generous leverage box: candidates
-outside it score -inf, and runs that end glued to the box boundary are
+outside it score -inf, and runs that end beyond half of the box are
 discarded as divergent rather than reported as maxima.
 """
 
@@ -40,27 +35,14 @@ __all__ = ["OracleConfig", "maximize_numeric", "random_feasible"]
 logger = logging.getLogger(__name__)
 
 # Candidate portfolios with w'mu at or below this get objective -inf,
-# steering the simplex back into the log's domain.
+# steering the search back into the log's domain.
 _DOMAIN_FLOOR = 1e-10
-_POLISH_ROUNDS = 4
-# Nelder-Mead's iteration and evaluation budget per run, and its
-# objective tolerance (also the polish rounds' relative stopping gain).
-_MAX_ITERS = 20_000
-_TOL_OBJ = 1e-12
-# The looser stopping rule of the multi-start screen; only the polish of
-# its best candidate runs to the tight one above.
-_SCREEN_XATOL = 1e-3
-_SCREEN_FATOL = 1e-6
-# Edge of every run's first simplex, u0 + _SIMPLEX_STEP * I, in weight
-# units. scipy's default edges are 5% of each coordinate: about 0.006 for
-# a weight of 0.12, which expansion grows only slowly toward an optimum a
-# unit or more away, and edges of widely different size at high leverage,
-# on which the polish stalls short of the optimum.
-_SIMPLEX_STEP = 0.25
-# Nelder-Mead runs with the adaptive coefficients of Gao & Han (2012) only
-# above this many assets: below it the classic ones take fewer evaluations,
-# above it they stall short of the optimum (seen at k = 17).
-_ADAPTIVE_ABOVE_K = 8
+# trust-exact's stopping rule: the gradient norm of -ln CE.
+_GTOL = 1e-10
+# Plain Newton steps tried from the best run. Along flat directions
+# trust-exact's decrease test is swamped by the rounding of -ln CE; the
+# gradient, which these steps drive down, does not suffer from that.
+_NEWTON_STEPS = 2
 # The search box: |w_i| is bounded by this, and runs ending beyond half
 # of it are treated as divergent and dropped.
 _MAX_LEVERAGE = 100.0
@@ -69,8 +51,7 @@ _MAX_LEVERAGE = 100.0
 @dataclass(frozen=True)
 class OracleConfig:
     """Number of search starts (at least 1) and the seed of the random
-    ones; the iteration budget, objective tolerance and leverage box
-    are the module's constants."""
+    ones; the stopping rule and leverage box are the module's constants."""
 
     n_starts: int = 16
     seed: int = 0
@@ -125,25 +106,65 @@ def _objective(x: float, y: float, gamma: float, w0: float) -> float:
         return math.copysign(math.inf, prefactor)
 
 
-def _reduced_moments(params: MarketParams):
-    """The map u -> (w'mu, w'Sigma w) for w = (u, 1 - 1'u).
+class _NegLnCE:
+    """-ln CE on the reduced coordinates u of w = (u, 1 - 1'u).
 
-    Built from per-market reduced forms, w'mu = m0 + d'u and
-    w'Sigma w = c0 + 2 g'u + u'H u: plain algebra of the budget
-    constraint, not of the closed-form optimum.
+    Built once per market from x = w'mu = m0 + d'u and
+    v = w'Sigma w = c0 + u'(g2 + H u): algebra of the budget constraint,
+    not of the closed-form optimum. With q = v/x^2 and dv = g2 + 2 H u:
+    dq = dv/x^2 - 2 q d/x, grad = (gamma/2) dq/(1+q) - d/x,
+    d2q = 2H/x^2 - 2(dv d' + d dv')/x^3 + 6 v d d'/x^4 and
+    Hess = d d'/x^2 + (gamma/2)(d2q/(1+q) - dq dq'/(1+q)^2).
+    Outside the box or the log's domain it scores inf; trust-exact asks
+    for the Hessian there too, and gets zeros where x is out of domain.
     """
-    mu, sigma = params.mu, params.sigma
-    m0 = float(mu[-1])
-    d = mu[:-1] - m0
-    c0 = float(sigma[-1, -1])
-    col = sigma[:-1, -1]
-    g2 = 2.0 * (col - c0)
-    h = sigma[:-1, :-1] - col[:, None] - col[None, :] + c0
 
-    def moments(u: np.ndarray) -> tuple[float, float]:
-        return m0 + float(d @ u), c0 + float(u @ (g2 + h @ u))
+    def __init__(self, params: MarketParams, gamma: float) -> None:
+        mu, sigma = params.mu, params.sigma
+        self.m0 = float(mu[-1])
+        self.d = mu[:-1] - self.m0
+        self.c0 = float(sigma[-1, -1])
+        col = sigma[:-1, -1]
+        self.g2 = 2.0 * (col - self.c0)
+        self.h = sigma[:-1, :-1] - col[:, None] - col[None, :] + self.c0
+        self.half_gamma = 0.5 * gamma
 
-    return moments
+    def moments(self, u: np.ndarray) -> tuple[float, float]:
+        """(w'mu, w'Sigma w) of w = (u, 1 - 1'u)."""
+        return self.m0 + float(self.d @ u), self.c0 + float(u @ (self.g2 + self.h @ u))
+
+    def __call__(self, u: np.ndarray) -> float:
+        if _leverage(u) > _MAX_LEVERAGE:
+            return math.inf
+        x, v = self.moments(u)
+        if x <= _DOMAIN_FLOOR:
+            return math.inf
+        return self.half_gamma * math.log1p(v / (x * x)) - math.log(x)
+
+    def _partials(self, u: np.ndarray):
+        """x, v, dv, q and dq at u, or None outside the log's domain."""
+        x, v = self.moments(u)
+        if x <= _DOMAIN_FLOOR:
+            return None
+        dv = self.g2 + 2.0 * (self.h @ u)
+        q = v / (x * x)
+        return x, v, dv, q, dv / (x * x) - (2.0 * q / x) * self.d
+
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        parts = self._partials(u)
+        if parts is None:
+            return np.zeros_like(u)
+        x, _, _, q, dq = parts
+        return (self.half_gamma / (1.0 + q)) * dq - self.d / x
+
+    def hess(self, u: np.ndarray) -> np.ndarray:
+        parts = self._partials(u)
+        if parts is None:
+            return np.zeros((u.size, u.size))
+        x, v, dv, q, dq = parts
+        dd, cross = np.outer(self.d, self.d), np.outer(dv, self.d)
+        d2q = 2.0 * self.h / x**2 - 2.0 * (cross + cross.T) / x**3 + 6.0 * v * dd / x**4
+        return dd / x**2 + self.half_gamma * (d2q - np.outer(dq, dq) / (1.0 + q)) / (1.0 + q)
 
 
 def _leverage(u: np.ndarray) -> float:
@@ -157,32 +178,22 @@ def maximize_numeric(
 ) -> tuple[Weights, float]:
     """Numerically maximize expected utility over {w : w'1 = 1}.
 
-    Multi-start Nelder-Mead from the GMV, Sharpe (if defined; both off
-    ``efficient_constants``) and equal-weight portfolios plus seeded random
-    feasible points, each run to a coarse stopping rule, then restarted
-    tight polishing of the best surviving candidate. Every run's first
-    simplex has edges of 0.25 in each weight; the adaptive coefficients
-    are used only for k > 8. Starts whose objective is not finite are
-    dropped. Returns the argmax weights and attained objective (W0 = 1).
+    Minimizes -ln CE with trust-exact, once from each of the GMV, Sharpe
+    (if defined; both off ``efficient_constants``) and equal-weight
+    portfolios plus seeded random feasible points up to ``n_starts``.
+    Runs ending beyond half the leverage box are dropped as divergent.
+    The best run then takes at most two plain Newton steps, each kept
+    only if it lowers the gradient norm and stays inside the box.
+    Returns the argmax weights and the expected utility there (W0 = 1),
+    which overflows to -inf at extreme gamma, though the search does not.
 
-    Raises ValueError when no start lies in the objective's domain, when
-    the expected utility overflows at every start, or when every run
-    diverges to the leverage box.
+    Raises ValueError when no start lies in the objective's domain or
+    when every run diverges to the leverage box.
     """
     if gamma <= 0.0:
         raise ValueError("relative risk aversion must be positive")
     cfg = cfg or OracleConfig()
-    mu = params.mu
-    interior = 0.5 * _MAX_LEVERAGE
-    moments = _reduced_moments(params)
-
-    def neg_objective(u: np.ndarray) -> float:
-        if _leverage(u) > _MAX_LEVERAGE:
-            return np.inf
-        x, v = moments(u)
-        if x <= _DOMAIN_FLOOR:
-            return np.inf
-        return -_objective(x, v + x * x, gamma, 1.0)
+    target = _NegLnCE(params, gamma)
 
     constants = efficient_constants(params)
     sharpe = constants.weights_at(constants.t_sharpe)
@@ -197,77 +208,49 @@ def maximize_numeric(
     reduced = [
         w[:-1]
         for w in starts
-        if w @ mu > _DOMAIN_FLOOR and np.max(np.abs(w)) <= _MAX_LEVERAGE
+        if w @ params.mu > _DOMAIN_FLOOR and np.max(np.abs(w)) <= _MAX_LEVERAGE
     ]
     if not reduced:
         raise ValueError("objective domain empty along search")
-    # A start whose expected utility overflows (large variance at high
-    # gamma) leaves the whole first simplex at inf, and Nelder-Mead would
-    # spend its full budget there.
-    reduced = [u for u in reduced if math.isfinite(neg_objective(u))]
-    if not reduced:
-        raise ValueError(
-            f"expected utility overflows at every start (gamma={gamma:g})"
-        )
 
-    polish = {
-        "maxiter": _MAX_ITERS,
-        "maxfev": _MAX_ITERS,
-        "xatol": 1e-9,
-        "fatol": _TOL_OBJ,
-        "adaptive": params.k > _ADAPTIVE_ABOVE_K,
-    }
-    screen = {**polish, "xatol": _SCREEN_XATOL, "fatol": _SCREEN_FATOL}
-    step = _SIMPLEX_STEP * np.eye(params.k - 1)
-
-    def search(u0: np.ndarray, options: dict):
-        simplex = np.vstack([u0, u0 + step])
-        return minimize(
-            neg_objective,
-            u0,
-            method="Nelder-Mead",
-            options={**options, "initial_simplex": simplex},
-        )
-
-    def diverged(res) -> bool:
-        return _leverage(res.x) >= interior
-
-    def accept(res) -> bool:
-        return bool(res.success) and np.isfinite(res.fun) and not diverged(res)
-
-    best_u, best_f = None, np.inf
-    n_divergent = screen_nfev = 0
+    best = None
+    n_divergent = nfev = njev = nhev = 0
     for u0 in reduced:
-        res = search(u0, screen)
-        screen_nfev += res.nfev
-        n_divergent += diverged(res)
-        if accept(res) and res.fun < best_f:
-            best_u, best_f = res.x, float(res.fun)
-    if best_u is None:
+        res = minimize(
+            target, u0, jac=target.grad, hess=target.hess,
+            method="trust-exact", options={"gtol": _GTOL},
+        )
+        nfev, njev, nhev = nfev + res.nfev, njev + res.njev, nhev + res.nhev
+        if _leverage(res.x) >= 0.5 * _MAX_LEVERAGE:
+            n_divergent += 1
+        elif best is None or res.fun < best.fun:
+            best = res
+    if best is None:
         raise ValueError(
             "no search run converged inside the leverage box: "
             f"{n_divergent} of {len(reduced)} diverged to it"
         )
 
-    # Restarted tight polish: a fresh simplex around the incumbent
-    # escapes the stagnation Nelder-Mead is prone to near an optimum,
-    # and sets the returned optimum's accuracy.
-    polish_nfev, gain = 0, 0.0
-    for rounds in range(1, _POLISH_ROUNDS + 1):
-        res = search(best_u, polish)
-        polish_nfev += res.nfev
-        if not accept(res):
+    u = best.x
+    g = target.grad(u)
+    steps = 0
+    for _ in range(_NEWTON_STEPS):
+        try:
+            trial = u - np.linalg.solve(target.hess(u), g)
+        except np.linalg.LinAlgError:
             break
-        gain = best_f - float(res.fun)
-        if res.fun < best_f:
-            best_u, best_f = res.x, float(res.fun)
-        if gain <= _TOL_OBJ * max(1.0, abs(best_f)):
+        if not math.isfinite(target(trial)):
             break
+        g_trial = target.grad(trial)
+        if np.linalg.norm(g_trial) >= np.linalg.norm(g):
+            break
+        u, g, steps = trial, g_trial, steps + 1
 
     logger.debug(
         "maximize_numeric k=%d gamma=%g: %d starts, %d kept, %d divergent; "
-        "screen nfev %d; polish %d rounds, nfev %d, last gain %.3g; max|w| %.6g",
+        "nfev %d, njev %d, nhev %d; %d Newton steps; |grad| %.3g; max|w| %.6g",
         params.k, gamma, len(starts), len(reduced), n_divergent,
-        screen_nfev, rounds, polish_nfev, gain, _leverage(best_u),
+        nfev, njev, nhev, steps, np.linalg.norm(g), _leverage(u),
     )
-    return Weights(np.append(best_u, 1.0 - best_u.sum())), -best_f
+    x, v = target.moments(u)
+    return Weights(np.append(u, 1.0 - u.sum())), _objective(x, v + x * x, gamma, 1.0)
