@@ -43,7 +43,6 @@ from .market import (
     ReturnMatrix,
     SynthSpec,
     estimate_params,
-    estimate_rows,
     load_returns_csv,
     subset,
     synth_market,
@@ -72,7 +71,6 @@ __all__ = [
     "efficient_constants",
     "efficient_constants_rows",
     "estimate_params",
-    "estimate_rows",
     "gamma_min",
     "gmv_weights",
     "load_returns_csv",

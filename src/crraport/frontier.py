@@ -132,13 +132,23 @@ class FrontierConstants:
         """Frontier portfolios ``w_gmv + t tilt``; ``t`` has the batch's shape."""
         return self.w_gmv + np.asarray(t)[..., None] * self.tilt
 
-    def returns_at(self, gross: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Realized gross returns ``gross @ (w_gmv + t tilt)`` of the
-        frontier portfolios at coordinates ``t`` (batch + (G,)), over
-        panels of gross returns ``gross`` (batch + (n, k)), as
-        batch + (G, n): two mat-vecs per market, whatever G."""
-        out = t[..., None] * np.matvec(gross, self.tilt)[..., None, :]
-        out += np.matvec(gross, self.w_gmv)[..., None, :]
+    def returns_at(self, gross: np.ndarray, assets: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Realized gross returns of the frontier portfolios
+        ``w_gmv + t tilt`` at coordinates ``t`` (batch + (G,)), for
+        markets made of the columns ``assets`` (batch + (k,)) of one panel
+        of gross returns ``gross`` (n, K), as batch + (G, n).
+
+        Two dot products per market and period, whatever G, of the panel's
+        row and the weights scattered to its full width; unlike a matrix
+        product's, they do not depend on the rest of the batch.
+        """
+        weights = np.zeros(self.tilt.shape[:-1] + (2, gross.shape[-1]))
+        np.put_along_axis(
+            weights, assets[..., None, :], np.stack((self.w_gmv, self.tilt), axis=-2), axis=-1
+        )
+        base, slope = np.moveaxis(np.vecdot(weights[..., None, :], gross), -2, 0)
+        out = t[..., None] * slope[..., None, :]
+        out += base[..., None, :]
         return out
 
     def __getitem__(self, index) -> "FrontierConstants":

@@ -4,8 +4,9 @@ Returns are simple per-period returns ``r``; everything downstream works
 with gross returns ``R = 1 + r``, so ``MarketParams.mu`` is the mean of
 gross returns and ``MarketParams.sigma`` their covariance (identical to
 the covariance of simple returns). All values are immutable after
-construction. ``estimate_rows`` estimates a stack of panels (B, n, k)
-at once, with a per-panel flag where ``estimate_params`` would raise.
+construction. A column subset's sample moments are the matching
+entries of its panel's, so ``subset_rows`` gathers a stack of subsets
+from one ``sample_moments`` estimate instead of re-estimating each.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ __all__ = [
     "SynthSpec",
     "load_returns_csv",
     "estimate_params",
-    "estimate_rows",
+    "sample_moments",
+    "subset_rows",
     "cho_solve_rows",
     "synth_market",
     "subset",
@@ -200,26 +202,32 @@ def load_returns_csv(
         raise ValueError("n_periods >= 2 required")
 
     k = len(raw[0])
-    data = np.empty((len(raw), k))
-    for i, row in enumerate(raw):
-        row_no = i + 2 if header else i + 1
+    try:
+        data = np.array([[float(cell) for cell in row] for row in raw if len(row) == k])
+    except ValueError:  # a non-numeric cell
+        data = None
+    if data is None or len(data) < len(raw) or not np.isfinite(data).all():
+        raise _first_bad_cell(raw, k, 2 if header else 1)
+    return ReturnMatrix(data, labels)
+
+
+def _first_bad_cell(raw: list[list[str]], k: int, first_row: int) -> ValueError:
+    """The error of the first ragged row or bad cell of ``raw`` (whose
+    first row is file row ``first_row``), in reading order."""
+    for row_no, row in enumerate(raw, start=first_row):
         if len(row) != k:
-            raise ValueError(
-                f"ragged row {row_no}: expected {k} cells, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
+            return ValueError(f"ragged row {row_no}: expected {k} cells, found {len(row)}")
+        for col_no, cell in enumerate(row, start=1):
             try:
                 value = float(cell)
             except ValueError:
-                raise ValueError(
-                    f"non-numeric cell at row {row_no}, column {j + 1}: {cell.strip()!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"non-finite cell at row {row_no}, column {j + 1}: {cell.strip()!r}"
+                return ValueError(
+                    f"non-numeric cell at row {row_no}, column {col_no}: {cell.strip()!r}"
                 )
-            data[i, j] = value
-    return ReturnMatrix(data, labels)
+            if not np.isfinite(value):
+                return ValueError(
+                    f"non-finite cell at row {row_no}, column {col_no}: {cell.strip()!r}"
+                )
 
 
 def _is_finite_number(cell: str) -> bool:
@@ -229,39 +237,42 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def _sample_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased sample covariance of gross returns, for a
-    panel (n, k) or a stack of panels (B, n, k)."""
-    dev = values + 1.0
-    mu = dev.mean(axis=-2)
-    dev -= mu[..., None, :]
-    sigma = np.matrix_transpose(dev) @ dev / (values.shape[-2] - 1)
+def sample_moments(returns: ReturnMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean (k,) and unbiased sample covariance (k, k) of a
+    panel's gross returns, unchecked: with n <= k periods or collinear
+    columns the covariance is singular."""
+    dev = returns.values + 1.0
+    mu = dev.mean(axis=0)
+    dev -= mu
+    sigma = dev.T @ dev / (returns.n_periods - 1)
     return mu, sigma
 
 
 def estimate_params(returns: ReturnMatrix) -> MarketParams:
     """Sample mean and unbiased sample covariance of gross returns."""
     try:
-        return MarketParams(*_sample_moments(returns.values))
+        return MarketParams(*sample_moments(returns))
     except ValueError as exc:
         raise ValueError(_SINGULAR_MSG) from exc
 
 
-def estimate_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``estimate_params`` for a stack of panels of simple returns
-    (B, n, k) that share n and k, with one flag per panel in place of
-    its error.
+def subset_rows(
+    mu: np.ndarray, sigma: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``subset`` for a stack of column subsets ``subsets`` (B, k) of one
+    panel's ``sample_moments`` ``mu`` (K,) and ``sigma`` (K, K), with one
+    flag per subset in place of ``MarketParams``' error.
 
-    Returns the gross means (B, k), the covariances (B, k, k), their
-    lower Cholesky factors (B, k, k) and ``ok`` (B,), False where
-    ``estimate_params`` raises its singular-covariance error (those
-    panels get the identity as their factor). A panel's results are
-    bitwise those of its own call when the stack keeps its memory
-    layout.
+    Returns the subsets' gross means (B, k), covariances (B, k, k), their
+    lower Cholesky factors (B, k, k) and ``ok`` (B,), False where the
+    covariance is not positive definite by ``MarketParams``' pivot rule
+    (those subsets get the identity as their factor). A subset's results
+    are bitwise the same whatever else is in the stack.
     """
-    mu, sigma = _sample_moments(values)
-    lower, ok = _spd_cholesky_rows(sigma)
-    return mu, sigma, lower, ok
+    sub_mu = mu[subsets]
+    sub_sigma = sigma[subsets[:, :, None], subsets[:, None, :]]
+    lower, ok = _spd_cholesky_rows(sub_sigma)
+    return sub_mu, sub_sigma, lower, ok
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,17 +8,21 @@ conditions fail, and compares the naive / Sharpe / optimal strategies
 by their expected-utility samples. Per k it also places the GMV, Sharpe
 and optimal portfolios of the first-k-assets market on its frontier.
 
-Each k is solved in batched passes over blocks of its sampled subsets
-(sized so memory stays bounded whatever the cap). A block of B subsets
-is stacked as simple-return panels (B, n, k) and goes through the
-library's batch calls on arrays: estimate (B, k) and (B, k, k), frontier
-constants and gamma_min (B,), the closed-form grid (B, G), the realized
-gross returns of every optimum (B, G, n), one Shapiro-Wilk call on
-every solved cell, and the naive and Sharpe utilities (B, G). The
-first-k market is the same solve with B = 1. The optimum at each gamma is
-``w_gmv + t tilt`` and the Sharpe portfolio that line's
-gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come
-from the market's one set of frontier constants.
+The panel's gross means and covariance are estimated once per run; a
+subset's are the matching entries of those, so no subset is
+re-estimated. Each k is solved in batched passes over blocks of its
+sampled subsets (sized so memory stays bounded whatever the cap). A
+block of B subsets gathers its means (B, k) and covariances (B, k, k)
+and goes through the library's batch calls on arrays: Cholesky factors,
+frontier constants and gamma_min (B,), the closed-form grid (B, G), the
+realized gross returns of every optimum (B, G, n) over the whole panel,
+one Shapiro-Wilk call on every solved cell, and the naive and Sharpe
+utilities (B, G). The first-k market is the same solve with B = 1. The
+optimum at each gamma is ``w_gmv + t tilt`` and the Sharpe portfolio
+that line's gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so
+both come from the market's one set of frontier constants. A market's
+results are bitwise the same whatever block it runs in, and agree with
+its own ``estimate_params`` solve to rounding.
 
 The report keeps each table as columns, one list per CSV column, and
 writes one CSV per table plus a JSON summary; the csv module writes the
@@ -48,7 +52,14 @@ from .frontier import (
     feasible_rows,
     portfolio_moments_rows,
 )
-from .market import ReturnMatrix, SynthSpec, estimate_rows, load_returns_csv, synth_market
+from .market import (
+    ReturnMatrix,
+    SynthSpec,
+    load_returns_csv,
+    sample_moments,
+    subset_rows,
+    synth_market,
+)
 from .stats import quantile, shapiro_wilk_rows
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "default_synth_spec"]
@@ -102,9 +113,10 @@ _FRONTIER_CODES = np.array(
     ]
 )
 
-# Subsets are solved in blocks whose largest arrays, (B, G, n) and
-# (B, n, k), hold at most this many values, so memory stays bounded
-# whatever the subset cap.
+# Subsets are solved in blocks whose largest arrays, the realized returns
+# (B, G, n), the covariances (B, k, k) and the full-width weights
+# (B, 2, K) with their returns (B, 2, n), hold at most this many values,
+# so memory stays bounded whatever the subset cap.
 _BLOCK_VALUES = 2**17
 
 # Stages timed into summary.json's timings_s.
@@ -282,17 +294,27 @@ def _load_source(cfg: StudyConfig) -> tuple[ReturnMatrix, str]:
     return synth_market(cfg.synth, cfg.seed), f"synth:k={cfg.synth.k},n={cfg.synth.n}"
 
 
-def _solve_markets(values: np.ndarray, cfg: StudyConfig, clock: _Stopwatch) -> SimpleNamespace:
-    """Estimate a stack of simple-return panels (B, n, k), build their
-    frontier constants and gamma_min, and solve the gamma grid for the
-    markets that have them.
+def _panel(returns: ReturnMatrix) -> SimpleNamespace:
+    """A returns panel's ``gross`` returns (n, K) and their sample means
+    ``mu`` (K,) and covariance ``sigma`` (K, K), estimated once for every
+    subset market of a run."""
+    mu, sigma = sample_moments(returns)
+    return SimpleNamespace(gross=returns.values + 1.0, mu=mu, sigma=sigma)
+
+
+def _solve_markets(
+    panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
+) -> SimpleNamespace:
+    """Gather the moments of a stack of column subsets (B, k) of
+    ``panel``, build their frontier constants and gamma_min, and solve
+    the gamma grid for the markets that have them.
 
     Returns each market's market-level ``code`` (an index into
     ``_CODES``, or -1) and, for the ``good`` markets without one, their
-    ``mu``, ``sigma``, ``constants``, ``grid`` and per-gamma ``codes``,
-    (B_good, G) masks by name.
+    ``subsets``, ``mu``, ``sigma``, ``constants``, ``grid`` and per-gamma
+    ``codes``, (B_good, G) masks by name.
     """
-    mu, sigma, lower, chol_ok = estimate_rows(values)
+    mu, sigma, lower, chol_ok = subset_rows(panel.mu, panel.sigma, subsets)
     clock.lap("estimate")
     constants = efficient_constants_rows(mu, lower)
     gm = gamma_min(constants)
@@ -310,6 +332,7 @@ def _solve_markets(values: np.ndarray, cfg: StudyConfig, clock: _Stopwatch) -> S
         gammas=gammas,
         code=code,
         good=good,
+        subsets=subsets[good],
         mu=mu[good],
         sigma=sigma[good],
         constants=constants,
@@ -333,17 +356,15 @@ def _append_cells(table: dict, k: int, m: SimpleNamespace, subset_index: np.ndar
 
 
 def _subsets_pass(
-    tables: dict, k: int, panel: np.ndarray, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
+    tables: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
 ) -> None:
     """Solve one k's subsets (B, k) of ``panel`` block by block and
     append their rows."""
-    n_periods, n_gammas = panel.shape[0], len(cfg.gamma_grid)
-    block = max(1, _BLOCK_VALUES // (n_periods * max(n_gammas, k)))
-    # Stacked from the transposed panel, so every subset's (n, k) panel
-    # has the memory layout of panel[:, subset] and its results are
-    # bitwise those of its own solve.
+    (n_periods, n_assets), n_gammas = panel.gross.shape, len(cfg.gamma_grid)
+    per_market = max(n_gammas * n_periods, k * k, 2 * max(n_periods, n_assets))
+    block = max(1, _BLOCK_VALUES // per_market)
     blocks = [
-        _solve_block(tables, k, panel.T[subsets[i : i + block]].transpose(0, 2, 1), i, cfg, clock)
+        _solve_block(tables, k, panel, subsets[i : i + block], i, cfg, clock)
         for i in range(0, len(subsets), block)
     ]
     exists, mv_ok, p_values = (np.concatenate(parts) for parts in zip(*blocks))
@@ -377,22 +398,23 @@ def _subsets_pass(
 
 
 def _solve_block(
-    tables: dict, k: int, values: np.ndarray, first: int, cfg: StudyConfig, clock: _Stopwatch
+    tables: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, first: int, cfg: StudyConfig,
+    clock: _Stopwatch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a block of stacked subsets (B, n, k), the first of them
+    """Solve a block of subsets (B, k) of ``panel``, the first of them
     subset ``first``, and append their cell and strategy rows. Returns,
     for the markets without a market-level code, where gamma reaches
     gamma_min (B_good, G), where r_gmv > 0 (B_good,) and the p-values of
     the tested cells (B_good, G; NaN elsewhere)."""
-    m = _solve_markets(values, cfg, clock)
+    m = _solve_markets(panel, subsets, cfg, clock)
     constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
     solved = grid.ok
 
     p_values = np.full(solved.shape, np.nan)
-    if not 3 <= values.shape[1] <= 5000:
+    if not 3 <= panel.gross.shape[0] <= 5000:
         codes["sw_sample_size"] = solved
     else:
-        realized = constants.returns_at(values[m.good] + 1.0, grid.t)[solved]
+        realized = constants.returns_at(panel.gross, m.subsets, grid.t)[solved]
         clock.lap("realized_returns")
         positive = solved.copy()
         positive[solved] = realized.min(axis=-1) > 0.0
@@ -429,11 +451,10 @@ def _solve_block(
     return ~codes["below_gamma_min"], constants.r_gmv > 0.0, p_values
 
 
-def _frontier_pass(tables: dict, k: int, values: np.ndarray, cfg: StudyConfig, clock: _Stopwatch) -> None:
+def _frontier_pass(tables: dict, k: int, panel: SimpleNamespace, cfg: StudyConfig, clock: _Stopwatch) -> None:
     """Place the GMV, Sharpe and optimal portfolios of the first-k-assets
-    market (subset_index -1; ``values`` its panel as a stack of one) on
-    its frontier."""
-    m = _solve_markets(values, cfg, clock)
+    market of ``panel`` (subset_index -1) on its frontier."""
+    m = _solve_markets(panel, np.arange(k)[None], cfg, clock)
     cells, frontier = tables["cell_errors"], tables["frontier_locations"]
     if not m.good[0]:
         _append(cells, 1, k=k, subset_index=-1, gamma=None, code=_CODES[m.code[0]])
@@ -459,13 +480,15 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         raise ValueError("k_range exceeds the number of assets in the data")
 
     clock = _Stopwatch()
+    panel = _panel(returns)
+    clock.lap("estimate")
     tables = {name: {col: [] for col in header} for name, header in _CSV_FILES.items()}
     for k in cfg.k_range:
         subsets = np.array(_draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed))
         clock.lap()
-        _subsets_pass(tables, k, returns.values, subsets, cfg, clock)
+        _subsets_pass(tables, k, panel, subsets, cfg, clock)
         clock.lap()
-        _frontier_pass(tables, k, returns.values[None, :, :k], cfg, clock)
+        _frontier_pass(tables, k, panel, cfg, clock)
         clock.lap()
 
     report = StudyReport(

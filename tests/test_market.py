@@ -7,11 +7,11 @@ from crraport import (
     ReturnMatrix,
     SynthSpec,
     estimate_params,
-    estimate_rows,
     load_returns_csv,
     subset,
     synth_market,
 )
+from crraport.market import sample_moments, subset_rows
 from helpers import random_market
 
 
@@ -53,6 +53,17 @@ class TestLoadReturnsCsv:
     def test_bad_cell_position(self, tmp_path):
         with pytest.raises(ValueError, match="row 2, column 2"):
             load_returns_csv(_write(tmp_path, "0.1,0.2\n0.1,oops\n"))
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # A non-numeric cell in row 3 comes before a ragged row 5, with
+        # and without a header row shifting the row numbers.
+        body = "0.1,0.2\n0.1,0.2\n0.1,x\n0.1,0.2\n0.1\n"
+        with pytest.raises(ValueError, match=r"^non-numeric cell at row 3, column 2: 'x'$"):
+            load_returns_csv(_write(tmp_path, body))
+        with pytest.raises(ValueError, match=r"^non-numeric cell at row 4, column 2: 'x'$"):
+            load_returns_csv(_write(tmp_path, "a,b\n" + body))
+        with pytest.raises(ValueError, match=r"^ragged row 2: expected 2 cells, found 3$"):
+            load_returns_csv(_write(tmp_path, "0.1,0.2\n0.1,0.2,0.3\n0.1,nan\n"))
 
     def test_non_finite_cell(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite cell"):
@@ -240,21 +251,34 @@ def test_return_matrix_validation():
         ReturnMatrix(np.zeros((3, 2)), ("only_one",))
 
 
-class TestEstimateRows:
-    def test_each_panel_matches_its_own_estimate_and_failures_are_flagged(self):
+class TestSubsetRows:
+    def test_each_subset_matches_its_own_estimate(self):
         rng = np.random.default_rng(8)
-        panels = rng.normal(0.002, 0.03, (4, 40, 5))
-        panels[1, :, 2] = 0.01  # a constant column: zero variance
-        panels[3, :, 4] = panels[3, :, 0] - panels[3, :, 1]  # a collinear column
-        mu, sigma, lower, ok = estimate_rows(panels)
-        assert ok.tolist() == [True, False, True, False]
-        for b in range(4):
+        values = rng.normal(0.002, 0.03, (40, 7))
+        values[:, 5] = 0.01  # a constant column: zero variance
+        values[:, 6] = values[:, 0] - values[:, 1]  # collinear with columns 0 and 1
+        subsets = np.array([[0, 1, 2], [2, 5, 3], [4, 3, 1], [0, 6, 1], [6, 2, 3]])
+        mu_all, sigma_all = sample_moments(ReturnMatrix(values))
+        rows = subset_rows(mu_all, sigma_all, subsets)
+        mu, sigma, lower, ok = rows
+        assert ok.tolist() == [True, False, True, False, True]
+        # Each covariance entry is a sum of n products, rounded differently
+        # in the whole panel's product than in the subset's own; by
+        # Cauchy-Schwarz the products' magnitudes sum to about
+        # sqrt(Sigma_ii Sigma_jj), which max|Sigma| bounds.
+        n, eps = values.shape[0], np.finfo(float).eps
+        tol = 2.0 * n * eps * np.abs(sigma_all).max()
+        for b, sub in enumerate(subsets):
+            alone = subset_rows(mu_all, sigma_all, sub[None])
+            for stacked, single in zip(rows, alone):
+                assert np.array_equal(stacked[b], single[0])
+            panel = ReturnMatrix(values[:, sub])
             if ok[b]:
-                params = estimate_params(ReturnMatrix(panels[b]))
-                assert np.array_equal(mu[b], params.mu)
-                assert np.array_equal(sigma[b], params.sigma)
-                assert np.array_equal(lower[b], params.lower)
+                params = estimate_params(panel)
+                np.testing.assert_allclose(mu[b], params.mu, rtol=n * eps, atol=0.0)
+                assert np.abs(sigma[b] - params.sigma).max() <= tol
+                assert np.array_equal(lower[b], np.linalg.cholesky(sigma[b]))
             else:
                 with pytest.raises(ValueError, match="singular covariance"):
-                    estimate_params(ReturnMatrix(panels[b]))
-                assert np.array_equal(lower[b], np.eye(5))
+                    estimate_params(panel)
+                assert np.array_equal(lower[b], np.eye(3))

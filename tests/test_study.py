@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from crraport import (
     synth_market,
     ReturnMatrix,
 )
-from crraport.study import _draw_subsets, _solve_markets, _Stopwatch
+from crraport import study
+from crraport.study import _draw_subsets, _panel, _solve_markets, _Stopwatch
 from helpers import empirical_cdf, table_rows
 
 
@@ -305,17 +307,17 @@ class TestRunStudy:
         # The study's Sharpe portfolio w_gmv + (v_gmv / r_gmv) tilt against
         # the Sigma^-1 mu solve, on every evaluated market of a small study.
         cfg = _small_config(tmp_path)
-        values = synth_market(cfg.synth, cfg.seed).values
+        returns = synth_market(cfg.synth, cfg.seed)
+        panel = _panel(returns)
         checked = 0
         for k in cfg.k_range:
-            subsets = _draw_subsets(values.shape[1], k, cfg.n_subsets_cap, cfg.seed)
+            subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
             subsets.append(tuple(range(k)))
-            stack = np.stack([values[:, list(sub)] for sub in subsets])
-            markets = _solve_markets(stack, cfg, _Stopwatch())
+            markets = _solve_markets(panel, np.array(subsets), cfg, _Stopwatch())
             con = markets.constants
             study_w = con.weights_at(con.t_sharpe)
             for row, si in enumerate(np.flatnonzero(markets.good)):
-                params = estimate_params(ReturnMatrix(stack[si]))
+                params = estimate_params(ReturnMatrix(returns.values[:, list(subsets[si])]))
                 ref = sharpe_weights(params).w
                 gap = np.max(np.abs(study_w[row] - ref))
                 assert gap <= 1e-12 * np.abs(ref).sum(), (k, subsets[si])
@@ -328,43 +330,9 @@ class TestRunStudy:
         rng = np.random.default_rng(5)
         panel = rng.normal(0.002, 0.03, (80, 6))
         panel[:, 5] = panel[:, 3] + 2.0 * panel[:, 4]
-        csv_path = tmp_path / "collinear.csv"
-        lines = ["a,b,c,d,e,f"] + [",".join(repr(float(v)) for v in row) for row in panel]
-        csv_path.write_text("\n".join(lines) + "\n")
-        cfg = _small_config(
-            tmp_path,
-            synth=None,
-            data_csv=csv_path,
-            k_range=(3, 4),
-            gamma_grid=(0.5, 2.0, 5.0, 20.0),
+        n_singular, n_solved = _check_subsets_against_reference(
+            tmp_path, panel, (3, 4), (0.5, 2.0, 5.0, 20.0), lambda sub: {3, 4, 5} <= set(sub)
         )
-        report = run_study(cfg)
-        cells = table_rows(report.cell_errors)
-        utility = {
-            (r["k"], r["subset_index"], r["gamma"]): r["utility_optimal"]
-            for r in table_rows(report.strategy_utilities)
-        }
-        values = load_returns_csv(csv_path).values
-        n_singular = n_solved = 0
-        for k in cfg.k_range:
-            for si, sub in enumerate(_draw_subsets(6, k, cfg.n_subsets_cap, cfg.seed)):
-                codes = {
-                    (e["gamma"], e["code"]) for e in cells if (e["k"], e["subset_index"]) == (k, si)
-                }
-                if {3, 4, 5} <= set(sub):
-                    assert codes == {(g, "singular_covariance") for g in cfg.gamma_grid}
-                    n_singular += 1
-                    continue
-                assert "singular_covariance" not in {code for _, code in codes}
-                params = estimate_params(ReturnMatrix(values[:, list(sub)]))
-                for gamma in cfg.gamma_grid:
-                    try:
-                        sol = power_solution(gamma, params, cfg.w0)
-                    except (ValueError, ArithmeticError):
-                        assert (k, si, gamma) not in utility
-                        continue
-                    assert utility[(k, si, gamma)] == pytest.approx(sol.expected_utility, rel=1e-12)
-                    n_solved += 1
         assert n_singular == 1 + 3  # C(3, 3) subsets at k = 3, C(3, 1) at k = 4
         assert n_solved > 0
 
@@ -388,3 +356,84 @@ class TestRunStudy:
         assert table_rows(report.frontier_locations) == []
         assert {e["code"] for e in table_rows(report.cell_errors)} == {"degenerate_frontier"}
         assert not table_rows(report.strategy_utilities)
+
+    def test_results_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        # Every subset solved alone (blocks of one) and in the default
+        # blocks, k up to all 17 assets: the tables are byte for byte the same.
+        returns = synth_market(default_synth_spec(), seed=5)
+        csv_path = tmp_path / "returns.csv"
+        lines = [",".join(returns.asset_labels)]
+        lines += [",".join(repr(float(v)) for v in row) for row in returns.values]
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = _small_config(
+            tmp_path,
+            synth=None,
+            data_csv=csv_path,
+            k_range=(2, 5, 9, 17),
+            gamma_grid=(0.5, 2.0, 10.0, 1e4),
+            output_dir=tmp_path / "default",
+        )
+        run_study(cfg)
+        monkeypatch.setattr(study, "_BLOCK_VALUES", 2**10)
+        run_study(replace(cfg, output_dir=tmp_path / "small"))
+        for name in study._CSV_FILES:
+            assert filecmp.cmp(
+                tmp_path / "default" / f"{name}.csv", tmp_path / "small" / f"{name}.csv", shallow=False
+            ), name
+
+    def test_panel_with_more_assets_than_periods(self, tmp_path):
+        # 12 periods of 20 assets: the panel's covariance is singular, but
+        # that of a subset of k < n - 1 assets is not unless it holds the
+        # collinear columns 0, 1 and 19 = 0 + 1. Subsets of k >= n assets
+        # are singular.
+        rng = np.random.default_rng(12)
+        panel = rng.normal(0.002, 0.03, (12, 20))
+        panel[:, 19] = panel[:, 0] + panel[:, 1]
+        n_singular, n_solved = _check_subsets_against_reference(
+            tmp_path,
+            panel,
+            (3, 6, 10, 12),
+            (2.0, 5.0, 20.0, 100.0),
+            lambda sub: len(sub) >= 12 or {0, 1, 19} <= set(sub),
+        )
+        assert n_singular > 20  # every subset at k = 12, and the collinear ones
+        assert n_solved > 0
+
+
+def _check_subsets_against_reference(tmp_path, panel, k_range, gammas, singular):
+    """Run a CSV-source study of ``panel`` and check every sampled subset:
+    those ``singular`` says are coded singular_covariance at every gamma,
+    and the others' optimal utilities match ``estimate_params`` and
+    ``power_solution`` on their own columns. Returns the numbers of
+    singular subsets and of solved cells checked."""
+    csv_path = tmp_path / "panel.csv"
+    lines = [",".join(f"a{j}" for j in range(panel.shape[1]))]
+    lines += [",".join(repr(float(v)) for v in row) for row in panel]
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = _small_config(tmp_path, synth=None, data_csv=csv_path, k_range=k_range, gamma_grid=gammas)
+    report = run_study(cfg)
+    cells = table_rows(report.cell_errors)
+    utility = {
+        (r["k"], r["subset_index"], r["gamma"]): r["utility_optimal"]
+        for r in table_rows(report.strategy_utilities)
+    }
+    values = load_returns_csv(csv_path).values
+    n_singular = n_solved = 0
+    for k in cfg.k_range:
+        for si, sub in enumerate(_draw_subsets(panel.shape[1], k, cfg.n_subsets_cap, cfg.seed)):
+            codes = {(e["gamma"], e["code"]) for e in cells if (e["k"], e["subset_index"]) == (k, si)}
+            if singular(sub):
+                assert codes == {(g, "singular_covariance") for g in cfg.gamma_grid}, (k, sub)
+                n_singular += 1
+                continue
+            assert "singular_covariance" not in {code for _, code in codes}
+            params = estimate_params(ReturnMatrix(values[:, list(sub)]))
+            for gamma in cfg.gamma_grid:
+                try:
+                    sol = power_solution(gamma, params, cfg.w0)
+                except (ValueError, ArithmeticError):
+                    assert (k, si, gamma) not in utility
+                    continue
+                assert utility[(k, si, gamma)] == pytest.approx(sol.expected_utility, rel=1e-12)
+                n_solved += 1
+    return n_singular, n_solved
