@@ -48,7 +48,7 @@ from .market import (
     synth_market,
 )
 from .oracle import OracleConfig, maximize_numeric, random_feasible
-from .stats import TestResult, normal_cdf, quantile, shapiro_wilk, shapiro_wilk_rows
+from .stats import TestResult, normal_cdf, quantile, quantile_columns, shapiro_wilk, shapiro_wilk_rows
 from .study import StudyConfig, StudyReport, default_synth_spec, run_study
 
 __version__ = "0.1.0"
@@ -91,6 +91,7 @@ __all__ = [
     "psi_sup_bound",
     "psi_sup_empirical",
     "quantile",
+    "quantile_columns",
     "random_feasible",
     "run_study",
     "sharpe_weights",

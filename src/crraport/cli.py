@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -31,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .crra import gamma_min, power_solution
+from .csvout import write_csv
 from .frontier import efficient_constants, markowitz_weights, parabola_variance
 from .lognormal import psi_sup_bound, psi_sup_empirical
 from .market import MarketParams, SynthSpec, estimate_params, load_returns_csv, synth_market
@@ -86,14 +86,12 @@ def _add_market_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=_env("SEED", "0"))
 
 
-def _write_csv(path: str | None, header, rows) -> None:
-    """Write a CSV, with floats by their repr, to ``path`` or, without
-    one, to stdout."""
+def _write_csv(path: str | None, header, columns) -> None:
+    """Write a CSV of columns, with floats by their repr, to ``path`` or,
+    without one, to stdout."""
     out = open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_csv(fh, header, columns)
 
 
 def _solution_payload(sol, constants) -> dict:
@@ -139,7 +137,7 @@ def _cmd_frontier(args) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        _write_csv(args.out, ["x", "v"] + [f"w_{j + 1}" for j in range(params.k)], rows)
+        _write_csv(args.out, ["x", "v"] + [f"w_{j + 1}" for j in range(params.k)], list(zip(*rows)))
     return 0
 
 
@@ -182,14 +180,14 @@ def _cmd_lemma1(args) -> int:
         bound = psi_sup_bound(args.mu, sigma)
         emp = psi_sup_empirical(args.mu, sigma, args.n_grid)
         rows.append((ratio, bound, emp, bound / ratio, emp <= bound))
-    _write_csv(args.out, ["ratio", "bound", "empirical", "bound_over_ratio", "empirical_le_bound"], rows)
+    _write_csv(args.out, ["ratio", "bound", "empirical", "bound_over_ratio", "empirical_le_bound"], list(zip(*rows)))
     return 0
 
 
 def _cmd_synth(args) -> int:
     spec = _load_synth_spec(args.spec)
     returns = synth_market(spec, args.seed)
-    _write_csv(args.out, returns.asset_labels, returns.values.tolist())
+    _write_csv(args.out, returns.asset_labels, returns.values.T.tolist())
     return 0
 
 

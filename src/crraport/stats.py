@@ -19,6 +19,7 @@ __all__ = [
     "shapiro_wilk",
     "shapiro_wilk_rows",
     "quantile",
+    "quantile_columns",
 ]
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -179,18 +180,56 @@ def shapiro_wilk(sample) -> TestResult:
     return TestResult(float(w[0]), float(p[0]))
 
 
+def quantile_columns(values, q) -> tuple[np.ndarray, np.ndarray]:
+    """Order-statistic quantiles (type 7) of each column of a 2-d array,
+    with NaN marking a missing value.
+
+    Returns each column's count of non-NaN values (C,) and its
+    quantiles at the levels ``q`` (L, C); a column with no value gets
+    NaN. Each quantile is bitwise that of ``np.quantile`` on the
+    column's non-NaN values: the columns are sorted, NaN last, and the
+    two order statistics around the virtual index ``(n - 1) q`` are
+    interpolated by numpy's ``_lerp``, including its ``t >= 0.5``
+    branch and its weight past the last index.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("values must form a 2-d array")
+    x = np.sort(x, axis=0)
+    levels = np.asarray(q, dtype=float).reshape(-1, 1)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
+        raise ValueError("quantile level must lie in [0, 1]")
+    n = x.shape[0] - np.count_nonzero(np.isnan(x), axis=0)
+    if x.shape[0] == 0:
+        return n, np.full((levels.size, x.shape[1]), np.nan)
+    virtual = (n - 1) * levels
+    lower = np.floor(virtual)
+    top = virtual >= n - 1
+    below = np.where(top, n - 1, lower).astype(np.intp)
+    above = np.where(top, n - 1, lower + 1.0).astype(np.intp)
+    # numpy puts a top index at -1, so its weight there is virtual + 1.
+    t = np.where(top, virtual + 1.0, virtual - lower)
+    # A column with no value reads its last entry, a NaN, at index -1.
+    a = np.take_along_axis(x, below, axis=0)
+    b = np.take_along_axis(x, above, axis=0)
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
+    return n, out
+
+
 def quantile(values, q):
     """Order-statistic quantile with linear interpolation (type 7).
 
     ``q`` is one level (returns a float) or a sequence of levels
     (returns an array, one quantile per level, each equal to its
-    one-level call).
+    one-level call). The one-column call of ``quantile_columns``;
+    raises ValueError on an empty sample or one holding NaN.
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.asarray(values, dtype=float).reshape(-1, 1)
     if arr.size == 0:
         raise ValueError("empty sample")
-    levels = np.asarray(q, dtype=float)
-    if not np.all((levels >= 0.0) & (levels <= 1.0)):
-        raise ValueError("quantile level must lie in [0, 1]")
-    out = np.quantile(arr, levels)
-    return float(out) if levels.ndim == 0 else out
+    if np.isnan(arr).any():
+        raise ValueError("sample must not contain NaN")
+    out = quantile_columns(arr, q)[1][:, 0]
+    return float(out[0]) if np.ndim(q) == 0 else out.reshape(np.shape(q))

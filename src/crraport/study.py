@@ -24,20 +24,24 @@ both come from the market's one set of frontier constants. A market's
 results are bitwise the same whatever block it runs in, and agree with
 its own ``estimate_params`` solve to rounding.
 
-The report keeps each table as columns, one list per CSV column, and
-writes one CSV per table plus a JSON summary; the csv module writes the
-zipped columns, a float by its repr and None as an empty cell. The
-summary's ``timings_s`` holds the seconds spent per stage; everything
-else is deterministic given the seed (per-k subset draws use independent
-child streams, so evaluation order never matters).
+Each k's p-value quantiles, one column per gamma, come from one
+``quantile_columns`` call. The report keeps each table as columns, one
+list per CSV column, and writes one CSV per table plus a JSON summary.
+``csvout.write_csv`` formats a chunk of rows of each column at once, a
+float by its repr and None as an empty cell, and joins the chunk's rows;
+its bytes are those of the csv module's writer. The summary's ``error_counts``
+counts each code of cell_errors per (k, gamma), and its ``timings_s``
+holds the seconds spent per stage; everything else is deterministic
+given the seed (per-k subset draws use independent child streams, so
+evaluation order never matters).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,6 +50,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .crra import gamma_min, objective_rows, power_grid
+from .csvout import write_csv
 from .frontier import (
     FRONTIER_ERRORS,
     efficient_constants_rows,
@@ -60,7 +65,7 @@ from .market import (
     subset_rows,
     synth_market,
 )
-from .stats import quantile, shapiro_wilk_rows
+from .stats import quantile_columns, shapiro_wilk_rows
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "default_synth_spec"]
 
@@ -190,7 +195,8 @@ class StudyReport:
     def write(self, output_dir: Path) -> dict[str, Path]:
         """Write one CSV per table plus summary.json; returns the paths.
 
-        The time spent on the CSVs goes into ``timings_s["csv_write"]``.
+        Each table's columns go through ``write_csv``. The time spent on
+        the CSVs goes into ``timings_s["csv_write"]``.
         """
         start = time.perf_counter()
         output_dir = Path(output_dir)
@@ -202,9 +208,7 @@ class StudyReport:
             counts[name] = len(columns[0])
             path = output_dir / f"{name}.csv"
             with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(zip(*columns, strict=True))
+                write_csv(fh, header, columns)
             paths[name] = path
         self.timings_s["csv_write"] = time.perf_counter() - start
         summary = {
@@ -212,12 +216,24 @@ class StudyReport:
             "metadata": self.metadata,
             "tables": {name: f"{name}.csv" for name in _CSV_FILES},
             "counts": counts,
+            "error_counts": _error_counts(self.cell_errors),
             "timings_s": self.timings_s,
         }
         path = output_dir / "summary.json"
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         paths["summary"] = path
         return paths
+
+
+def _error_counts(cell_errors: dict) -> list[dict]:
+    """The number of cell_errors rows of each code per (k, gamma), one
+    record per pair in the order the pairs first appear (the frontier
+    market's market-level rows have gamma None)."""
+    tally = Counter(zip(*(cell_errors.get(col, []) for col in ("k", "gamma", "code"))))
+    records: dict[tuple, dict] = {}
+    for (k, gamma, code), count in tally.items():
+        records.setdefault((k, gamma), {})[code] = count
+    return [{"k": k, "gamma": gamma, "counts": codes} for (k, gamma), codes in records.items()]
 
 
 def _append(table: dict, n_rows: int, /, **columns) -> None:
@@ -384,17 +400,18 @@ def _subsets_pass(
         },
     )
     n_levels = len(cfg.quantiles)
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        sample = p_values[~np.isnan(p_values[:, gi]), gi]
-        _append(
-            tables["pvalue_quantiles"],
-            n_levels,
-            k=k,
-            gamma=gamma,
-            quantile=list(cfg.quantiles),
-            n=sample.size,
-            value=quantile(sample, cfg.quantiles) if sample.size else None,
-        )
+    n, values = quantile_columns(p_values, cfg.quantiles)
+    n = np.repeat(n, n_levels).tolist()
+    values = [v if count else None for count, v in zip(n, values.T.ravel().tolist())]
+    _append(
+        tables["pvalue_quantiles"],
+        n_gammas * n_levels,
+        k=k,
+        gamma=np.repeat(cfg.gamma_grid, n_levels),
+        quantile=list(cfg.quantiles) * n_gammas,
+        n=n,
+        value=values,
+    )
 
 
 def _solve_block(

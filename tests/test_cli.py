@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import importlib
+import io
 import json
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import crraport
+from crraport import default_synth_spec, synth_market
 from crraport.cli import main
 
 WORKED_MARKET = {"mu": [1.05, 1.15], "sigma": [[0.01, 0.0], [0.0, 0.04]]}
@@ -158,6 +160,16 @@ class TestSynth:
         capsys.readouterr()
         assert filecmp.cmp(a, b, shallow=False)
         assert not filecmp.cmp(a, c, shallow=False)
+
+    def test_stdout_matches_the_csv_module(self, capsys):
+        code, out, _ = _run(capsys, ["synth", "--seed", "2"])
+        assert code == 0
+        returns = synth_market(default_synth_spec(), 2)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(returns.asset_labels)
+        writer.writerows(returns.values.tolist())
+        assert out == expected.getvalue()
 
     def test_roundtrips_through_loader(self, capsys, tmp_path):
         path = tmp_path / "synth.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import shapiro as scipy_shapiro
 
-from crraport import normal_cdf, quantile, shapiro_wilk, shapiro_wilk_rows
+from crraport import normal_cdf, quantile, quantile_columns, shapiro_wilk, shapiro_wilk_rows
 from crraport.stats import TestResult as SWResult
 from helpers import empirical_cdf
 
@@ -218,6 +218,58 @@ class TestQuantile:
         assert isinstance(quantile(data, 0.5), float)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             quantile(data, [0.5, -0.1])
+
+    def test_nan_in_sample_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            quantile([1.0, float("nan"), 3.0], 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            quantile([float("nan")], [0.1, 0.9])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestQuantileColumns:
+    LEVELS = (0.0, 0.05, 0.25, 0.5, 0.7, 0.975, 1.0)
+
+    def _check(self, panel, levels=LEVELS):
+        n, out = quantile_columns(panel, levels)
+        assert n.shape == (panel.shape[1],) and out.shape == (len(levels), panel.shape[1])
+        for c in range(panel.shape[1]):
+            sample = panel[~np.isnan(panel[:, c]), c]
+            assert n[c] == sample.size
+            if sample.size == 0:
+                assert np.isnan(out[:, c]).all()
+            else:
+                assert _bits(out[:, c]) == _bits(np.quantile(sample, levels)), c
+
+    def test_random_panels_with_ties_and_nan_holes_match_numpy_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+            panel = rng.integers(0, 6, (rows, cols)) * rng.choice([1.0, 0.1, 1e-300, 3e7])
+            panel += rng.uniform(size=panel.shape) * (rng.uniform() < 0.5)
+            panel[rng.uniform(size=panel.shape) < rng.uniform(0.0, 0.6)] = np.nan
+            levels = np.concatenate((self.LEVELS, rng.uniform(size=3)))
+            self._check(panel, levels)
+
+    def test_one_value_all_nan_and_zero_rows(self):
+        self._check(np.array([[0.25, np.nan, 7.0]]))
+        self._check(np.array([[np.nan, 1.0], [np.nan, np.nan], [np.nan, 2.0]]))
+        n, out = quantile_columns(np.empty((0, 4)), self.LEVELS)
+        assert n.tolist() == [0, 0, 0, 0]
+        assert out.shape == (len(self.LEVELS), 4) and np.isnan(out).all()
+
+    def test_quantile_is_its_one_column_call(self):
+        data = np.random.default_rng(32).standard_normal(23)
+        assert _bits(quantile(data, self.LEVELS)) == _bits(quantile_columns(data[:, None], self.LEVELS)[1][:, 0])
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="2-d"):
+            quantile_columns(np.ones(3), 0.5)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            quantile_columns(np.ones((3, 2)), [0.5, 1.5])
 
 
 def test_test_result_validation():

@@ -196,8 +196,9 @@ class TestRunStudy:
 
     def test_csv_cells_are_the_table_values(self, tmp_path):
         # Every written cell is str() of its column value, empty for None
-        # (the GMV and Sharpe rows have no gamma); a numpy scalar in a
-        # column would show as its repr, np.float64(...).
+        # (the GMV and Sharpe rows have no gamma). Values are Python
+        # scalars: a numpy scalar is written by its str(), the same text,
+        # so only its type shows it.
         cfg = _small_config(tmp_path)
         report = run_study(cfg)
         assert None in report.frontier_locations["gamma"]
@@ -211,6 +212,8 @@ class TestRunStudy:
             for i, row in enumerate(rows):
                 expected = ["" if v is None else str(v) for v in (table[col][i] for col in header)]
                 assert row == expected, (name, i)
+            for col in header:
+                assert {type(v) for v in table[col]} <= {int, float, str, type(None)}, (name, col)
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg_a = _small_config(tmp_path, output_dir=tmp_path / "a")
@@ -233,6 +236,24 @@ class TestRunStudy:
             summary["metadata"].pop("timestamp")
             summary.pop("timings_s")
         assert sa == sb
+
+    def test_summary_counts_error_codes_per_k_and_gamma(self, tmp_path):
+        cfg = _small_config(
+            tmp_path, k_range=(3, 4, 6, 9), gamma_grid=(0.4, 0.8, 1.0, 2.0, 5.0, 1e4), n_subsets_cap=25
+        )
+        run_study(cfg)
+        summary = json.loads((cfg.output_dir / "summary.json").read_text())
+        with (cfg.output_dir / "cell_errors.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        recount: dict = {}
+        for row in rows:
+            gamma = float(row["gamma"]) if row["gamma"] else None
+            codes = recount.setdefault((int(row["k"]), gamma), {})
+            codes[row["code"]] = codes.get(row["code"], 0) + 1
+        records = summary["error_counts"]
+        assert {(r["k"], r["gamma"]): r["counts"] for r in records} == recount
+        assert len(records) == len(recount) > 1
+        assert sum(sum(r["counts"].values()) for r in records) == len(rows) > 0
 
     def test_summary_records_stage_timings(self, tmp_path):
         cfg = _small_config(tmp_path)
