@@ -10,9 +10,7 @@ desk-scale study harness with a CLI front end.
 from .crra import (
     CrraSolution,
     PowerGrid,
-    discriminant,
     gamma_min,
-    log_solution,
     objective_rows,
     objective_value,
     power_grid,
@@ -23,28 +21,18 @@ from .frontier import (
     Weights,
     efficient_constants,
     efficient_constants_rows,
-    gmv_weights,
     markowitz_weights,
     parabola_variance,
-    portfolio_moments,
     portfolio_moments_rows,
     sharpe_weights,
 )
-from .lognormal import (
-    LogNormalParams,
-    lognormal_moment,
-    match_params,
-    psi,
-    psi_sup_bound,
-    psi_sup_empirical,
-)
+from .lognormal import psi, psi_sup_bound, psi_sup_empirical
 from .market import (
     MarketParams,
     ReturnMatrix,
     SynthSpec,
     estimate_params,
     load_returns_csv,
-    subset,
     synth_market,
 )
 from .oracle import OracleConfig, maximize_numeric, random_feasible
@@ -56,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CrraSolution",
     "FrontierConstants",
-    "LogNormalParams",
     "MarketParams",
     "OracleConfig",
     "PowerGrid",
@@ -67,23 +54,17 @@ __all__ = [
     "TestResult",
     "Weights",
     "default_synth_spec",
-    "discriminant",
     "efficient_constants",
     "efficient_constants_rows",
     "estimate_params",
     "gamma_min",
-    "gmv_weights",
     "load_returns_csv",
-    "log_solution",
-    "lognormal_moment",
     "markowitz_weights",
-    "match_params",
     "maximize_numeric",
     "normal_cdf",
     "objective_rows",
     "objective_value",
     "parabola_variance",
-    "portfolio_moments",
     "portfolio_moments_rows",
     "power_grid",
     "power_solution",
@@ -97,6 +78,5 @@ __all__ = [
     "sharpe_weights",
     "shapiro_wilk",
     "shapiro_wilk_rows",
-    "subset",
     "synth_market",
 ]

@@ -62,6 +62,11 @@ def _load_market(args) -> MarketParams:
     """Market parameters from --market JSON, --data CSV, or --synth spec."""
     if getattr(args, "market", None):
         payload = json.loads(Path(args.market).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("market file must hold a JSON object")
+        missing = [key for key in ("mu", "sigma") if key not in payload]
+        if missing:
+            raise ValueError(f"market file is missing {', '.join(missing)}")
         return MarketParams(np.asarray(payload["mu"]), np.asarray(payload["sigma"]))
     if getattr(args, "data", None):
         return estimate_params(load_returns_csv(args.data))

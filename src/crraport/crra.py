@@ -21,10 +21,10 @@ so one market's ``FrontierConstants`` serve every g and only the scalar
 t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
 (G,) for a batch of markets (B,) at once, on (B, G) arrays, and is the
 one place the optimum is computed; ``power_solution`` is its
-one-market, one-gamma call. Logarithmic utility is its g = 1 case, with value
-ln W0 + 2 ln X - ln(Y)/2, and exists iff gamma_min <= 1
-(``log_solution``). The optimum is mean-variance efficient iff it exists
-and r_gmv > 0, it never coincides with the GMV portfolio, and as
+one-market, one-gamma call. Logarithmic utility is its g = 1 case,
+``power_solution(1.0, ...)``, with value ln W0 + 2 ln X - ln(Y)/2; it
+exists iff gamma_min <= 1. The optimum is mean-variance efficient iff it
+exists and r_gmv > 0, it never coincides with the GMV portfolio, and as
 g -> infinity it converges to the Sharpe ratio portfolio while X and V
 decrease monotonically.
 """
@@ -42,7 +42,6 @@ from .frontier import (
     Weights,
     _first_failures,
     efficient_constants,
-    portfolio_moments,
     portfolio_moments_rows,
 )
 from .market import MarketParams
@@ -52,10 +51,8 @@ __all__ = [
     "CrraSolution",
     "PowerGrid",
     "gamma_min",
-    "discriminant",
     "power_grid",
     "power_solution",
-    "log_solution",
     "objective_value",
     "objective_rows",
 ]
@@ -162,20 +159,6 @@ def _discriminants(gamma, r, s, v) -> tuple[np.ndarray, np.ndarray]:
     return d, np.abs(d - alt) > 1e-10 * scale
 
 
-def discriminant(gamma: float, constants: FrontierConstants) -> float:
-    """Existence discriminant of the optimal-mean quadratic.
-
-    (g+2)^2 r^2 - 4 (g+1) (1+s) (r^2 + s v); nonnegative exactly when
-    the power-utility optimum exists.
-    """
-    d, mismatch = _discriminants(
-        np.float64(gamma), constants.r_gmv, constants.s, constants.v_gmv
-    )
-    if mismatch:
-        raise ArithmeticError("discriminant forms disagree")
-    return float(d)
-
-
 def _utility(x, y, gamma, w0: float) -> np.ndarray:
     """Expected utility at portfolio moments (x, y), elementwise over
     broadcast arrays; gamma = 1 is log.
@@ -258,8 +241,14 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
     return PowerGrid(x=x, y=y, t=t, utility=utility, outcome=outcome)
 
 
-def _solution(gamma: float, constants: FrontierConstants, w0: float) -> CrraSolution:
-    """The one-gamma call of ``power_grid``, raising the failed check."""
+def power_solution(
+    gamma: float, params: MarketParams, w0: float = 1.0
+) -> CrraSolution:
+    """Optimal portfolio maximizing expected power utility: the
+    one-market, one-gamma call of ``power_grid``, raising the check it
+    failed. Requires gamma >= gamma_min; gamma = 1 is logarithmic utility.
+    """
+    constants = efficient_constants(params)
     grid = power_grid(constants, (gamma,), w0)
     code = int(grid.outcome[0])
     if code:
@@ -280,34 +269,6 @@ def _solution(gamma: float, constants: FrontierConstants, w0: float) -> CrraSolu
     )
 
 
-def power_solution(
-    gamma: float, params: MarketParams, w0: float = 1.0
-) -> CrraSolution:
-    """Optimal portfolio maximizing expected power utility.
-
-    Requires gamma >= gamma_min. gamma = 1 is logarithmic utility.
-    """
-    return _solution(gamma, efficient_constants(params), w0)
-
-
-def log_solution(params: MarketParams, w0: float = 1.0) -> CrraSolution:
-    """Optimal portfolio maximizing expected logarithmic utility.
-
-    The gamma = 1 case of ``power_solution``, with value
-    ln W0 + 2 ln X - ln(Y)/2; exists iff gamma_min <= 1.
-    """
-    if w0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    constants = efficient_constants(params)
-    gm = gamma_min(constants)
-    if gm > 1.0:
-        raise ValueError(
-            f"log-utility solution does not exist for this market "
-            f"(gamma_min={gm:.6g} > 1)"
-        )
-    return _solution(1.0, constants, w0)
-
-
 def objective_rows(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray, gammas, w0: float = 1.0):
     """Expected utility of a batch of portfolios ``w`` (B, k) in their
     markets ``mu`` (B, k), ``sigma`` (B, k, k) at every gamma of
@@ -321,20 +282,24 @@ def objective_rows(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray, gammas, w0:
 
 
 def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
-    """Expected utility of an arbitrary feasible portfolio.
+    """Expected utility of an arbitrary feasible portfolio: the one-row
+    call of ``objective_rows``.
 
     ``gamma`` is one risk aversion (returns a float) or an array of them
     (returns an array, elementwise). Exact under the moment-matched
-    log-normal model; requires w'mu > 0 (the objective contains ln of
-    the mean).
+    log-normal model. Raises ValueError for a nonpositive (or NaN) gamma
+    or wealth, for weights of another size than the market, and outside
+    the objective's domain w'mu > 0 (the objective contains ln of the
+    mean).
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(g > 0.0):
         raise ValueError("relative risk aversion must be positive")
-    if w0 <= 0.0:
+    if not w0 > 0.0:
         raise ValueError("initial wealth must be positive")
-    x, v = portfolio_moments(w, params)
-    if x <= 0.0:
+    if w.w.size != params.k:
+        raise ValueError("weights dimension does not match market")
+    utility, inside = objective_rows(w.w, params.mu, params.sigma, g, w0)
+    if not inside:
         raise ValueError("outside objective domain")
-    utility = _utility(x, v + x * x, g, w0)
-    return float(utility) if g.ndim == 0 else utility
+    return float(utility[0]) if g.ndim == 0 else utility

@@ -38,9 +38,7 @@ __all__ = [
     "efficient_constants",
     "efficient_constants_rows",
     "feasible_rows",
-    "gmv_weights",
     "sharpe_weights",
-    "portfolio_moments",
     "portfolio_moments_rows",
     "markowitz_weights",
     "parabola_variance",
@@ -239,11 +237,6 @@ def efficient_constants(params: MarketParams) -> FrontierConstants:
     return constants
 
 
-def gmv_weights(params: MarketParams) -> Weights:
-    """Global minimum variance portfolio, the ``w_gmv`` of ``efficient_constants``."""
-    return Weights(efficient_constants(params).w_gmv)
-
-
 def sharpe_weights(params: MarketParams) -> Weights:
     """Sharpe ratio portfolio Sigma^-1 mu / (1' Sigma^-1 mu), ``t_sharpe``
     on the frontier of ``efficient_constants``. mu is the mean of GROSS
@@ -266,14 +259,6 @@ def portfolio_moments_rows(
     x = np.vecdot(w, mu)
     v = np.vecdot(np.vecmat(w, sigma), w)
     return x, np.maximum(v, 0.0)
-
-
-def portfolio_moments(w: Weights, params: MarketParams) -> tuple[float, float]:
-    """Expected gross return and variance, (w'mu, w'Sigma w)."""
-    if w.w.size != params.k:
-        raise ValueError("weights dimension does not match market")
-    x, v = portfolio_moments_rows(w.w, params.mu, params.sigma)
-    return float(x), float(v)
 
 
 def markowitz_weights(

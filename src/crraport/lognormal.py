@@ -1,4 +1,4 @@
-"""Log-normal machinery: moments, moment matching, and the normal gap.
+"""Log-normal approximation: moment matching and the normal gap.
 
 A portfolio gross return with mean E and variance V is approximated by
 the log-normal law with parameters
@@ -17,55 +17,16 @@ envelope and ``psi_sup_empirical`` grid-searches |psi| directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .stats import normal_cdf
 
 __all__ = [
-    "LogNormalParams",
-    "lognormal_moment",
-    "match_params",
     "psi",
     "psi_sup_bound",
     "psi_sup_empirical",
 ]
-
-_MAX_EXPONENT = 700.0
-
-
-@dataclass(frozen=True)
-class LogNormalParams:
-    """Parameters of ln N(alpha, beta2); beta2 is the log-scale variance."""
-
-    alpha: float
-    beta2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta2)):
-            raise ValueError("parameters must be finite")
-        if self.beta2 <= 0.0:
-            raise ValueError("beta2 must be positive")
-
-
-def lognormal_moment(p: LogNormalParams, tau: float) -> float:
-    """Raw moment E[Z^tau] = exp(alpha tau + beta2 tau^2 / 2)."""
-    exponent = p.alpha * tau + 0.5 * p.beta2 * tau * tau
-    if exponent > _MAX_EXPONENT:
-        raise OverflowError(f"moment exponent {exponent:.3g} exceeds 700")
-    return math.exp(exponent)
-
-
-def match_params(e: float, v: float) -> LogNormalParams:
-    """Log-normal parameters with mean ``e`` and variance ``v``."""
-    if e <= 0.0:
-        raise ValueError("gross-return mean must be positive")
-    if v <= 0.0:
-        raise ValueError("variance must be positive")
-    beta2 = math.log1p(v / (e * e))
-    alpha = 2.0 * math.log(e) - 0.5 * math.log(v + e * e)
-    return LogNormalParams(alpha=alpha, beta2=beta2)
 
 
 def psi(x, mu: float, sigma: float):

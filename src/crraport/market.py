@@ -28,7 +28,6 @@ __all__ = [
     "subset_rows",
     "cho_solve_rows",
     "synth_market",
-    "subset",
 ]
 
 # Cholesky pivot acceptance threshold, relative to the largest diagonal
@@ -166,10 +165,6 @@ class MarketParams:
     def k(self) -> int:
         return self.mu.size
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``sigma @ x = rhs`` via the cached Cholesky factor."""
-        return cho_solve_rows(self.lower, np.asarray(rhs, dtype=float))
-
 
 def load_returns_csv(
     path, delimiter: str = ",", header: bool | None = None
@@ -259,9 +254,9 @@ def estimate_params(returns: ReturnMatrix) -> MarketParams:
 def subset_rows(
     mu: np.ndarray, sigma: np.ndarray, subsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``subset`` for a stack of column subsets ``subsets`` (B, k) of one
-    panel's ``sample_moments`` ``mu`` (K,) and ``sigma`` (K, K), with one
-    flag per subset in place of ``MarketParams``' error.
+    """Restrict one panel's ``sample_moments`` ``mu`` (K,) and ``sigma``
+    (K, K) to each of a stack of column subsets ``subsets`` (B, k), with
+    one flag per subset in place of ``MarketParams``' error.
 
     Returns the subsets' gross means (B, k), covariances (B, k, k), their
     lower Cholesky factors (B, k, k) and ``ok`` (B,), False where the
@@ -312,6 +307,13 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SynthSpec":
+        """The spec a JSON object with keys n, mu0, sigma0 (and optionally
+        k) describes; ValueError for any other payload."""
+        if not isinstance(spec, dict):
+            raise ValueError("synth spec must be a JSON object")
+        missing = [key for key in ("n", "mu0", "sigma0") if key not in spec]
+        if missing:
+            raise ValueError(f"synth spec is missing {', '.join(missing)}")
         out = cls(n=spec["n"], mu0=spec["mu0"], sigma0=spec["sigma0"])
         if "k" in spec and int(spec["k"]) != out.k:
             raise ValueError("k in spec does not match len(mu0)")
@@ -324,15 +326,3 @@ def synth_market(spec: SynthSpec, seed: int) -> ReturnMatrix:
     z = rng.standard_normal((spec.n, spec.k))
     values = (spec.mu0 - 1.0) + z @ spec._chol.T
     return ReturnMatrix(values)
-
-
-def subset(params: MarketParams, indices) -> MarketParams:
-    """Restrict mu and sigma to the selected assets."""
-    idx = [int(i) for i in indices]
-    if len(idx) < 2:
-        raise ValueError("at least 2 distinct indices required")
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate asset index")
-    if any(i < 0 or i >= params.k for i in idx):
-        raise ValueError("asset index out of range")
-    return MarketParams(params.mu[idx], params.sigma[np.ix_(idx, idx)])

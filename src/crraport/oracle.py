@@ -190,7 +190,7 @@ def maximize_numeric(
     Raises ValueError when no start lies in the objective's domain or
     when every run diverges to the leverage box.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("relative risk aversion must be positive")
     cfg = cfg or OracleConfig()
     target = _NegLnCE(params, gamma)

@@ -4,18 +4,63 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from crraport import (
     FrontierConstants,
     MarketParams,
-    discriminant,
+    Weights,
     efficient_constants,
     gamma_min,
+    portfolio_moments_rows,
     power_solution,
 )
 from crraport.frontier import S_MIN
+from crraport.market import cho_solve_rows
+
+
+def sigma_solve(params: MarketParams, rhs) -> np.ndarray:
+    """Solve ``sigma @ x = rhs`` through the market's Cholesky factor."""
+    return cho_solve_rows(params.lower, np.asarray(rhs, dtype=float))
+
+
+def portfolio_moments(w: Weights, params: MarketParams) -> tuple[float, float]:
+    """Expected gross return and variance, (w'mu, w'Sigma w)."""
+    x, v = portfolio_moments_rows(w.w, params.mu, params.sigma)
+    return float(x), float(v)
+
+
+def discriminant(gamma: float, constants: FrontierConstants) -> float:
+    """Existence discriminant of the optimal-mean quadratic, the literal
+    (g+2)^2 r^2 - 4 (g+1) (1+s) (r^2 + s v); nonnegative exactly when
+    the power-utility optimum exists."""
+    r2 = constants.r_gmv * constants.r_gmv
+    s, v = constants.s, constants.v_gmv
+    return float((gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v))
+
+
+class LogNormalParams(NamedTuple):
+    """Parameters of ln N(alpha, beta2); beta2 is the log-scale variance."""
+
+    alpha: float
+    beta2: float
+
+
+def lognormal_moment(p: LogNormalParams, tau: float) -> float:
+    """Raw moment E[Z^tau] = exp(alpha tau + beta2 tau^2 / 2)."""
+    exponent = p.alpha * tau + 0.5 * p.beta2 * tau * tau
+    if exponent > 700.0:
+        raise OverflowError(f"moment exponent {exponent:.3g} exceeds 700")
+    return math.exp(exponent)
+
+
+def match_params(e: float, v: float) -> LogNormalParams:
+    """Log-normal parameters with mean ``e`` and variance ``v``."""
+    beta2 = math.log1p(v / (e * e))
+    alpha = 2.0 * math.log(e) - 0.5 * math.log(v + e * e)
+    return LogNormalParams(alpha=alpha, beta2=beta2)
 
 
 def random_market(
@@ -156,7 +201,7 @@ def monotonicity_check(params: MarketParams, gammas) -> MonotonicityReport:
     vs = tuple(sol.v for sol in solutions)
     us = tuple(sol.expected_utility for sol in solutions)
     ones = np.ones(params.k)
-    sinv_mu = params.solve(params.mu)
+    sinv_mu = sigma_solve(params, params.mu)
     sharpe_return = float(params.mu @ sinv_mu) / float(ones @ sinv_mu)
     return MonotonicityReport(
         gammas=tuple(grid),

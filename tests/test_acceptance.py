@@ -16,13 +16,9 @@ from crraport import (
     StudyConfig,
     Weights,
     default_synth_spec,
-    discriminant,
     efficient_constants,
     gamma_min,
-    log_solution,
     markowitz_weights,
-    match_params,
-    lognormal_moment,
     maximize_numeric,
     objective_value,
     power_solution,
@@ -33,7 +29,16 @@ from crraport import (
     sharpe_weights,
     OracleConfig,
 )
-from helpers import empirical_cdf, market_with_constants, random_market, table_rows
+from helpers import (
+    discriminant,
+    empirical_cdf,
+    lognormal_moment,
+    market_with_constants,
+    match_params,
+    random_market,
+    sigma_solve,
+    table_rows,
+)
 
 
 @pytest.fixture
@@ -151,7 +156,7 @@ def test_criterion_4_root_selection(announce, market_pool):
             inner = (y_plus / gamma) * (
                 (gamma + 1.0) * params.mu / x_plus - 1.0
             ) - x_plus * params.mu
-            raw = params.solve(inner)
+            raw = sigma_solve(params, inner)
             w_plus = Weights(raw / raw.sum())
             gap = objective_value(sol.weights, params, gamma) - objective_value(
                 w_plus, params, gamma
@@ -180,7 +185,7 @@ def test_criterion_5_limits_and_monotonicity(announce, market_pool):
         ok = ok and all(b < a for a, b in zip(xs, xs[1:]))
         ok = ok and all(b < a for a, b in zip(vs, vs[1:]))
         ones = np.ones(params.k)
-        sinv_mu = params.solve(params.mu)
+        sinv_mu = sigma_solve(params, params.mu)
         sharpe_return = float(params.mu @ sinv_mu) / float(ones @ sinv_mu)
         ok = ok and all(x >= sharpe_return - 1e-10 for x in xs)
         w_inf = power_solution(1e8, params).weights.w
@@ -228,7 +233,7 @@ def test_criterion_6_log_utility(announce, market_pool):
         gm = gamma_min(con)
         if gm <= 1.0:
             n_exists += 1
-            sol = log_solution(params)
+            sol = power_solution(1.0, params)
             w_power = _reference_gamma1_weights(params, con)
             worst_closed = max(worst_closed, float(np.max(np.abs(sol.weights.w - w_power))))
             w_oracle, _ = maximize_numeric(
@@ -239,8 +244,8 @@ def test_criterion_6_log_utility(announce, market_pool):
             )
         else:
             n_errors += 1
-            with pytest.raises(ValueError, match="does not exist"):
-                log_solution(params)
+            with pytest.raises(ValueError, match="no solution exists below gamma_min"):
+                power_solution(1.0, params)
     ok = n_exists >= 1 and n_errors >= 1 and worst_closed <= 1e-10 and worst_oracle <= 1e-5
     announce(
         6,

@@ -62,6 +62,33 @@ class TestSolve:
         assert json.loads(out)["gamma"] == 8.0
 
 
+class TestMalformedJson:
+    """A JSON input that is not an object with the required keys is a
+    one-line JSON error with exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("solve", {"mu": [1.05, 1.15]}, "market file is missing sigma"),
+            ("solve", [1.05, 1.15], "market file must hold a JSON object"),
+            ("synth", {"n": 50, "mu0": [1.01, 1.02]}, "synth spec is missing sigma0"),
+            ("synth", [50], "synth spec must be a JSON object"),
+            ("study", {"mu0": [1.01, 1.02]}, "synth spec is missing n, sigma0"),
+        ],
+    )
+    def test_structured_error(self, capsys, tmp_path, command, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = {
+            "solve": ["solve", "--market", str(path), "--gamma", "3"],
+            "synth": ["synth", "--spec", str(path)],
+            "study": ["study", "--synth", str(path), "--out", str(tmp_path / "out")],
+        }[command]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
+
 class TestFrontier:
     def test_constants_and_csv(self, capsys, market_file, tmp_path):
         out_csv = tmp_path / "parabola.csv"

@@ -9,14 +9,12 @@ from crraport import (
     StudyConfig,
     Weights,
     default_synth_spec,
-    discriminant,
     efficient_constants,
     efficient_constants_rows,
     estimate_params,
     gamma_min,
-    gmv_weights,
-    log_solution,
     markowitz_weights,
+    objective_rows,
     objective_value,
     power_grid,
     power_solution,
@@ -28,12 +26,14 @@ from crraport import (
 from crraport.crra import OUTCOMES
 from crraport.study import _draw_subsets
 from helpers import (
+    discriminant,
     gamma_condition,
     ill_conditioned_market,
     is_mv_efficient_power,
     market_with_constants,
     monotonicity_check,
     random_market,
+    sigma_solve,
     table_rows,
 )
 
@@ -216,8 +216,9 @@ class TestPowerSolution:
 
     def test_gamma_one_dispatches_to_log(self):
         params = market_with_constants(1.05, 0.004, 0.05)
-        assert power_solution(1.0, params).expected_utility == pytest.approx(
-            log_solution(params).expected_utility, rel=1e-14
+        sol = power_solution(1.0, params, w0=2.0)
+        assert sol.expected_utility == pytest.approx(
+            math.log(2.0) + 2.0 * math.log(sol.x) - 0.5 * math.log(sol.y), rel=1e-14
         )
 
     def test_nonpositive_mean_error_when_r_gmv_negative(self):
@@ -229,10 +230,12 @@ class TestPowerSolution:
             power_solution(gm + 1.0, params)
 
     def test_invalid_inputs(self, worked_market):
-        with pytest.raises(ValueError, match="risk aversion"):
-            power_solution(-1.0, worked_market)
-        with pytest.raises(ValueError, match="wealth"):
-            power_solution(3.0, worked_market, w0=0.0)
+        for gamma in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="risk aversion"):
+                power_solution(gamma, worked_market)
+        for w0 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="wealth"):
+                power_solution(3.0, worked_market, w0=w0)
 
     def test_utility_scales_with_wealth(self, worked_market):
         base = power_solution(3.0, worked_market, w0=1.0)
@@ -260,7 +263,7 @@ class TestPowerSolution:
                 inner = (y_plus / gamma) * (
                     (gamma + 1.0) * params.mu / x_plus - 1.0
                 ) - x_plus * params.mu
-                raw = params.solve(inner)
+                raw = sigma_solve(params, inner)
                 # the large root is brutally levered; project the tiny
                 # float drift back onto the budget constraint
                 w_plus = Weights(raw / raw.sum())
@@ -282,7 +285,7 @@ class TestPowerSolution:
 
     def test_gamma_continuity_at_one(self):
         params = market_with_constants(1.05, 0.004, 0.05)
-        w_log = log_solution(params).weights.w
+        w_log = power_solution(1.0, params).weights.w
         for gamma in (1.0 - 1e-6, 1.0 + 1e-6):
             w_pow = power_solution(gamma, params).weights.w
             assert np.max(np.abs(w_pow - w_log)) <= 1e-4
@@ -416,10 +419,12 @@ class TestPowerGrid:
 
     def test_invalid_inputs(self, worked_market):
         con = efficient_constants(worked_market)
-        with pytest.raises(ValueError, match="risk aversion"):
-            power_grid(con, [2.0, 0.0])
-        with pytest.raises(ValueError, match="wealth"):
-            power_grid(con, [2.0], w0=0.0)
+        for gamma in (0.0, math.nan):
+            with pytest.raises(ValueError, match="risk aversion"):
+                power_grid(con, [2.0, gamma])
+        for w0 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="wealth"):
+                power_grid(con, [2.0], w0=w0)
         flat = efficient_constants(MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4])))
         with pytest.raises(ValueError, match="degenerate frontier"):
             power_grid(flat, [2.0])
@@ -434,14 +439,14 @@ class TestPowerGrid:
 
 class TestLogSolution:
     def test_worked_market_has_no_log_solution(self, worked_market):
-        with pytest.raises(ValueError, match="log-utility solution does not exist"):
-            log_solution(worked_market)
+        with pytest.raises(ValueError, match="no solution exists below gamma_min"):
+            power_solution(1.0, worked_market)
 
     def test_constructed_market(self):
         params = market_with_constants(1.05, 0.004, 0.05)
         con = efficient_constants(params)
         assert gamma_min(con) < 1.0
-        sol = log_solution(params)
+        sol = power_solution(1.0, params)
 
         # Independent evaluation of the closed forms at gamma = 1.
         r, s, v = con.r_gmv, con.s, con.v_gmv
@@ -449,7 +454,7 @@ class TestLogSolution:
         x = (3 * r - math.sqrt(d)) / (2 * (1 + s))
         y = (x * r - r**2) / s - v
         inner = y * (2.0 * params.mu / x - 1.0) - x * params.mu
-        w = params.solve(inner)
+        w = sigma_solve(params, inner)
 
         assert sol.gamma == 1.0
         assert sol.x == pytest.approx(x, rel=1e-10)
@@ -462,8 +467,8 @@ class TestLogSolution:
 
     def test_wealth_shift(self):
         params = market_with_constants(1.05, 0.004, 0.05)
-        base = log_solution(params, w0=1.0)
-        shifted = log_solution(params, w0=3.0)
+        base = power_solution(1.0, params, w0=1.0)
+        shifted = power_solution(1.0, params, w0=3.0)
         assert shifted.expected_utility == pytest.approx(
             base.expected_utility + math.log(3.0), rel=1e-12
         )
@@ -471,7 +476,7 @@ class TestLogSolution:
 
     def test_matches_power_formula_at_one(self):
         params = market_with_constants(1.04, 0.003, 0.08)
-        sol_log = log_solution(params)
+        sol_log = power_solution(1.0, params)
         con = efficient_constants(params)
         gamma = 1.0
         d = discriminant(gamma, con)
@@ -511,7 +516,8 @@ class TestObjectiveValue:
 
     def test_gmv_not_better(self, worked_market):
         sol = power_solution(3.0, worked_market)
-        gmv_value = objective_value(gmv_weights(worked_market), worked_market, 3.0)
+        gmv = Weights(efficient_constants(worked_market).w_gmv)
+        gmv_value = objective_value(gmv, worked_market, 3.0)
         assert gmv_value <= sol.expected_utility
 
     def test_negative_for_gamma_above_one(self, worked_market):
@@ -521,6 +527,26 @@ class TestObjectiveValue:
         params = MarketParams(*NEGATIVE_R_MARKET)
         with pytest.raises(ValueError, match="outside objective domain"):
             objective_value(Weights([3.0, -2.0]), params, 2.0)
+
+    def test_invalid_inputs(self, worked_market):
+        w = Weights([0.5, 0.5])
+        for gamma in (0.0, math.nan, [2.0, math.nan]):
+            with pytest.raises(ValueError, match="risk aversion"):
+                objective_value(w, worked_market, gamma)
+        for w0 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="wealth"):
+                objective_value(w, worked_market, 2.0, w0=w0)
+
+    def test_one_row_of_objective_rows(self, worked_market):
+        rng = np.random.default_rng(38)
+        gammas = np.array([0.5, 1.0, 3.0, 1e4])
+        for params in [worked_market] + [random_market(rng, k) for k in (3, 6)]:
+            for w in random_feasible(params, 20, seed=7):
+                rows, inside = objective_rows(w.w[None], params.mu[None], params.sigma[None], gammas)
+                assert inside[0]
+                assert np.array_equal(objective_value(w, params, gammas), rows[0])
+                for gi, gamma in enumerate(gammas):
+                    assert objective_value(w, params, gamma) == rows[0, gi]
 
 
 class TestMvEfficiency:

@@ -9,15 +9,20 @@ from crraport import (
     efficient_constants,
     efficient_constants_rows,
     estimate_params,
-    gmv_weights,
     markowitz_weights,
+    objective_value,
     parabola_variance,
-    portfolio_moments,
     sharpe_weights,
     synth_market,
 )
 from crraport.frontier import FRONTIER_OUTCOMES
-from helpers import ill_conditioned_market, random_feasible_weights, random_market
+from helpers import (
+    ill_conditioned_market,
+    portfolio_moments,
+    random_feasible_weights,
+    random_market,
+    sigma_solve,
+)
 
 
 class TestEfficientConstants:
@@ -79,9 +84,9 @@ class TestEfficientConstants:
             assert float(con.tilt @ params.sigma @ con.tilt) == pytest.approx(con.s, rel=1e-10)
             # GMV weights and solve-route slope agree with the separate
             # solves, the slope up to the cancellation floor
-            ones_v = params.solve(np.ones(params.k))
+            ones_v = sigma_solve(params, np.ones(params.k))
             np.testing.assert_allclose(con.w_gmv, ones_v / ones_v.sum(), rtol=0, atol=1e-12)
-            mu_v = params.solve(params.mu)
+            mu_v = sigma_solve(params, params.mu)
             s_solve = float(params.mu @ mu_v) - float(np.ones(params.k) @ mu_v) ** 2 / float(
                 np.ones(params.k) @ ones_v
             )
@@ -122,18 +127,18 @@ class TestEfficientConstants:
 
 class TestGmvWeights:
     def test_worked(self, worked_market):
-        np.testing.assert_allclose(gmv_weights(worked_market).w, [0.8, 0.2], rtol=1e-12)
+        np.testing.assert_allclose(efficient_constants(worked_market).w_gmv, [0.8, 0.2], rtol=1e-12)
 
     def test_identity_covariance_symmetric(self):
         params = MarketParams(1.0 + 0.01 * np.arange(5), np.eye(5) * 4e-4)
-        np.testing.assert_allclose(gmv_weights(params).w, np.full(5, 0.2), rtol=1e-12)
+        np.testing.assert_allclose(efficient_constants(params).w_gmv, np.full(5, 0.2), rtol=1e-12)
 
     def test_variance_equals_v_gmv(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             params = random_market(rng, 5)
             con = efficient_constants(params)
-            _, v = portfolio_moments(gmv_weights(params), params)
+            _, v = portfolio_moments(Weights(con.w_gmv), params)
             assert v == pytest.approx(con.v_gmv, rel=1e-10)
 
 
@@ -150,7 +155,7 @@ class TestSharpeWeights:
     def test_equal_means_match_gmv(self):
         params = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
         np.testing.assert_allclose(
-            sharpe_weights(params).w, gmv_weights(params).w, atol=1e-12
+            sharpe_weights(params).w, efficient_constants(params).w_gmv, atol=1e-12
         )
 
     def test_undefined_when_denominator_vanishes(self):
@@ -180,7 +185,7 @@ class TestSharpeWeights:
         scaled = MarketParams(worked_market.mu, 3.0 * worked_market.sigma)
         np.testing.assert_allclose(sharpe_weights(scaled).w, base, atol=1e-10)
         np.testing.assert_allclose(
-            gmv_weights(scaled).w, gmv_weights(worked_market).w, atol=1e-10
+            efficient_constants(scaled).w_gmv, efficient_constants(worked_market).w_gmv, atol=1e-10
         )
 
 
@@ -190,7 +195,7 @@ def test_gmv_and_sharpe_are_the_frontier_reads(worked_market):
     markets += [ill_conditioned_market(rng) for _ in range(20)]
     for params in markets:
         con = efficient_constants(params)
-        assert np.array_equal(gmv_weights(params).w, con.w_gmv)
+        assert np.array_equal(Weights(con.w_gmv).w, con.w_gmv)
         assert np.array_equal(sharpe_weights(params).w, con.weights_at(con.t_sharpe))
 
 
@@ -203,7 +208,7 @@ class TestPortfolioMoments:
         rng = np.random.default_rng(23)
         params = random_market(rng, 4)
         con = efficient_constants(params)
-        w_gmv = gmv_weights(params).w
+        w_gmv = con.w_gmv
         draws = random_feasible_weights(rng, 4, 10_000)
         variances = np.einsum("ij,jk,ik->i", draws, params.sigma, draws)
         assert np.all(variances >= con.v_gmv - 1e-10)
@@ -212,14 +217,14 @@ class TestPortfolioMoments:
 
     def test_dimension_mismatch(self, worked_market):
         with pytest.raises(ValueError, match="dimension"):
-            portfolio_moments(Weights([0.5, 0.25, 0.25]), worked_market)
+            objective_value(Weights([0.5, 0.25, 0.25]), worked_market, 2.0)
 
 
 class TestMarkowitzWeights:
     def test_at_gmv_mean(self, worked_market):
         con = efficient_constants(worked_market)
         w = markowitz_weights(con.r_gmv, worked_market, con)
-        np.testing.assert_allclose(w.w, gmv_weights(worked_market).w, atol=1e-10)
+        np.testing.assert_allclose(w.w, con.w_gmv, atol=1e-10)
 
     def test_worked_target(self, worked_market):
         con = efficient_constants(worked_market)

@@ -8,11 +8,10 @@ from crraport import (
     SynthSpec,
     estimate_params,
     load_returns_csv,
-    subset,
     synth_market,
 )
 from crraport.market import sample_moments, subset_rows
-from helpers import random_market
+from helpers import random_market, sigma_solve
 
 
 def _write(tmp_path, text, name="returns.csv"):
@@ -151,7 +150,7 @@ class TestMarketParams:
         params = random_market(np.random.default_rng(9), 5)
         rhs = np.ones(5)
         np.testing.assert_allclose(
-            params.solve(rhs), np.linalg.solve(params.sigma, rhs), rtol=1e-9
+            sigma_solve(params, rhs), np.linalg.solve(params.sigma, rhs), rtol=1e-9
         )
 
     def test_solve_bitwise_scipy_cho_solve(self):
@@ -160,7 +159,7 @@ class TestMarketParams:
             params = random_market(rng, k)
             for rhs in (rng.normal(size=k), rng.normal(size=(k, 3))):
                 expected = scipy.linalg.cho_solve((params.lower, True), rhs)
-                got = params.solve(rhs)
+                got = sigma_solve(params, rhs)
                 assert got.shape == expected.shape
                 assert np.array_equal(got, expected), k
 
@@ -203,41 +202,34 @@ class TestSynthMarket:
 
 
 class TestSubset:
+    """``subset_rows`` restricts one market's moments to each subset."""
+
+    @staticmethod
+    def _one(mu, sigma, indices):
+        sub_mu, sub_sigma, _, ok = subset_rows(mu, sigma, np.array([indices]))
+        assert ok[0]
+        return sub_mu[0], sub_sigma[0]
+
     def test_identity(self):
         params = random_market(np.random.default_rng(1), 4)
-        sub = subset(params, [0, 1, 2, 3])
-        np.testing.assert_array_equal(sub.mu, params.mu)
-        np.testing.assert_array_equal(sub.sigma, params.sigma)
+        mu, sigma = self._one(params.mu, params.sigma, [0, 1, 2, 3])
+        np.testing.assert_array_equal(mu, params.mu)
+        np.testing.assert_array_equal(sigma, params.sigma)
 
     def test_permutation(self):
         params = random_market(np.random.default_rng(2), 3)
-        sub = subset(params, [1, 0])
-        np.testing.assert_array_equal(sub.mu, params.mu[[1, 0]])
-        np.testing.assert_array_equal(sub.sigma, params.sigma[np.ix_([1, 0], [1, 0])])
-
-    def test_single_index_rejected(self):
-        params = random_market(np.random.default_rng(3), 3)
-        with pytest.raises(ValueError, match="at least 2"):
-            subset(params, [1])
-
-    def test_duplicate_rejected(self):
-        params = random_market(np.random.default_rng(3), 3)
-        with pytest.raises(ValueError, match="duplicate"):
-            subset(params, [1, 1])
-
-    def test_out_of_range_rejected(self):
-        params = random_market(np.random.default_rng(3), 3)
-        with pytest.raises(ValueError, match="out of range"):
-            subset(params, [0, 3])
+        mu, sigma = self._one(params.mu, params.sigma, [1, 0])
+        np.testing.assert_array_equal(mu, params.mu[[1, 0]])
+        np.testing.assert_array_equal(sigma, params.sigma[np.ix_([1, 0], [1, 0])])
 
     def test_composition(self):
         params = random_market(np.random.default_rng(4), 6)
         s_outer = [5, 3, 1, 0]
         s_inner = [2, 0, 3]
-        twice = subset(subset(params, s_outer), s_inner)
-        once = subset(params, [s_outer[i] for i in s_inner])
-        np.testing.assert_array_equal(twice.mu, once.mu)
-        np.testing.assert_array_equal(twice.sigma, once.sigma)
+        twice = self._one(*self._one(params.mu, params.sigma, s_outer), s_inner)
+        once = self._one(params.mu, params.sigma, [s_outer[i] for i in s_inner])
+        np.testing.assert_array_equal(twice[0], once[0])
+        np.testing.assert_array_equal(twice[1], once[1])
 
 
 def test_return_matrix_validation():

@@ -13,7 +13,6 @@ from crraport import (
     Weights,
     efficient_constants,
     gamma_min,
-    log_solution,
     maximize_numeric,
     objective_value,
     power_solution,
@@ -88,7 +87,7 @@ class TestMaximizeNumeric:
 
     def test_gamma_one_matches_log_solution(self):
         params = market_with_constants(1.05, 0.004, 0.05)
-        sol = log_solution(params)
+        sol = power_solution(1.0, params)
         w, obj = maximize_numeric(params, 1.0, OracleConfig(n_starts=8, seed=6))
         assert np.max(np.abs(w.w - sol.weights.w)) <= 1e-5
         assert abs(obj - sol.expected_utility) <= 1e-9 * max(
@@ -191,8 +190,9 @@ class TestMaximizeNumeric:
                 assert gamma == 1e4 and obj == sol.expected_utility == -math.inf
 
     def test_gamma_validation(self, worked_market):
-        with pytest.raises(ValueError, match="risk aversion"):
-            maximize_numeric(worked_market, 0.0)
+        for gamma in (0.0, math.nan):
+            with pytest.raises(ValueError, match="risk aversion"):
+                maximize_numeric(worked_market, gamma)
 
     def test_every_run_divergent_error(self):
         # r_gmv = 0, so no bounded maximum exists; the starts themselves
