@@ -21,8 +21,6 @@ from .frontier import (
     Weights,
     efficient_constants,
     efficient_constants_rows,
-    markowitz_weights,
-    parabola_variance,
     portfolio_moments_rows,
     sharpe_weights,
 )
@@ -59,12 +57,10 @@ __all__ = [
     "estimate_params",
     "gamma_min",
     "load_returns_csv",
-    "markowitz_weights",
     "maximize_numeric",
     "normal_cdf",
     "objective_rows",
     "objective_value",
-    "parabola_variance",
     "portfolio_moments_rows",
     "power_grid",
     "power_solution",

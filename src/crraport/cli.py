@@ -31,7 +31,7 @@ import numpy as np
 
 from .crra import gamma_min, power_solution
 from .csvout import write_csv
-from .frontier import efficient_constants, markowitz_weights, parabola_variance
+from .frontier import Weights, efficient_constants
 from .lognormal import psi_sup_bound, psi_sup_empirical
 from .market import MarketParams, SynthSpec, estimate_params, load_returns_csv, synth_market
 from .oracle import OracleConfig, maximize_numeric
@@ -67,7 +67,7 @@ def _load_market(args) -> MarketParams:
         missing = [key for key in ("mu", "sigma") if key not in payload]
         if missing:
             raise ValueError(f"market file is missing {', '.join(missing)}")
-        return MarketParams(np.asarray(payload["mu"]), np.asarray(payload["sigma"]))
+        return MarketParams(payload["mu"], payload["sigma"])
     if getattr(args, "data", None):
         return estimate_params(load_returns_csv(args.data))
     if getattr(args, "synth", None):
@@ -127,22 +127,26 @@ def _cmd_solve(args) -> int:
 def _cmd_frontier(args) -> int:
     params = _load_market(args)
     constants = efficient_constants(params)
+    gm = gamma_min(constants)  # raises on a degenerate frontier or r_gmv = 0
     half_span = args.span * (constants.s * constants.v_gmv) ** 0.5
     xs = np.linspace(constants.r_gmv - half_span, constants.r_gmv + half_span, args.points)
-    rows = [
-        [x, parabola_variance(x, constants), *markowitz_weights(x, params, constants).w.tolist()]
-        for x in xs.tolist()
-    ]
+    d = xs - constants.r_gmv
+    vs = (d * d / constants.s + constants.v_gmv).tolist()
+    weights = constants.weights_at(d / constants.s)
+    for w in weights:
+        Weights(w)  # raises on a row that is not finite or not fully invested
+    xs = xs.tolist()
     payload = {
         "r_gmv": constants.r_gmv,
         "v_gmv": constants.v_gmv,
         "s": constants.s,
-        "gamma_min": gamma_min(constants),
-        "points": [{"x": x, "v": v} for x, v, *_ in rows],
+        "gamma_min": gm,
+        "points": [{"x": x, "v": v} for x, v in zip(xs, vs)],
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        _write_csv(args.out, ["x", "v"] + [f"w_{j + 1}" for j in range(params.k)], list(zip(*rows)))
+        header = ["x", "v"] + [f"w_{j + 1}" for j in range(params.k)]
+        _write_csv(args.out, header, [xs, vs, *weights.T.tolist()])
     return 0
 
 

@@ -62,10 +62,11 @@ _NONPOS_MEAN_MSG = "optimal mean non-positive; the objective's ln X is undefined
 _PARABOLA_RTOL = 1e-8
 
 # The checks every optimum must pass, in the order they apply, with the
-# error a one-gamma solve raises when one fails.
+# error a one-gamma solve raises when one fails. Existence comes first,
+# so a cell is below_gamma_min exactly where gamma >= gamma_min fails.
 _CHECKS = (
-    ("discriminant_mismatch", ArithmeticError, "discriminant forms disagree"),
     ("below_gamma_min", ValueError, _NO_SOLUTION_MSG),
+    ("discriminant_mismatch", ArithmeticError, "discriminant forms disagree"),
     ("nonpositive_mean", ValueError, _NONPOS_MEAN_MSG),
     (
         "nonpositive_second_moment",
@@ -184,8 +185,8 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
 
     Each gamma gets the smaller root of the optimal-mean quadratic, its
     second moment, frontier coordinate and expected utility, and the
-    first check it fails, if any: the discriminant forms agree, gamma >=
-    gamma_min (as ``gamma_min`` gives it; never for r_gmv = 0), x > 0,
+    first check it fails, if any: gamma >= gamma_min (as ``gamma_min``
+    gives it; never for r_gmv = 0), the discriminant forms agree, x > 0,
     y > 0, the utility is not NaN, the point lies on the parabola, and it
     is not the GMV portfolio. Raises ValueError for a nonpositive gamma or
     wealth and if any market has a degenerate frontier.
@@ -229,8 +230,8 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
             np.maximum(1.0, y), x * x
         )
         failed = (
-            mismatch,
             below,
+            mismatch,
             ~(x > 0.0),
             ~(y > 0.0),
             np.isnan(utility),

@@ -40,8 +40,6 @@ __all__ = [
     "feasible_rows",
     "sharpe_weights",
     "portfolio_moments_rows",
-    "markowitz_weights",
-    "parabola_variance",
 ]
 
 # Below this slope the frontier degenerates (all feasible portfolios
@@ -260,25 +258,3 @@ def portfolio_moments_rows(
     v = np.vecdot(np.vecmat(w, sigma), w)
     return x, np.maximum(v, 0.0)
 
-
-def markowitz_weights(
-    x_target: float, params: MarketParams, constants: FrontierConstants
-) -> Weights:
-    """Frontier portfolio with expected gross return ``x_target``.
-
-    w = w_gmv + (x_target - r_gmv)/s * tilt, with ``constants`` those of
-    ``params``.
-    """
-    if constants.tilt.size != params.k:
-        raise ValueError("frontier constants do not match the market")
-    if constants.s <= S_MIN:
-        raise ValueError("degenerate frontier")
-    return Weights(constants.weights_at((float(x_target) - constants.r_gmv) / constants.s))
-
-
-def parabola_variance(x: float, constants: FrontierConstants) -> float:
-    """Variance of the frontier portfolio with mean ``x``."""
-    if constants.s <= S_MIN:
-        raise ValueError("degenerate frontier")
-    d = float(x) - constants.r_gmv
-    return float(d * d / constants.s + constants.v_gmv)

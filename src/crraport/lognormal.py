@@ -36,7 +36,7 @@ def psi(x, mu: float, sigma: float):
     log-normal CDF is 0, so the gap reduces to the normal CDF alone.
     Accepts scalars or arrays.
     """
-    if mu <= 0.0 or sigma <= 0.0:
+    if not (mu > 0.0 and sigma > 0.0):  # NaN fails too
         raise ValueError("mu and sigma must be positive")
     arr = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -52,7 +52,7 @@ def psi_sup_bound(mu: float, sigma: float) -> float:
     t = 1 - x^2 - sqrt(x^4 + 1) <= 0; the two branches cover the
     negative- and positive-side extrema of psi.
     """
-    if mu <= 0.0 or sigma <= 0.0:
+    if not (mu > 0.0 and sigma > 0.0):  # NaN fails too
         raise ValueError("mu and sigma must be positive")
     x = sigma / mu
     t = 1.0 - x * x - math.sqrt(x**4 + 1.0)
@@ -69,7 +69,7 @@ def psi_sup_empirical(mu: float, sigma: float, n_grid: int = 10_000) -> float:
     log-spaced envelope over (mu e^{-10x}, mu e^{10x}), x = sigma/mu;
     each segment carries ``n_grid`` points. Deterministic.
     """
-    if mu <= 0.0 or sigma <= 0.0:
+    if not (mu > 0.0 and sigma > 0.0):  # NaN fails too
         raise ValueError("mu and sigma must be positive")
     if n_grid < 1000:
         raise ValueError("n_grid must be at least 1000")

@@ -83,6 +83,15 @@ def cho_solve_rows(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError, naming ``name``, for a
+    value of another type, such as a JSON object."""
+    try:
+        return np.array(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be an array of numbers") from None
+
+
 def _spd_cholesky(sigma: np.ndarray, what: str = "covariance") -> np.ndarray:
     """Lower Cholesky factor of one SPD matrix, or ValueError: the
     one-matrix call of ``_spd_cholesky_rows``."""
@@ -142,8 +151,8 @@ class MarketParams:
     lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float).ravel()
-        sigma = np.array(self.sigma, dtype=float)
+        mu = _float_array(self.mu, "mu").ravel()
+        sigma = _float_array(self.sigma, "sigma")
         if mu.size < 2:
             raise ValueError("n_assets >= 2 required")
         if sigma.shape != (mu.size, mu.size):
@@ -166,31 +175,19 @@ class MarketParams:
         return self.mu.size
 
 
-def load_returns_csv(
-    path, delimiter: str = ",", header: bool | None = None
-) -> ReturnMatrix:
-    """Load a returns CSV: one row per period, one column per asset.
+def load_returns_csv(path) -> ReturnMatrix:
+    """Load a comma-separated returns CSV: one row per period, one column
+    per asset.
 
-    ``header=None`` auto-detects a label row (a first row with any
-    non-numeric cell). Cells must parse as finite reals; ragged rows and
-    bad cells are reported with their row/column position.
+    The first row is a header of asset labels when it holds a cell that
+    is not a finite real. Every other cell must parse as a finite real;
+    ragged rows and bad cells are reported with their row/column position.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        raw = [
-            row
-            for row in csv.reader(fh, delimiter=delimiter)
-            if any(cell.strip() for cell in row)
-        ]
-    if not raw:
-        raise ValueError("no data rows")
-
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     labels: tuple[str, ...] = ()
-    if header is None:
-        header = not all(_is_finite_number(cell) for cell in raw[0])
-    if header:
-        labels = tuple(cell.strip() for cell in raw[0])
-        raw = raw[1:]
+    if raw and _first_bad_cell(raw[:1], len(raw[0]), 1) is not None:
+        labels = tuple(cell.strip() for cell in raw.pop(0))
     if not raw:
         raise ValueError("no data rows")
     if len(raw) == 1:
@@ -202,13 +199,14 @@ def load_returns_csv(
     except ValueError:  # a non-numeric cell
         data = None
     if data is None or len(data) < len(raw) or not np.isfinite(data).all():
-        raise _first_bad_cell(raw, k, 2 if header else 1)
+        raise _first_bad_cell(raw, k, 2 if labels else 1)
     return ReturnMatrix(data, labels)
 
 
-def _first_bad_cell(raw: list[list[str]], k: int, first_row: int) -> ValueError:
+def _first_bad_cell(raw: list[list[str]], k: int, first_row: int) -> ValueError | None:
     """The error of the first ragged row or bad cell of ``raw`` (whose
-    first row is file row ``first_row``), in reading order."""
+    first row is file row ``first_row``), in reading order; None if
+    there is none."""
     for row_no, row in enumerate(raw, start=first_row):
         if len(row) != k:
             return ValueError(f"ragged row {row_no}: expected {k} cells, found {len(row)}")
@@ -223,13 +221,6 @@ def _first_bad_cell(raw: list[list[str]], k: int, first_row: int) -> ValueError:
                 return ValueError(
                     f"non-finite cell at row {row_no}, column {col_no}: {cell.strip()!r}"
                 )
-
-
-def _is_finite_number(cell: str) -> bool:
-    try:
-        return bool(np.isfinite(float(cell)))
-    except ValueError:
-        return False
 
 
 def sample_moments(returns: ReturnMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +274,13 @@ class SynthSpec:
     sigma0: np.ndarray
 
     def __post_init__(self) -> None:
-        mu0 = np.array(self.mu0, dtype=float).ravel()
-        sigma0 = np.array(self.sigma0, dtype=float)
-        if int(self.n) < 2:
+        mu0 = _float_array(self.mu0, "mu0").ravel()
+        sigma0 = _float_array(self.sigma0, "sigma0")
+        try:
+            n = int(self.n)
+        except (TypeError, ValueError):
+            raise ValueError("n must be an integer") from None
+        if n < 2:
             raise ValueError("n_periods >= 2 required")
         if mu0.size < 2:
             raise ValueError("n_assets >= 2 required")
@@ -296,7 +291,7 @@ class SynthSpec:
         chol = _spd_cholesky(sigma0, what="sigma0")
         mu0.flags.writeable = False
         sigma0.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "sigma0", sigma0)
         object.__setattr__(self, "_chol", chol)
@@ -315,7 +310,7 @@ class SynthSpec:
         if missing:
             raise ValueError(f"synth spec is missing {', '.join(missing)}")
         out = cls(n=spec["n"], mu0=spec["mu0"], sigma0=spec["sigma0"])
-        if "k" in spec and int(spec["k"]) != out.k:
+        if spec.get("k", out.k) != out.k:
             raise ValueError("k in spec does not match len(mu0)")
         return out
 

@@ -49,7 +49,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .crra import gamma_min, objective_rows, power_grid
+from .crra import OUTCOMES, gamma_min, objective_rows, power_grid
 from .csvout import write_csv
 from .frontier import (
     FRONTIER_ERRORS,
@@ -322,8 +322,9 @@ def _solve_markets(
     panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
 ) -> SimpleNamespace:
     """Gather the moments of a stack of column subsets (B, k) of
-    ``panel``, build their frontier constants and gamma_min, and solve
-    the gamma grid for the markets that have them.
+    ``panel``, build their frontier constants, code the degenerate ones
+    (where gamma_min is NaN), and solve the gamma grid for the others;
+    their ``below_gamma_min`` codes are ``power_grid``'s outcome.
 
     Returns each market's market-level ``code`` (an index into
     ``_CODES``, or -1) and, for the ``good`` markets without one, their
@@ -333,16 +334,15 @@ def _solve_markets(
     mu, sigma, lower, chol_ok = subset_rows(panel.mu, panel.sigma, subsets)
     clock.lap("estimate")
     constants = efficient_constants_rows(mu, lower)
-    gm = gamma_min(constants)
     code = _FRONTIER_CODES[constants.outcome]
-    code[(code < 0) & np.isnan(gm)] = _CODES.index("degenerate_frontier")
+    code[(code < 0) & np.isnan(gamma_min(constants))] = _CODES.index("degenerate_frontier")
     code[~chol_ok] = _CODES.index("singular_covariance")
     good = code < 0
     clock.lap("constants")
     gammas = np.array(cfg.gamma_grid)
     constants = constants[good]
     grid = power_grid(constants, gammas, cfg.w0)
-    exists = gammas >= gm[good][:, None]
+    below = grid.outcome == OUTCOMES.index("below_gamma_min")
     clock.lap("grid")
     return SimpleNamespace(
         gammas=gammas,
@@ -353,7 +353,7 @@ def _solve_markets(
         sigma=sigma[good],
         constants=constants,
         grid=grid,
-        codes={"below_gamma_min": ~exists, "solve_failed": exists & ~grid.ok},
+        codes={"below_gamma_min": below, "solve_failed": ~below & ~grid.ok},
     )
 
 

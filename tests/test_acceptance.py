@@ -18,7 +18,6 @@ from crraport import (
     default_synth_spec,
     efficient_constants,
     gamma_min,
-    markowitz_weights,
     maximize_numeric,
     objective_value,
     power_solution,
@@ -104,8 +103,8 @@ def test_criterion_2_parabola_membership(announce, market_pool):
             lhs = (sol.x - con.r_gmv) ** 2
             rhs = con.s * (sol.v - con.v_gmv)
             worst_parab = max(worst_parab, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-            w_mark = markowitz_weights(sol.x, params, con)
-            worst_mark = max(worst_mark, float(np.max(np.abs(sol.weights.w - w_mark.w))))
+            w_mark = con.weights_at((sol.x - con.r_gmv) / con.s)
+            worst_mark = max(worst_mark, float(np.max(np.abs(sol.weights.w - w_mark))))
     ok = worst_parab <= 1e-8 and worst_mark <= 1e-10
     announce(
         2,

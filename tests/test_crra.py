@@ -13,7 +13,6 @@ from crraport import (
     efficient_constants_rows,
     estimate_params,
     gamma_min,
-    markowitz_weights,
     objective_rows,
     objective_value,
     power_grid,
@@ -191,8 +190,8 @@ class TestPowerSolution:
             gm = gamma_min(con)
             for gamma in (gm + 0.05, gm + 1.0, 2.0 * gm + 3.0):
                 sol = power_solution(gamma, params)
-                w_mark = markowitz_weights(sol.x, params, con)
-                assert np.max(np.abs(sol.weights.w - w_mark.w)) <= 1e-10
+                w_mark = con.weights_at((sol.x - con.r_gmv) / con.s)
+                assert np.max(np.abs(sol.weights.w - w_mark)) <= 1e-10
 
     def test_parabola_membership(self, worked_market):
         con = efficient_constants(worked_market)
@@ -387,19 +386,18 @@ class TestPowerGrid:
     def test_below_gamma_min_is_the_gamma_min_test(self):
         # Ill-conditioned markets, at gammas within rounding of the
         # threshold: below_gamma_min is gamma < gamma_min, bitwise, in
-        # every cell that passed the discriminant-forms check before it.
+        # every cell.
         rng = np.random.default_rng(80)
-        below, earlier = OUTCOMES.index("below_gamma_min"), OUTCOMES.index("discriminant_mismatch")
+        below = OUTCOMES.index("below_gamma_min")
         n_below = n_above = 0
         for _ in range(60):
             con = efficient_constants(ill_conditioned_market(rng))
             gm = gamma_min(con)
             gammas = gm * np.array([1 - 1e-9, 1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-12, 1 + 1e-6, 2.0])
             grid = power_grid(con, gammas)
-            checked = grid.outcome != earlier
-            np.testing.assert_array_equal((grid.outcome == below)[checked], (gammas < gm)[checked])
-            n_below += np.count_nonzero(checked & (gammas < gm))
-            n_above += np.count_nonzero(checked & (gammas >= gm))
+            np.testing.assert_array_equal(grid.outcome == below, gammas < gm)
+            n_below += np.count_nonzero(gammas < gm)
+            n_above += np.count_nonzero(gammas >= gm)
         assert n_below > 100 and n_above > 200
 
     def test_just_below_gamma_min_raises(self):
@@ -409,6 +407,22 @@ class TestPowerGrid:
             gm = gamma_min(efficient_constants(params))
             with pytest.raises(ValueError, match="below gamma_min"):
                 power_solution(gm * (1.0 - 1e-12), params)
+
+    def test_far_below_gamma_min_raises_no_solution(self):
+        # Below gamma_min the discriminant's two forms can disagree in
+        # ill-conditioned markets; the error is still that no optimum
+        # exists, not that the forms disagree.
+        rng = np.random.default_rng(2026)
+        n_checked = 0
+        for _ in range(150):
+            params = ill_conditioned_market(rng)
+            gm = gamma_min(efficient_constants(params))
+            for gamma in (0.5, 1.0):
+                if gamma < gm:
+                    n_checked += 1
+                    with pytest.raises(ValueError, match="^no solution exists below gamma_min"):
+                        power_solution(gamma, params)
+        assert n_checked > 200
 
     def test_zero_r_gmv_market_is_below_everywhere(self):
         # 1' Sigma^-1 mu = 100*0.04 + 25*(-0.16) = 0: no threshold.

@@ -9,9 +9,7 @@ from crraport import (
     efficient_constants,
     efficient_constants_rows,
     estimate_params,
-    markowitz_weights,
     objective_value,
-    parabola_variance,
     sharpe_weights,
     synth_market,
 )
@@ -218,74 +216,6 @@ class TestPortfolioMoments:
     def test_dimension_mismatch(self, worked_market):
         with pytest.raises(ValueError, match="dimension"):
             objective_value(Weights([0.5, 0.25, 0.25]), worked_market, 2.0)
-
-
-class TestMarkowitzWeights:
-    def test_at_gmv_mean(self, worked_market):
-        con = efficient_constants(worked_market)
-        w = markowitz_weights(con.r_gmv, worked_market, con)
-        np.testing.assert_allclose(w.w, con.w_gmv, atol=1e-10)
-
-    def test_worked_target(self, worked_market):
-        con = efficient_constants(worked_market)
-        w = markowitz_weights(1.157942, worked_market, con)
-        np.testing.assert_allclose(w.w, [-0.07942, 1.07942], atol=1e-9)
-
-    def test_hits_target_mean(self):
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            params = random_market(rng, int(rng.integers(2, 7)))
-            con = efficient_constants(params)
-            x_target = con.r_gmv + rng.uniform(-0.2, 0.2)
-            w = markowitz_weights(x_target, params, con)
-            x, _ = portfolio_moments(w, params)
-            assert abs(x - x_target) <= 1e-10
-
-    def test_on_parabola(self):
-        rng = np.random.default_rng(25)
-        params = random_market(rng, 5)
-        con = efficient_constants(params)
-        for x_target in con.r_gmv + np.array([-0.1, -0.01, 0.02, 0.15]):
-            w = markowitz_weights(float(x_target), params, con)
-            x, v = portfolio_moments(w, params)
-            assert (x - con.r_gmv) ** 2 == pytest.approx(
-                con.s * (v - con.v_gmv), rel=1e-8, abs=1e-14
-            )
-
-    def test_degenerate_frontier_rejected(self):
-        params = MarketParams([1.03, 1.03, 1.03], np.diag([1e-4, 2e-4, 3e-4]))
-        con = efficient_constants(params)
-        with pytest.raises(ValueError, match="degenerate frontier"):
-            markowitz_weights(1.05, params, con)
-
-
-class TestParabolaVariance:
-    def test_vertex(self, worked_market):
-        con = efficient_constants(worked_market)
-        assert parabola_variance(con.r_gmv, con) == con.v_gmv
-
-    def test_even_symmetry(self, worked_market):
-        con = efficient_constants(worked_market)
-        for d in (0.01, 0.08, 0.2):
-            assert parabola_variance(con.r_gmv + d, con) == pytest.approx(
-                parabola_variance(con.r_gmv - d, con), rel=1e-14
-            )
-
-    def test_worked_value_consistent_with_moments(self, worked_market):
-        con = efficient_constants(worked_market)
-        x_target = 1.157942
-        v_parab = parabola_variance(x_target, con)
-        assert v_parab == pytest.approx(0.087942**2 / 0.2 + 0.008, rel=1e-10)
-        _, v_moments = portfolio_moments(
-            markowitz_weights(x_target, worked_market, con), worked_market
-        )
-        assert v_parab == pytest.approx(v_moments, rel=1e-8)
-
-    def test_degenerate_frontier_rejected(self):
-        params = MarketParams([1.03, 1.03], np.diag([1e-4, 2e-4]))
-        con = efficient_constants(params)
-        with pytest.raises(ValueError, match="degenerate frontier"):
-            parabola_variance(1.05, con)
 
 
 def test_weights_validation():

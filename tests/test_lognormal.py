@@ -77,6 +77,13 @@ class TestPsi:
             psi(1.0, -1.0, 0.1)
         with pytest.raises(ValueError, match="positive"):
             psi(1.0, 1.0, 0.0)
+        for mu, sigma in ((math.nan, 0.1), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="positive"):
+                psi(1.0, mu, sigma)
+            with pytest.raises(ValueError, match="positive"):
+                psi_sup_bound(mu, sigma)
+            with pytest.raises(ValueError, match="positive"):
+                psi_sup_empirical(mu, sigma)
 
 
 class TestPsiSupBound:

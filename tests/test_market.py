@@ -41,10 +41,6 @@ class TestLoadReturnsCsv:
         assert rm.asset_labels == ("a", "b")
         assert rm.n_periods == 2
 
-    def test_header_forced_off(self, tmp_path):
-        with pytest.raises(ValueError, match="non-numeric cell at row 1, column 1"):
-            load_returns_csv(_write(tmp_path, "a,b\n0.01,0.02\n0.0,0.0\n"), header=False)
-
     def test_ragged_row(self, tmp_path):
         with pytest.raises(ValueError, match="ragged row 3"):
             load_returns_csv(_write(tmp_path, "0.1,0.2\n0.1,0.2\n0.1\n"))
@@ -67,12 +63,6 @@ class TestLoadReturnsCsv:
     def test_non_finite_cell(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite cell"):
             load_returns_csv(_write(tmp_path, "0.1,0.2\n0.1,inf\n"))
-
-    def test_custom_delimiter(self, tmp_path):
-        rm = load_returns_csv(
-            _write(tmp_path, "0.01;0.02\n0.03;0.04\n"), delimiter=";"
-        )
-        assert rm.values[1, 1] == 0.04
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
