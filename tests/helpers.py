@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +22,7 @@ from crraport import (
     portfolio_moments_rows,
     power_solution,
 )
+from crraport.cli import main
 from crraport.frontier import S_MIN
 from crraport.market import cho_solve_rows
 
@@ -30,6 +36,30 @@ def portfolio_moments(w: Weights, params: MarketParams) -> tuple[float, float]:
     """Expected gross return and variance, (w'mu, w'Sigma w)."""
     x, v = portfolio_moments_rows(w.w, params.mu, params.sigma)
     return float(x), float(v)
+
+
+class FrontierSample(NamedTuple):
+    code: int
+    payload: dict  # the JSON on stdout on success, on stderr on failure
+    rows: np.ndarray | None  # the CSV rows (x, v, w_1..w_k); None if none was written
+
+
+def frontier_sample(tmp_path: Path, params: MarketParams, *flags: str) -> FrontierSample:
+    """Run the ``frontier`` command on ``params`` with ``--out`` set and
+    extra ``flags``; its exit code, JSON output and CSV rows."""
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps({"mu": params.mu.tolist(), "sigma": params.sigma.tolist()}))
+    out_csv = tmp_path / "parabola.csv"
+    out_csv.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["frontier", "--market", str(market), "--out", str(out_csv), *flags])
+    payload = json.loads(out.getvalue() if code == 0 else err.getvalue())
+    rows = None
+    if out_csv.exists():
+        with out_csv.open(newline="") as fh:
+            rows = np.array([[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]])
+    return FrontierSample(code, payload, rows)
 
 
 def discriminant(gamma: float, constants: FrontierConstants) -> float:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import crraport
-from crraport import Weights, default_synth_spec, efficient_constants, synth_market
+from crraport import default_synth_spec, synth_market
 from crraport.cli import main
-from helpers import portfolio_moments, random_market
+from helpers import frontier_sample
 
 WORKED_MARKET = {"mu": [1.05, 1.15], "sigma": [[0.01, 0.0], [0.0, 0.04]]}
 
@@ -101,52 +101,8 @@ class TestMalformedJson:
 
 
 class TestFrontier:
-    @staticmethod
-    def _sample(capsys, tmp_path, market, *flags):
-        """The frontier command's JSON payload and its CSV rows (x, v,
-        w_1..w_k) as an array, for the market ``market``."""
-        path = tmp_path / "market.json"
-        path.write_text(json.dumps(market))
-        out_csv = tmp_path / "parabola.csv"
-        code, out, err = _run(
-            capsys, ["frontier", "--market", str(path), "--out", str(out_csv), *flags]
-        )
-        assert code == 0, err
-        with out_csv.open(newline="") as fh:
-            rows = np.array([[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]])
-        return json.loads(out), rows
-
-    def test_row_at_r_gmv_is_the_gmv_portfolio(self, capsys, tmp_path, worked_market):
-        con = efficient_constants(worked_market)
-        payload, rows = self._sample(capsys, tmp_path, WORKED_MARKET, "--span", "0", "--points", "3")
-        assert [(p["x"], p["v"]) for p in payload["points"]] == [(con.r_gmv, con.v_gmv)] * 3
-        for x, v, *w in rows:
-            assert (x, v) == (con.r_gmv, con.v_gmv)
-            np.testing.assert_array_equal(w, con.w_gmv)
-
-    def test_worked_target(self, capsys, tmp_path, worked_market):
-        # r_gmv = 1.07 and sqrt(s v_gmv) = 0.04, so span 2.19855 ends at 1.157942.
-        _, rows = self._sample(capsys, tmp_path, WORKED_MARKET, "--span", "2.19855", "--points", "2")
-        x, v, *w = rows[-1]
-        assert x == pytest.approx(1.157942, abs=1e-12)
-        assert v == pytest.approx(0.087942**2 / 0.2 + 0.008, rel=1e-10)
-        np.testing.assert_allclose(w, [-0.07942, 1.07942], atol=1e-9)
-        assert v == pytest.approx(portfolio_moments(Weights(w), worked_market)[1], rel=1e-8)
-
-    def test_rows_reproduce_x_and_v(self, capsys, tmp_path):
-        # Each row's weights have the row's mean and, on the parabola, its variance.
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            params = random_market(rng, int(rng.integers(2, 7)))
-            market = {"mu": params.mu.tolist(), "sigma": params.sigma.tolist()}
-            _, rows = self._sample(capsys, tmp_path, market, "--points", "9")
-            for x, v, *w in rows:
-                x_w, v_w = portfolio_moments(Weights(w), params)
-                assert abs(x_w - x) <= 1e-10
-                assert v_w == pytest.approx(v, rel=1e-8, abs=1e-14)
-
-    def test_v_symmetric_about_r_gmv(self, capsys, tmp_path):
-        payload, rows = self._sample(capsys, tmp_path, WORKED_MARKET, "--points", "9")
+    def test_v_symmetric_about_r_gmv(self, tmp_path, worked_market):
+        _, payload, rows = frontier_sample(tmp_path, worked_market, "--points", "9")
         d = rows[:, 0] - payload["r_gmv"]
         np.testing.assert_allclose(d, -d[::-1], rtol=1e-13)
         np.testing.assert_allclose(rows[:, 1], rows[::-1, 1], rtol=1e-14)

@@ -15,6 +15,7 @@ from crraport import (
 )
 from crraport.frontier import FRONTIER_OUTCOMES
 from helpers import (
+    frontier_sample,
     ill_conditioned_market,
     portfolio_moments,
     random_feasible_weights,
@@ -216,6 +217,77 @@ class TestPortfolioMoments:
     def test_dimension_mismatch(self, worked_market):
         with pytest.raises(ValueError, match="dimension"):
             objective_value(Weights([0.5, 0.25, 0.25]), worked_market, 2.0)
+
+
+class TestMarkowitzWeights:
+    """Frontier portfolios ``w_gmv + ((x - r_gmv) / s) tilt`` at target
+    means x, as the frontier command samples them."""
+
+    def test_at_gmv_mean(self, tmp_path, worked_market):
+        con = efficient_constants(worked_market)
+        sample = frontier_sample(tmp_path, worked_market, "--span", "0", "--points", "3")
+        assert sample.code == 0
+        for _, _, *w in sample.rows:
+            np.testing.assert_array_equal(w, con.w_gmv)
+
+    def test_worked_target(self, tmp_path, worked_market):
+        # r_gmv = 1.07 and sqrt(s v_gmv) = 0.04, so span 2.19855 ends at 1.157942.
+        sample = frontier_sample(tmp_path, worked_market, "--span", "2.19855", "--points", "2")
+        x, _, *w = sample.rows[-1]
+        assert x == pytest.approx(1.157942, abs=1e-12)
+        np.testing.assert_allclose(w, [-0.07942, 1.07942], atol=1e-9)
+
+    def test_hits_target_mean(self, tmp_path):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            params = random_market(rng, int(rng.integers(2, 7)))
+            sample = frontier_sample(tmp_path, params, "--points", "9")
+            assert sample.code == 0
+            for x_target, _, *w in sample.rows:
+                x, _ = portfolio_moments(Weights(w), params)
+                assert abs(x - x_target) <= 1e-10
+
+    def test_on_parabola(self, tmp_path):
+        rng = np.random.default_rng(25)
+        params = random_market(rng, 5)
+        con = efficient_constants(params)
+        sample = frontier_sample(tmp_path, params, "--points", "9")
+        assert sample.code == 0
+        for x_target, v_target, *w in sample.rows:
+            x, v = portfolio_moments(Weights(w), params)
+            assert (x - con.r_gmv) ** 2 == pytest.approx(
+                con.s * (v - con.v_gmv), rel=1e-8, abs=1e-14
+            )
+            assert v == pytest.approx(v_target, rel=1e-8, abs=1e-14)
+
+    def test_degenerate_frontier_rejected(self, tmp_path):
+        params = MarketParams([1.03, 1.03, 1.03], np.diag([1e-4, 2e-4, 3e-4]))
+        sample = frontier_sample(tmp_path, params)
+        assert sample == (2, {"error": "degenerate frontier"}, None)
+
+
+class TestParabolaVariance:
+    """The variances ``(x - r_gmv)^2 / s + v_gmv`` the frontier command
+    samples at target means x."""
+
+    def test_vertex(self, tmp_path, worked_market):
+        con = efficient_constants(worked_market)
+        sample = frontier_sample(tmp_path, worked_market, "--span", "0", "--points", "3")
+        points = [(p["x"], p["v"]) for p in sample.payload["points"]]
+        assert points == [(con.r_gmv, con.v_gmv)] * 3
+        assert [(x, v) for x, v, *_ in sample.rows] == points
+
+    def test_worked_value_consistent_with_moments(self, tmp_path, worked_market):
+        sample = frontier_sample(tmp_path, worked_market, "--span", "2.19855", "--points", "2")
+        _, v_parab, *w = sample.rows[-1]
+        assert v_parab == pytest.approx(0.087942**2 / 0.2 + 0.008, rel=1e-10)
+        _, v_moments = portfolio_moments(Weights(w), worked_market)
+        assert v_parab == pytest.approx(v_moments, rel=1e-8)
+
+    def test_degenerate_frontier_rejected(self, tmp_path):
+        params = MarketParams([1.03, 1.03], np.diag([1e-4, 2e-4]))
+        sample = frontier_sample(tmp_path, params)
+        assert sample == (2, {"error": "degenerate frontier"}, None)
 
 
 def test_weights_validation():
