@@ -125,6 +125,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
+    if not np.isfinite(args.span):
+        raise ValueError("span must be finite")
     params = _load_market(args)
     constants = efficient_constants(params)
     gm = gamma_min(constants)  # raises on a degenerate frontier or r_gmv = 0

@@ -3,9 +3,10 @@
 Under the log-normal approximation of the portfolio gross return, the
 expected power utility of terminal wealth W0 * w'R is
 
-    E[U(W)] = W0^(1-g)/(1-g) * exp[(1-g^2) ln X + (g^2-g)/2 ln Y],
+    E[U(W)] = exp[(1-g) L]/(1-g),   L = ln W0 + ln X - (g/2)(ln Y - 2 ln X),
 
-with X = w'mu and Y = w'Sigma w + X^2. Stationarity along w'1 = 1
+with X = w'mu and Y = w'Sigma w + X^2; L = ln(W0 CE), CE the certainty
+equivalent, is also the expected log utility. Stationarity along w'1 = 1
 reduces the problem to a quadratic in X,
 
     (1+s) X^2 - (g+2) r_gmv X + (g+1) (r_gmv^2 + s v_gmv) = 0,
@@ -22,10 +23,10 @@ t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
 (G,) for a batch of markets (B,) at once, on (B, G) arrays, and is the
 one place the optimum is computed; ``power_solution`` is its
 one-market, one-gamma call. Logarithmic utility is its g = 1 case,
-``power_solution(1.0, ...)``, with value ln W0 + 2 ln X - ln(Y)/2; it
-exists iff gamma_min <= 1. The optimum is mean-variance efficient iff it
-exists and r_gmv > 0, it never coincides with the GMV portfolio, and as
-g -> infinity it converges to the Sharpe ratio portfolio while X and V
+``power_solution(1.0, ...)``, with value L; it exists iff
+gamma_min <= 1. The optimum is mean-variance efficient iff it exists and
+r_gmv > 0, it never coincides with the GMV portfolio, and as g ->
+infinity it converges to the Sharpe ratio portfolio while X and V
 decrease monotonically.
 """
 
@@ -110,8 +111,10 @@ class PowerGrid:
     cell per gamma of the grid, in its order. Per cell: the optimal mean
     ``x``, second moment ``y``, frontier coordinate ``t = (x - r_gmv)/s``
     (the optimal weights are ``w_gmv + t * tilt`` of the market's
-    constants), the expected utility, and ``outcome``, an index into
-    ``OUTCOMES``. Cells that failed a check hold NaN in every float field.
+    constants), the expected utility (``_utility``'s one formula, so
+    +/-inf or 0 only where the true value is beyond the double range),
+    and ``outcome``, an index into ``OUTCOMES``. Cells that failed a check
+    hold NaN in every float field.
     """
 
     x: np.ndarray
@@ -162,20 +165,18 @@ def _discriminants(gamma, r, s, v) -> tuple[np.ndarray, np.ndarray]:
 
 def _utility(x, y, gamma, w0: float) -> np.ndarray:
     """Expected utility at portfolio moments (x, y), elementwise over
-    broadcast arrays; gamma = 1 is log.
-
-    Exponents beyond the double range collapse to +/-inf, never NaN.
+    broadcast arrays, from its log level L = ln W0 + ln x - (gamma/2)
+    (ln y - 2 ln x): L itself at gamma = 1 (log utility), elsewhere
+    exp((1-gamma) L)/(1-gamma), divided inside the exponent so that the
+    result is +/-inf or 0 only where the true value is beyond the double
+    range. Never NaN for x, y > 0.
     """
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(all="ignore"):
-        log_x, log_y = np.log(x), np.log(y)
-        prefactor = w0 ** (1.0 - gamma) / (1.0 - gamma)
-        growth = np.exp((1.0 - gamma * gamma) * log_x + 0.5 * (gamma * gamma - gamma) * log_y)
-        power = np.where(
-            np.isinf(growth), np.copysign(np.inf, prefactor), prefactor * growth
-        )
-        log_utility = math.log(w0) + 2.0 * log_x - 0.5 * log_y
-    return np.where(gamma == 1.0, log_utility, power)
+        log_x = np.log(x)
+        level = math.log(w0) + log_x - 0.5 * gamma * (np.log(y) - 2.0 * log_x)
+        power = np.exp((1.0 - gamma) * level - np.log(np.abs(1.0 - gamma)))
+        return np.where(gamma == 1.0, level, np.copysign(power, 1.0 - gamma))
 
 
 def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGrid:
@@ -186,8 +187,8 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
     Each gamma gets the smaller root of the optimal-mean quadratic, its
     second moment, frontier coordinate and expected utility, and the
     first check it fails, if any: gamma >= gamma_min (as ``gamma_min``
-    gives it; never for r_gmv = 0), the discriminant forms agree, x > 0,
-    y > 0, the utility is not NaN, the point lies on the parabola, and it
+    gives it; never for r_gmv = 0), the discriminant forms agree, x > 0
+    (so r_gmv > 0), y > 0, the utility is not NaN, the point lies on the parabola, and it
     is not the GMV portfolio. Raises ValueError for a nonpositive gamma or
     wealth and if any market has a degenerate frontier.
     """
@@ -205,12 +206,12 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
     below = ~(g >= _threshold(r, s, v))
     with np.errstate(all="ignore"):
         sq = np.sqrt(np.maximum(d, 0.0))
-        x = np.where(
-            r > 0.0,
-            # Conjugate form: no cancellation as gamma grows large.
-            2.0 * (g + 1.0) * (r * r + s * v) / ((g + 2.0) * r + sq),
-            ((g + 2.0) * r - sq) / (2.0 * (1.0 + s)),
-        )
+        # The smaller root in conjugate form: no cancellation as gamma
+        # grows large. For r < 0, sq < (gamma+2)|r| makes the denominator
+        # negative and x < 0; past gamma ~ 1e17, d can round to
+        # (gamma+2)^2 r^2 and the denominator to 0 or above, so
+        # nonpositive_mean reads r too.
+        x = 2.0 * (g + 1.0) * (r * r + s * v) / ((g + 2.0) * r + sq)
         # t = (x - r)/s through the conjugate of the alternate
         # discriminant form: exact algebra, and it dodges the small-s
         # cancellation that the literal (gamma/s)(x r - r^2 - s v)
@@ -232,7 +233,7 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
         failed = (
             below,
             mismatch,
-            ~(x > 0.0),
+            ~(x > 0.0) | ~(r > 0.0),
             ~(y > 0.0),
             np.isnan(utility),
             ~(np.abs(lhs - rhs) <= tol),

@@ -8,7 +8,8 @@ the log certainty equivalent, which rises strictly with expected utility
 at every gamma > 0 and never overflows, with scipy's trust-exact
 (Moré-Sorensen trust-region Newton; Nocedal & Wright, *Numerical
 Optimization*, ch. 4). Its gradient and Hessian are chain-rule calculus
-of those forms; nothing of the closed-form derivation enters.
+of those forms; nothing of the closed-form derivation enters, and the
+module imports nothing from ``crra``.
 
 The moment-matched log-normal objective is only meaningful where the
 portfolio's coefficient of variation is small; at extreme leverage it
@@ -85,25 +86,6 @@ def random_feasible(params: MarketParams, n: int, seed: int) -> list[Weights]:
     if skipped:
         logger.warning("random_feasible: skipped %d of %d draws", skipped, n)
     return out
-
-
-def _objective(x: float, y: float, gamma: float, w0: float) -> float:
-    """Expected utility at portfolio moments (x, y); gamma = 1 is log.
-
-    The oracle's own scalar evaluation, apart from the closed forms in
-    ``crra``. Exponents beyond the double range collapse to +/-inf
-    (extreme gamma), never NaN.
-    """
-    if gamma == 1.0:
-        return math.log(w0) + 2.0 * math.log(x) - 0.5 * math.log(y)
-    prefactor = w0 ** (1.0 - gamma) / (1.0 - gamma)
-    exponent = (1.0 - gamma * gamma) * math.log(x) + 0.5 * (
-        gamma * gamma - gamma
-    ) * math.log(y)
-    try:
-        return prefactor * math.exp(exponent)
-    except OverflowError:
-        return math.copysign(math.inf, prefactor)
 
 
 class _NegLnCE:
@@ -185,7 +167,9 @@ def maximize_numeric(
     The best run then takes at most two plain Newton steps, each kept
     only if it lowers the gradient norm and stays inside the box.
     Returns the argmax weights and the expected utility there (W0 = 1),
-    which overflows to -inf at extreme gamma, though the search does not.
+    CE^(1-gamma)/(1-gamma) from the search's own ln CE at that point (ln
+    CE itself at gamma = 1): +/-inf or 0 only where the true value is
+    beyond the double range (extreme gamma); the search never overflows.
 
     Raises ValueError when no start lies in the objective's domain or
     when every run diverges to the leverage box.
@@ -252,5 +236,11 @@ def maximize_numeric(
         params.k, gamma, len(starts), len(reduced), n_divergent,
         nfev, njev, nhev, steps, np.linalg.norm(g), _leverage(u),
     )
-    x, v = target.moments(u)
-    return Weights(np.append(u, 1.0 - u.sum())), _objective(x, v + x * x, gamma, 1.0)
+    weights, ln_ce = Weights(np.append(u, 1.0 - u.sum())), -target(u)
+    if gamma == 1.0:
+        return weights, ln_ce
+    # exp((1-gamma) ln CE)/(1-gamma), divided inside the exponent so that
+    # it overflows only where the true value does.
+    with np.errstate(over="ignore"):
+        power = np.exp((1.0 - gamma) * ln_ce - math.log(abs(1.0 - gamma)))
+    return weights, math.copysign(float(power), 1.0 - gamma)

@@ -71,6 +71,25 @@ def discriminant(gamma: float, constants: FrontierConstants) -> float:
     return float((gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v))
 
 
+def objective_reference(x: float, y: float, gamma: float, w0: float) -> float:
+    """Expected utility at portfolio moments (x, y); gamma = 1 is log.
+
+    A scalar evaluation apart from ``crra``'s kernel, in the expanded
+    form W0^(1-g)/(1-g) exp[(1-g^2) ln x + (g^2-g)/2 ln y]. Exponents
+    beyond the double range collapse to +/-inf (extreme gamma).
+    """
+    if gamma == 1.0:
+        return math.log(w0) + 2.0 * math.log(x) - 0.5 * math.log(y)
+    prefactor = w0 ** (1.0 - gamma) / (1.0 - gamma)
+    exponent = (1.0 - gamma * gamma) * math.log(x) + 0.5 * (
+        gamma * gamma - gamma
+    ) * math.log(y)
+    try:
+        return prefactor * math.exp(exponent)
+    except OverflowError:
+        return math.copysign(math.inf, prefactor)
+
+
 class LogNormalParams(NamedTuple):
     """Parameters of ln N(alpha, beta2); beta2 is the log-scale variance."""
 

@@ -3,8 +3,10 @@ import filecmp
 import importlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +122,7 @@ class TestFrontier:
                 [],
                 "existence threshold undefined for r_gmv = 0",
             ),
-            (WORKED_MARKET, ["--span", "nan"], "weights must be finite"),
+            (WORKED_MARKET, ["--span", "nan"], "span must be finite"),
         ],
         ids=["flat", "zero_r_gmv", "nan_span"],
     )
@@ -133,6 +135,22 @@ class TestFrontier:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": message}
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("span", ["inf", "nan"])
+    def test_nonfinite_span_prints_one_json_line(self, market_file, span):
+        # A separate process, so stderr is what a shell user sees,
+        # warnings included.
+        argv = ["frontier", "--market", market_file, "--span", span]
+        proc = subprocess.run(
+            [sys.executable, "-m", "crraport.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(crraport.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {"error": "span must be finite"}
 
     def test_constants_and_csv(self, capsys, market_file, tmp_path):
         out_csv = tmp_path / "parabola.csv"

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crraport import (
     MarketParams,
@@ -22,7 +25,7 @@ from crraport import (
     sharpe_weights,
     synth_market,
 )
-from crraport.crra import OUTCOMES
+from crraport.crra import OUTCOMES, _utility
 from crraport.study import _draw_subsets
 from helpers import (
     discriminant,
@@ -35,6 +38,8 @@ from helpers import (
     sigma_solve,
     table_rows,
 )
+
+EPS = np.finfo(float).eps
 
 # mu = (-0.1, 0.2), sigma = diag(0.01, 0.04): 1'S^-1 mu = -10 + 5 = -5,
 # so r_gmv = -5/125 = -0.04.
@@ -431,6 +436,15 @@ class TestPowerGrid:
         grid = power_grid(con, [0.5, 2.0, 1e8])
         assert [OUTCOMES[c] for c in grid.outcome] == ["below_gamma_min"] * 3
 
+    def test_negative_r_gmv_is_nonpositive_mean_at_every_gamma(self):
+        # Past gamma ~ 1e17 the discriminant rounds to (gamma+2)^2 r^2,
+        # and the conjugate root's denominator to zero or above.
+        con = efficient_constants(MarketParams(*NEGATIVE_R_MARKET))
+        gm = gamma_min(con)
+        gammas = [gm * (1.0 + 1e-9), 2.0 * gm, 1e4, 1e8, 1e16, 1e18, 1e19, 1e20, 1e22, 1e30]
+        grid = power_grid(con, gammas)
+        assert [OUTCOMES[c] for c in grid.outcome] == ["nonpositive_mean"] * len(gammas)
+
     def test_invalid_inputs(self, worked_market):
         con = efficient_constants(worked_market)
         for gamma in (0.0, math.nan):
@@ -561,6 +575,66 @@ class TestObjectiveValue:
                 assert np.array_equal(objective_value(w, params, gammas), rows[0])
                 for gi, gamma in enumerate(gammas):
                     assert objective_value(w, params, gamma) == rows[0, gi]
+
+
+class TestUtilityKernel:
+    """``crra._utility`` against 50-digit mpmath at the same double moments."""
+
+    # mu = (1.02, 1.025), vols 1% and 1.2%, correlation 0.2.
+    TWO_ASSETS = ([1.02, 1.025], [[1e-4, 2.4e-5], [2.4e-5, 1.44e-4]])
+
+    @staticmethod
+    def reference(x, y, gamma, w0):
+        with mp.workdps(50):
+            x, y, gamma = mp.mpf(float(x)), mp.mpf(float(y)), mp.mpf(gamma)
+            level = mp.log(w0) + mp.log(x) - gamma / 2 * (mp.log(y) - 2 * mp.log(x))
+            return level if gamma == 1 else mp.exp((1 - gamma) * level) / (1 - gamma)
+
+    @pytest.mark.parametrize("w0", [0.028, 0.0275])
+    def test_wealth_power_beyond_double_range(self, w0):
+        # W0^(1-gamma) = W0^-199 overflows while E[U] itself fits a
+        # double; at 0.0275, so does exp((1-gamma) L) without the 1/199.
+        grid = power_grid(efficient_constants(MarketParams(*self.TWO_ASSETS)), (200.0,), w0)
+        ref = self.reference(grid.x[0], grid.y[0], 200.0, w0)
+        assert abs(ref) < np.finfo(float).max
+        assert OUTCOMES[grid.outcome[0]] == "ok"
+        assert grid.utility[0] == pytest.approx(float(ref), rel=1e-12)
+        if w0 == 0.028:
+            assert float(ref) == pytest.approx(-2.4915371240904555e305, rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.floats(0.9, 1.1),
+        q=st.floats(1e-8, 0.1),
+    )
+    def test_agrees_with_mpmath_to_its_conditioning(self, x, q):
+        # Gross means and variance ratios of real markets, where ln x is
+        # small and L's cancellations matter most. Each term of L carries
+        # a few ulps of rounding: that is the error of L itself (gamma =
+        # 1), and exp((1 - gamma) L) turns |1 - gamma| times it into the
+        # result's relative error.
+        y = x * x * (1.0 + q)
+        gammas = np.array([0.5, 1.0, 2.0, 10.0, 100.0, 1e3, 5e3])
+        big, tiny = np.finfo(float).max, np.finfo(float).tiny
+        for w0 in (0.01, 1.0, 100.0):
+            got = _utility(x, y, gammas, w0)
+            assert not np.isnan(got).any()
+            for g, u in zip(gammas, got):
+                ref = self.reference(x, y, g, w0)
+                if abs(ref) > big:
+                    assert u == math.copysign(math.inf, ref)
+                elif abs(ref) < tiny:
+                    assert abs(u) < tiny
+                else:
+                    terms = abs(math.log(w0)) + abs(math.log(x)) + g / 2 * (
+                        abs(math.log(y)) + 2.0 * abs(math.log(x))
+                    )
+                    err_level = 4.0 * EPS * (1.0 + terms)
+                    if g == 1.0:
+                        assert abs(u - float(ref)) <= err_level
+                        continue
+                    rel = abs(1.0 - g) * err_level + 4.0 * EPS * (1.0 + abs(math.log(abs(1.0 - g))))
+                    assert abs(u - float(ref)) <= rel * abs(float(ref))
 
 
 class TestMvEfficiency:

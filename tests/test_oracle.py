@@ -1,6 +1,9 @@
+import ast
+import importlib
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +26,13 @@ from crraport.oracle import (
     _MAX_LEVERAGE,
     _leverage,
     _NegLnCE,
-    _objective,
 )
-from helpers import ill_conditioned_market, market_with_constants, random_market
+from helpers import (
+    ill_conditioned_market,
+    market_with_constants,
+    objective_reference,
+    random_market,
+)
 
 EPS = np.finfo(float).eps
 
@@ -250,7 +257,7 @@ class TestMaximizeNumeric:
                 if np.max(np.abs(full)) > _MAX_LEVERAGE or x <= _DOMAIN_FLOOR:
                     return np.inf
                 y = float(full @ params.sigma @ full) + x * x
-                return -_objective(x, y, gamma, 1.0)
+                return -objective_reference(x, y, gamma, 1.0)
 
             res = scipy.optimize.minimize(
                 neg_objective,
@@ -351,3 +358,23 @@ class TestReducedForms:
                             assert abs(fd2 - a @ hess @ b / (h * h)) <= tol_hess
                     n_points += 1
         assert n_points >= 200
+
+
+def test_oracle_imports_nothing_from_crra():
+    # The oracle checks the closed forms, so it may share none of their
+    # code: no import of crraport.crra, nor of a name defined there.
+    crra = crraport.crra
+    tree = ast.parse(Path(crraport.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("crraport.crra") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "crraport" + ("." + module if module else "")
+            if not module.startswith("crraport"):
+                continue
+            assert module != "crraport.crra"
+            for alias in node.names:
+                obj = getattr(importlib.import_module(module), alias.name)
+                assert obj is not crra and getattr(obj, "__module__", None) != "crraport.crra"
