@@ -15,8 +15,6 @@ __all__ = ["write_csv"]
 # held at once: at 4,096 rows it raised a default study's peak RSS by
 # about 2 MB, at 512 by none measurable, at the same speed.
 CHUNK_ROWS = 512
-# The text of a column of one of these types alone.
-_TEXT = {float: float.__repr__, int: int.__repr__}
 
 
 def write_csv(fh, header, columns) -> None:
@@ -50,8 +48,13 @@ def _write_rows(fh, columns: list) -> None:
 def _cells(column) -> list[str]:
     """The CSV cell text of each value of a column."""
     types = set(map(type, column))
-    if len(types) == 1 and (text := _TEXT.get(next(iter(types)))) is not None:
-        return list(map(text, column))
+    if types == {int}:
+        # Each distinct int is formatted once. Floats are not: -0.0 and
+        # 0.0 are equal keys with different text.
+        text = {value: int.__repr__(value) for value in set(column)}
+        return list(map(text.__getitem__, column))
+    if types == {float}:
+        return list(map(float.__repr__, column))
     cells = ["" if value is None else str(value) for value in column]
     if not any(char in "".join(cells) for char in ',"\n'):
         return cells

@@ -128,11 +128,14 @@ class FrontierConstants:
         """Frontier portfolios ``w_gmv + t tilt``; ``t`` has the batch's shape."""
         return self.w_gmv + np.asarray(t)[..., None] * self.tilt
 
-    def returns_at(self, gross: np.ndarray, assets: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def returns_at(self, gross: np.ndarray, assets: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Realized gross returns of the frontier portfolios
         ``w_gmv + t tilt`` at coordinates ``t`` (batch + (G,)), for
         markets made of the columns ``assets`` (batch + (k,)) of one panel
-        of gross returns ``gross`` (n, K), as batch + (G, n).
+        of gross returns ``gross`` (n, K), written into ``out``
+        (batch + (G, n)) and returned. The caller owns the buffer: the
+        study, for one, passes each chunk of markets the same workspace,
+        sized by its per-cell budget.
 
         Two dot products per market and period, whatever G, of the panel's
         row and the weights scattered to its full width; unlike a matrix
@@ -143,7 +146,7 @@ class FrontierConstants:
             weights, assets[..., None, :], np.stack((self.w_gmv, self.tilt), axis=-2), axis=-1
         )
         base, slope = np.moveaxis(np.vecdot(weights[..., None, :], gross), -2, 0)
-        out = t[..., None] * slope[..., None, :]
+        np.multiply(t[..., None], slope[..., None, :], out=out)
         out += base[..., None, :]
         return out
 

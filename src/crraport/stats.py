@@ -18,6 +18,7 @@ __all__ = [
     "normal_cdf",
     "shapiro_wilk",
     "shapiro_wilk_rows",
+    "shapiro_wilk_sorted",
     "quantile",
     "quantile_columns",
 ]
@@ -142,18 +143,26 @@ def shapiro_wilk_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[1]
     if n < 3 or n > 5000:
         raise ValueError("sample size must be in [3, 5000]")
-    if not np.all(np.isfinite(x)):
+    return shapiro_wilk_sorted(np.sort(x, axis=1))
+
+
+def shapiro_wilk_sorted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``shapiro_wilk_rows`` of rows already sorted ascending, (m, n)
+    with 3 <= n <= 5000, centred in place: ``x`` holds each row minus
+    its mean afterwards. Raises ValueError unless every value is finite,
+    which it reads off the first and last columns (NaN sorts last)."""
+    if not (np.isfinite(x[:, 0]).all() and np.isfinite(x[:, -1]).all()):
         raise ValueError("sample must contain only finite values")
-    x = np.sort(x, axis=1)
+    n = x.shape[1]
     coef = _sw_coefficients(n)
     n2 = coef.size
 
     # A per-row reduction, not a matrix-vector product: BLAS gemv would
     # make a row's rounding depend on how many rows share the call.
     sax = np.vecdot(x[:, : -n2 - 1 : -1] - x[:, :n2], coef)
-    centred = x - x.mean(axis=1, keepdims=True)
-    ssx = np.einsum("ij,ij->i", centred, centred)
     flat = x[:, -1] - x[:, 0] <= 0.0
+    x -= x.mean(axis=1, keepdims=True)
+    ssx = np.einsum("ij,ij->i", x, x)
     with np.errstate(all="ignore"):
         w = np.minimum(sax * sax / ssx, 1.0)
         p = _sw_p_values(w, n)

@@ -11,18 +11,19 @@ and optimal portfolios of the first-k-assets market on its frontier.
 The panel's gross means and covariance are estimated once per run; a
 subset's are the matching entries of those, so no subset is
 re-estimated. Each k is solved in batched passes over blocks of its
-sampled subsets (sized so memory stays bounded whatever the cap). A
-block of B subsets gathers its means (B, k) and covariances (B, k, k)
-and goes through the library's batch calls on arrays: Cholesky factors,
-frontier constants and gamma_min (B,), the closed-form grid (B, G), the
-realized gross returns of every optimum (B, G, n) over the whole panel,
-one Shapiro-Wilk call on every solved cell, and the naive and Sharpe
+sampled subsets (sized by their per-market arrays, so a default k is one
+block). A block of B subsets gathers its means (B, k) and covariances
+(B, k, k) and goes through the library's batch calls on arrays: Cholesky
+factors, frontier constants and gamma_min (B,), the closed-form grid
+(B, G), the realized gross returns of every optimum over the whole
+panel, written a chunk of markets at a time into one workspace where
+Shapiro-Wilk tests their logs in place, and the naive and Sharpe
 utilities (B, G). The first-k market is the same solve with B = 1. The
 optimum at each gamma is ``w_gmv + t tilt`` and the Sharpe portfolio
 that line's gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so
 both come from the market's one set of frontier constants. A market's
-results are bitwise the same whatever block it runs in, and agree with
-its own ``estimate_params`` solve to rounding.
+results are bitwise the same whatever block or chunk it runs in, and
+agree with its own ``estimate_params`` solve to rounding.
 
 Each k's p-value quantiles, one column per gamma, come from one
 ``quantile_columns`` call. The report keeps each table as columns, one
@@ -65,7 +66,7 @@ from .market import (
     subset_rows,
     synth_market,
 )
-from .stats import quantile_columns, shapiro_wilk_rows
+from .stats import quantile_columns, shapiro_wilk_sorted
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "default_synth_spec"]
 
@@ -118,10 +119,10 @@ _FRONTIER_CODES = np.array(
     ]
 )
 
-# Subsets are solved in blocks whose largest arrays, the realized returns
-# (B, G, n), the covariances (B, k, k) and the full-width weights
-# (B, 2, K) with their returns (B, 2, n), hold at most this many values,
-# so memory stays bounded whatever the subset cap.
+# Two budgets of this many values bound memory whatever the subset cap:
+# that of a block's per-market arrays, (B, k, k), (B, 2, K), (B, 2, n)
+# and (B, G), and that of the per-cell stage's workspace (C, G, n). Each
+# holds at least one market.
 _BLOCK_VALUES = 2**17
 
 # Stages timed into summary.json's timings_s.
@@ -310,12 +311,15 @@ def _load_source(cfg: StudyConfig) -> tuple[ReturnMatrix, str]:
     return synth_market(cfg.synth, cfg.seed), f"synth:k={cfg.synth.k},n={cfg.synth.n}"
 
 
-def _panel(returns: ReturnMatrix) -> SimpleNamespace:
+def _panel(returns: ReturnMatrix, n_gammas: int) -> SimpleNamespace:
     """A returns panel's ``gross`` returns (n, K) and their sample means
     ``mu`` (K,) and covariance ``sigma`` (K, K), estimated once for every
-    subset market of a run."""
+    subset market of a run; and the ``workspace`` (C, G, n) that every
+    chunk of C markets' realized returns reuses."""
     mu, sigma = sample_moments(returns)
-    return SimpleNamespace(gross=returns.values + 1.0, mu=mu, sigma=sigma)
+    n = returns.n_periods
+    workspace = np.empty((max(1, _BLOCK_VALUES // (n_gammas * n)), n_gammas, n))
+    return SimpleNamespace(gross=returns.values + 1.0, mu=mu, sigma=sigma, workspace=workspace)
 
 
 def _solve_markets(
@@ -374,19 +378,20 @@ def _append_cells(table: dict, k: int, m: SimpleNamespace, subset_index: np.ndar
 def _subsets_pass(
     tables: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
 ) -> None:
-    """Solve one k's subsets (B, k) of ``panel`` block by block and
+    """Solve one k's subsets (S, k) of ``panel`` block by block and
     append their rows."""
     (n_periods, n_assets), n_gammas = panel.gross.shape, len(cfg.gamma_grid)
-    per_market = max(n_gammas * n_periods, k * k, 2 * max(n_periods, n_assets))
-    block = max(1, _BLOCK_VALUES // per_market)
-    blocks = [
-        _solve_block(tables, k, panel, subsets[i : i + block], i, cfg, clock)
-        for i in range(0, len(subsets), block)
-    ]
-    exists, mv_ok, p_values = (np.concatenate(parts) for parts in zip(*blocks))
+    block = max(1, _BLOCK_VALUES // max(k * k, 2 * max(n_periods, n_assets), n_gammas))
+    # The coded markets' rows stay NaN, which quantile_columns skips.
+    p_values = np.full((len(subsets), n_gammas), np.nan)
+    n_eval, violated = 0, np.zeros((2, n_gammas), dtype=np.int64)
+    for first in range(0, len(subsets), block):
+        rows = slice(first, first + block)
+        exists, mv_ok = _solve_block(tables, k, panel, subsets[rows], first, cfg, clock, p_values[rows])
+        n_eval += len(exists)
+        violated += np.stack((~exists, ~(exists & mv_ok[:, None]))).sum(axis=1)
 
-    n_eval = len(exists)
-    fails = {"rate_gamma_min_violated": ~exists, "rate_mv_violated": ~(exists & mv_ok[:, None])}
+    rate_gamma_min, rate_mv = ([f / n_eval if n_eval else None for f in row] for row in violated.tolist())
     _append(
         tables["condition_failure_rates"],
         n_gammas,
@@ -394,10 +399,8 @@ def _subsets_pass(
         gamma=list(cfg.gamma_grid),
         n_subsets=len(subsets),
         n_evaluated=n_eval,
-        **{
-            name: [f / n_eval if n_eval else None for f in mask.sum(axis=0).tolist()]
-            for name, mask in fails.items()
-        },
+        rate_gamma_min_violated=rate_gamma_min,
+        rate_mv_violated=rate_mv,
     )
     n_levels = len(cfg.quantiles)
     n, values = quantile_columns(p_values, cfg.quantiles)
@@ -416,30 +419,47 @@ def _subsets_pass(
 
 def _solve_block(
     tables: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, first: int, cfg: StudyConfig,
-    clock: _Stopwatch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    clock: _Stopwatch, p_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve a block of subsets (B, k) of ``panel``, the first of them
-    subset ``first``, and append their cell and strategy rows. Returns,
-    for the markets without a market-level code, where gamma reaches
-    gamma_min (B_good, G), where r_gmv > 0 (B_good,) and the p-values of
-    the tested cells (B_good, G; NaN elsewhere)."""
+    subset ``first``, and append their cell and strategy rows. Writes the
+    p-values of the tested cells into the rows of ``p_values`` (B, G) of
+    the markets without a market-level code, and returns, for those
+    markets, where gamma reaches gamma_min (B_good, G) and where
+    r_gmv > 0 (B_good,)."""
     m = _solve_markets(panel, subsets, cfg, clock)
     constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
     solved = grid.ok
 
-    p_values = np.full(solved.shape, np.nan)
-    if not 3 <= panel.gross.shape[0] <= 5000:
+    n_periods = panel.gross.shape[0]
+    if not 3 <= n_periods <= 5000:
         codes["sw_sample_size"] = solved
     else:
-        realized = constants.returns_at(panel.gross, m.subsets, grid.t)[solved]
-        clock.lap("realized_returns")
+        # A chunk of markets at a time, through the one workspace: the
+        # log returns are taken and sorted in place, and only a chunk
+        # with an unsolved or nonpositive cell copies the rows it keeps.
+        tested = np.full(solved.shape, np.nan)
         positive = solved.copy()
-        positive[solved] = realized.min(axis=-1) > 0.0
-        realized = realized[positive[solved]]
-        p_values[positive] = shapiro_wilk_rows(np.log(realized, out=realized))[1]
-        clock.lap("shapiro_wilk")
+        chunk = len(panel.workspace)
+        for lo in range(0, len(solved), chunk):
+            cells = slice(lo, lo + chunk)
+            keep = solved[cells]
+            realized = constants[cells].returns_at(
+                panel.gross, m.subsets[cells], grid.t[cells], panel.workspace[: len(keep)]
+            )
+            clock.lap("realized_returns")
+            rows = realized.reshape(-1, n_periods) if keep.all() else realized[keep]
+            above = rows.min(axis=1) > 0.0
+            positive[cells][keep] = above
+            if not above.all():
+                rows = rows[above]
+            np.log(rows, out=rows)
+            rows.sort(axis=1)
+            tested[cells][positive[cells]] = shapiro_wilk_sorted(rows)[1]
+            clock.lap("shapiro_wilk")
+        p_values[m.good] = tested
         codes["nonpositive_realized_gross_return"] = solved & ~positive
-        codes["sw_degenerate"] = positive & np.isnan(p_values)
+        codes["sw_degenerate"] = positive & np.isnan(tested)
 
     n_good, n_assets = m.mu.shape
     naive_w = np.full((n_good, n_assets), 1.0 / n_assets)
@@ -465,7 +485,7 @@ def _solve_block(
         utility_sharpe=sharpe[row, gi],
         utility_optimal=grid.utility[row, gi],
     )
-    return ~codes["below_gamma_min"], constants.r_gmv > 0.0, p_values
+    return ~codes["below_gamma_min"], constants.r_gmv > 0.0
 
 
 def _frontier_pass(tables: dict, k: int, panel: SimpleNamespace, cfg: StudyConfig, clock: _Stopwatch) -> None:
@@ -497,7 +517,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         raise ValueError("k_range exceeds the number of assets in the data")
 
     clock = _Stopwatch()
-    panel = _panel(returns)
+    panel = _panel(returns, len(cfg.gamma_grid))
     clock.lap("estimate")
     tables = {name: {col: [] for col in header} for name, header in _CSV_FILES.items()}
     for k in cfg.k_range:

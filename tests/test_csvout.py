@@ -66,6 +66,23 @@ class TestWriteCsv:
             header = ["k", "value", "code"]
             assert _write_csv_bytes(header, columns) == _csv_module_bytes(header, columns), n_rows
 
+    def test_repeated_ints_and_signed_zeros_match_the_csv_module(self):
+        # Int columns of few distinct values, negative and beyond 64 bits,
+        # across chunk boundaries; and float columns where 0.0 and -0.0,
+        # equal as keys, must keep their own text.
+        n_rows = 2 * csvout.CHUNK_ROWS + 3
+        rng = np.random.default_rng(9)
+        ints = [0, 1, -1, 7, -42, 2**63, -(2**63) - 1, 2**70, -(10**30)]
+        columns = [
+            [ints[i] for i in rng.integers(0, len(ints), n_rows)],
+            [-3] * n_rows,
+            [i // 100 - 2 for i in range(n_rows)],
+            [(0.0, -0.0)[i] for i in rng.integers(0, 2, n_rows)],
+            [-0.0 if i % 3 else 0.0 for i in range(n_rows)],
+        ]
+        header = ["ints", "one_int", "runs", "zeros", "zeros_cycle"]
+        assert _write_csv_bytes(header, columns) == _csv_module_bytes(header, columns)
+
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
             _write_csv_bytes(["a", "b"], [[1, 2], [1]])

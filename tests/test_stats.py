@@ -169,6 +169,26 @@ class TestShapiroWilkRows:
         with pytest.raises(ValueError, match="finite"):
             shapiro_wilk_rows([[1.0, 2.0, np.nan]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 7, -1])
+    @pytest.mark.parametrize("n_rows", [1, 40])
+    def test_nonfinite_value_rejected_anywhere(self, bad, position, n_rows):
+        # The check reads only the sorted rows' ends: NaN and +inf sort
+        # last, -inf first, wherever they stood.
+        x = np.random.default_rng(3).normal(0.0, 1.0, (n_rows, 15))
+        x[n_rows // 2, position] = bad
+        before = x.copy()
+        with pytest.raises(ValueError, match="finite"):
+            shapiro_wilk_rows(x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_input_left_unchanged(self):
+        # The kernel centres its sorted rows in place; those are a copy.
+        x = np.random.default_rng(4).normal(0.001, 0.02, (5, 30))
+        before = x.copy()
+        shapiro_wilk_rows(x)
+        np.testing.assert_array_equal(x, before)
+
     @pytest.mark.parametrize("n", [156, 520])
     @pytest.mark.parametrize("rows", [1, 9, 2000])
     def test_row_result_independent_of_batch_size(self, n, rows):

@@ -331,7 +331,7 @@ class TestRunStudy:
         # the Sigma^-1 mu solve, on every evaluated market of a small study.
         cfg = _small_config(tmp_path)
         returns = synth_market(cfg.synth, cfg.seed)
-        panel = _panel(returns)
+        panel = _panel(returns, len(cfg.gamma_grid))
         checked = 0
         for k in cfg.k_range:
             subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
@@ -381,8 +381,12 @@ class TestRunStudy:
         assert not table_rows(report.strategy_utilities)
 
     def test_results_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
-        # Every subset solved alone (blocks of one) and in the default
-        # blocks, k up to all 17 assets: the tables are byte for byte the same.
+        # k up to all 17 assets, in the default blocks (each k one block
+        # and one Shapiro-Wilk chunk) and in small ones: at 2**10 values
+        # blocks of 3 markets tested one at a time, at 3000 blocks of 9
+        # tested in chunks of 4, 4 and 1. The gammas give below_gamma_min
+        # and nonpositive_realized_gross_return cells, so chunks with
+        # untested cells drop them. The tables are byte for byte the same.
         returns = synth_market(default_synth_spec(), seed=5)
         csv_path = tmp_path / "returns.csv"
         lines = [",".join(returns.asset_labels)]
@@ -396,13 +400,28 @@ class TestRunStudy:
             gamma_grid=(0.5, 2.0, 10.0, 1e4),
             output_dir=tmp_path / "default",
         )
-        run_study(cfg)
-        monkeypatch.setattr(study, "_BLOCK_VALUES", 2**10)
-        run_study(replace(cfg, output_dir=tmp_path / "small"))
-        for name in study._CSV_FILES:
-            assert filecmp.cmp(
-                tmp_path / "default" / f"{name}.csv", tmp_path / "small" / f"{name}.csv", shallow=False
-            ), name
+        report = run_study(cfg)
+        codes = set(report.cell_errors["code"])
+        assert {"below_gamma_min", "nonpositive_realized_gross_return"} <= codes
+        calls = {"block": 0, "chunk": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(study, "_solve_block", counted("block", study._solve_block))
+        monkeypatch.setattr(study, "shapiro_wilk_sorted", counted("chunk", study.shapiro_wilk_sorted))
+        for values in (2**10, 3000):
+            monkeypatch.setattr(study, "_BLOCK_VALUES", values)
+            calls.update(block=0, chunk=0)
+            run_study(replace(cfg, output_dir=tmp_path / str(values)))
+            assert calls["chunk"] > calls["block"] > len(cfg.k_range), values
+            for name in study._CSV_FILES:
+                assert filecmp.cmp(
+                    tmp_path / "default" / f"{name}.csv", tmp_path / str(values) / f"{name}.csv", shallow=False
+                ), (values, name)
 
     def test_panel_with_more_assets_than_periods(self, tmp_path):
         # 12 periods of 20 assets: the panel's covariance is singular, but
