@@ -21,10 +21,12 @@ the frontier portfolio with that mean,
 so one market's ``FrontierConstants`` serve every g and only the scalar
 t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
 (G,) for a batch of markets (B,) at once, on (B, G) arrays, and is the
-one place the optimum is computed; ``power_solution`` is its
-one-market, one-gamma call. Logarithmic utility is its g = 1 case,
-``power_solution(1.0, ...)``, with value L; it exists iff
-gamma_min <= 1. The optimum is mean-variance efficient iff it exists and
+one place the optimum is computed: it codes each cell's first failed
+check, a degenerate frontier included, and raises for no market.
+``power_solution`` is its one-market, one-gamma call, which raises the
+check's error. Logarithmic utility is its g = 1 case,
+``power_solution(1.0, ...)``, with value L; it exists iff one market's
+``gamma_min`` <= 1. The optimum is mean-variance efficient iff it exists and
 r_gmv > 0, it never coincides with the GMV portfolio, and as g ->
 infinity it converges to the Sharpe ratio portfolio while X and V
 decrease monotonically.
@@ -63,10 +65,13 @@ _NONPOS_MEAN_MSG = "optimal mean non-positive; the objective's ln X is undefined
 _PARABOLA_RTOL = 1e-8
 
 # The checks every optimum must pass, in the order they apply, with the
-# error a one-gamma solve raises when one fails. Existence comes first,
-# so a cell is below_gamma_min exactly where gamma >= gamma_min fails.
+# error a one-gamma solve raises when one fails. A degenerate frontier
+# fills a market's every cell; existence comes next, so a cell is
+# below_gamma_min exactly where gamma >= gamma_min fails.
 _CHECKS = (
+    ("degenerate_frontier", ValueError, "degenerate frontier"),
     ("below_gamma_min", ValueError, _NO_SOLUTION_MSG),
+    ("nonfinite_discriminant", ValueError, "gamma is beyond the double range of the closed form"),
     ("discriminant_mismatch", ArithmeticError, "discriminant forms disagree"),
     ("nonpositive_mean", ValueError, _NONPOS_MEAN_MSG),
     (
@@ -140,14 +145,12 @@ def gamma_min(constants: FrontierConstants):
     """Smallest risk aversion for which the power-utility optimum exists.
 
     2s + 2 [ s(1+s) v/r^2 + sqrt(s(1+s)(1 + s v/r^2)(1 + (1+s) v/r^2)) ]
-    with r = r_gmv, v = v_gmv; always exceeds 2s. Undefined for a
-    degenerate frontier (s <= S_MIN) and for r_gmv = 0: one market
-    raises ValueError there, a batch gets NaN for those markets.
+    with r = r_gmv, v = v_gmv, of one market; always exceeds 2s. Raises
+    ValueError for a degenerate frontier (s <= S_MIN) and for r_gmv = 0,
+    where it is undefined. ``power_grid`` codes both per cell instead.
     """
     s, r = constants.s, constants.r_gmv
-    if np.ndim(s):
-        return np.where(~(s > S_MIN) | (r == 0.0), np.nan, _threshold(r, s, constants.v_gmv))
-    if s <= S_MIN:
+    if not s > S_MIN:
         raise ValueError("degenerate frontier")
     if r == 0.0:
         raise ValueError("existence threshold undefined for r_gmv = 0")
@@ -186,25 +189,24 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
 
     Each gamma gets the smaller root of the optimal-mean quadratic, its
     second moment, frontier coordinate and expected utility, and the
-    first check it fails, if any: gamma >= gamma_min (as ``gamma_min``
-    gives it; never for r_gmv = 0), the discriminant forms agree, x > 0
-    (so r_gmv > 0), y > 0, the utility is not NaN, the point lies on the parabola, and it
-    is not the GMV portfolio. Raises ValueError for a nonpositive gamma or
-    wealth and if any market has a degenerate frontier.
+    first check it fails, if any: s > S_MIN (which NaN constants fail),
+    gamma >= gamma_min (as ``gamma_min`` gives it; never for r_gmv = 0),
+    a finite discriminant (its squares overflow past gamma ~ 1e154), its
+    two forms agree, x > 0 (so r_gmv > 0), y > 0, the utility is not NaN,
+    the point lies on the parabola, and it is not the GMV portfolio.
+    Raises ValueError only for a nonpositive gamma or wealth.
     """
     g = np.array(gammas, dtype=float).ravel()
     if not np.all(g > 0.0):
         raise ValueError("relative risk aversion must be positive")
     if not w0 > 0.0:
         raise ValueError("initial wealth must be positive")
-    if not np.all(constants.s > S_MIN):
-        raise ValueError("degenerate frontier")
     r, s, v = (
         np.asarray(c)[..., None] for c in (constants.r_gmv, constants.s, constants.v_gmv)
     )
-    d, mismatch = _discriminants(g, r, s, v)
-    below = ~(g >= _threshold(r, s, v))
     with np.errstate(all="ignore"):
+        d, mismatch = _discriminants(g, r, s, v)
+        below = ~(g >= _threshold(r, s, v))
         sq = np.sqrt(np.maximum(d, 0.0))
         # The smaller root in conjugate form: no cancellation as gamma
         # grows large. For r < 0, sq < (gamma+2)|r| makes the denominator
@@ -231,7 +233,9 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
             np.maximum(1.0, y), x * x
         )
         failed = (
+            np.broadcast_to(~(s > S_MIN), d.shape),
             below,
+            ~np.isfinite(d),
             mismatch,
             ~(x > 0.0) | ~(r > 0.0),
             ~(y > 0.0),

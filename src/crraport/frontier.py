@@ -18,13 +18,15 @@ Shorting is allowed throughout: feasible means w'1 = 1.
 The constants carry leading batch axes: ``efficient_constants_rows``
 solves a stack of markets (B,) at once and codes each market's failed
 check in ``outcome``; ``efficient_constants`` is its one-market call
-(batch shape ``()``), which raises instead.
+(batch shape ``()``), which raises instead. ``weights_at`` and
+``period_returns`` (a panel's returns of the GMV portfolio and the tilt)
+act on the whole batch.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from .market import MarketParams, cho_solve_rows
@@ -128,31 +130,19 @@ class FrontierConstants:
         """Frontier portfolios ``w_gmv + t tilt``; ``t`` has the batch's shape."""
         return self.w_gmv + np.asarray(t)[..., None] * self.tilt
 
-    def returns_at(self, gross: np.ndarray, assets: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Realized gross returns of the frontier portfolios
-        ``w_gmv + t tilt`` at coordinates ``t`` (batch + (G,)), for
-        markets made of the columns ``assets`` (batch + (k,)) of one panel
-        of gross returns ``gross`` (n, K), written into ``out``
-        (batch + (G, n)) and returned. The caller owns the buffer: the
-        study, for one, passes each chunk of markets the same workspace,
-        sized by its per-cell budget.
-
-        Two dot products per market and period, whatever G, of the panel's
-        row and the weights scattered to its full width; unlike a matrix
-        product's, they do not depend on the rest of the batch.
-        """
+    def period_returns(self, gross: np.ndarray, assets: np.ndarray) -> np.ndarray:
+        """Realized gross returns ``base, slope`` (batch + (2, n)) of the
+        GMV portfolio and the tilt of markets made of the columns
+        ``assets`` (batch + (k,)) of a panel of gross returns ``gross``
+        (n, K); the frontier portfolio at t returns ``t * slope + base``.
+        Dot products of the panel's rows and the weights scattered to its
+        full width: unlike a matrix product's, they do not depend on the
+        rest of the batch."""
         weights = np.zeros(self.tilt.shape[:-1] + (2, gross.shape[-1]))
         np.put_along_axis(
             weights, assets[..., None, :], np.stack((self.w_gmv, self.tilt), axis=-2), axis=-1
         )
-        base, slope = np.moveaxis(np.vecdot(weights[..., None, :], gross), -2, 0)
-        np.multiply(t[..., None], slope[..., None, :], out=out)
-        out += base[..., None, :]
-        return out
-
-    def __getitem__(self, index) -> "FrontierConstants":
-        """The markets ``index`` selects along the batch axes."""
-        return FrontierConstants(*(getattr(self, f.name)[index] for f in fields(self)))
+        return np.vecdot(weights[..., None, :], gross)
 
 
 def _first_failures(failed: tuple, values: tuple) -> tuple:
@@ -256,8 +246,10 @@ def portfolio_moments_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected gross returns w'mu and variances w'Sigma w (floored at 0)
     of portfolios ``w`` (..., k) in markets ``mu`` (..., k) and
-    ``sigma`` (..., k, k)."""
-    x = np.vecdot(w, mu)
-    v = np.vecdot(np.vecmat(w, sigma), w)
+    ``sigma`` (..., k, k); non-finite weights, such as the Sharpe
+    portfolio's where r_gmv = 0, may give NaN."""
+    with np.errstate(invalid="ignore"):
+        x = np.vecdot(w, mu)
+        v = np.vecdot(np.vecmat(w, sigma), w)
     return x, np.maximum(v, 0.0)
 

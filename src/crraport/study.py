@@ -14,14 +14,16 @@ re-estimated. Each k is solved in batched passes over blocks of its
 sampled subsets (sized by their per-market arrays, so a default k is one
 block). A block of B subsets gathers its means (B, k) and covariances
 (B, k, k) and goes through the library's batch calls on arrays: Cholesky
-factors, frontier constants and gamma_min (B,), the closed-form grid
-(B, G), the realized gross returns of every optimum over the whole
-panel, written a chunk of markets at a time into one workspace where
-Shapiro-Wilk tests their logs in place, and the naive and Sharpe
-utilities (B, G). The first-k market is the same solve with B = 1. The
-optimum at each gamma is ``w_gmv + t tilt`` and the Sharpe portfolio
-that line's gamma -> infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so
-both come from the market's one set of frontier constants. A market's
+factors and frontier constants (B,), the closed-form grid (B, G), whose
+outcome codes degenerate and below-gamma_min markets, each market's
+GMV and tilt returns over the whole panel (B, 2, n), from which the
+realized gross returns of the solved cells only are written a chunk of
+cells at a time into one workspace where Shapiro-Wilk tests their logs
+in place, and the naive and Sharpe utilities (B, G). The first-k market
+is the same solve with B = 1. The optimum at each gamma is
+``w_gmv + t tilt`` and the Sharpe portfolio that line's gamma ->
+infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come from the
+market's one set of frontier constants. A market's
 results are bitwise the same whatever block or chunk it runs in, and
 agree with its own ``estimate_params`` solve to rounding.
 
@@ -50,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .crra import OUTCOMES, gamma_min, objective_rows, power_grid
+from .crra import OUTCOMES, objective_rows, power_grid
 from .csvout import write_csv
 from .frontier import (
     FRONTIER_ERRORS,
@@ -121,9 +123,10 @@ _FRONTIER_CODES = np.array(
 
 # Two budgets of this many values bound memory whatever the subset cap:
 # that of a block's per-market arrays, (B, k, k), (B, 2, K), (B, 2, n)
-# and (B, G), and that of the per-cell stage's workspace (C, G, n). Each
-# holds at least one market.
-_BLOCK_VALUES = 2**17
+# and (B, G), and that of the per-cell stage's workspace (C, n) of C
+# solved cells. Each holds at least one market or cell. At 2**17 the
+# workspace and its two (C, n) operands outgrew a 2 MiB L2 cache.
+_BLOCK_VALUES = 2**16
 
 # Stages timed into summary.json's timings_s.
 _STAGES = ("estimate", "constants", "grid", "realized_returns", "shapiro_wilk", "utilities", "csv_write")
@@ -311,14 +314,14 @@ def _load_source(cfg: StudyConfig) -> tuple[ReturnMatrix, str]:
     return synth_market(cfg.synth, cfg.seed), f"synth:k={cfg.synth.k},n={cfg.synth.n}"
 
 
-def _panel(returns: ReturnMatrix, n_gammas: int) -> SimpleNamespace:
+def _panel(returns: ReturnMatrix) -> SimpleNamespace:
     """A returns panel's ``gross`` returns (n, K) and their sample means
     ``mu`` (K,) and covariance ``sigma`` (K, K), estimated once for every
-    subset market of a run; and the ``workspace`` (C, G, n) that every
-    chunk of C markets' realized returns reuses."""
+    subset market of a run; and the ``workspace`` (C, n) that every chunk
+    of C cells' realized returns reuses."""
     mu, sigma = sample_moments(returns)
     n = returns.n_periods
-    workspace = np.empty((max(1, _BLOCK_VALUES // (n_gammas * n)), n_gammas, n))
+    workspace = np.empty((max(1, _BLOCK_VALUES // n), n))
     return SimpleNamespace(gross=returns.values + 1.0, mu=mu, sigma=sigma, workspace=workspace)
 
 
@@ -326,38 +329,38 @@ def _solve_markets(
     panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
 ) -> SimpleNamespace:
     """Gather the moments of a stack of column subsets (B, k) of
-    ``panel``, build their frontier constants, code the degenerate ones
-    (where gamma_min is NaN), and solve the gamma grid for the others;
-    their ``below_gamma_min`` codes are ``power_grid``'s outcome.
+    ``panel``, build their frontier constants and solve the gamma grid
+    for every market.
 
     Returns each market's market-level ``code`` (an index into
-    ``_CODES``, or -1) and, for the ``good`` markets without one, their
-    ``subsets``, ``mu``, ``sigma``, ``constants``, ``grid`` and per-gamma
-    ``codes``, (B_good, G) masks by name.
+    ``_CODES``, or -1 for the ``good`` markets), its ``mu``, ``sigma``,
+    ``constants`` and ``grid``, and the good markets' ``solved`` cells and
+    per-gamma ``codes``, (B, G) masks by name.
     """
     mu, sigma, lower, chol_ok = subset_rows(panel.mu, panel.sigma, subsets)
     clock.lap("estimate")
     constants = efficient_constants_rows(mu, lower)
-    code = _FRONTIER_CODES[constants.outcome]
-    code[(code < 0) & np.isnan(gamma_min(constants))] = _CODES.index("degenerate_frontier")
-    code[~chol_ok] = _CODES.index("singular_covariance")
-    good = code < 0
     clock.lap("constants")
     gammas = np.array(cfg.gamma_grid)
-    constants = constants[good]
     grid = power_grid(constants, gammas, cfg.w0)
-    below = grid.outcome == OUTCOMES.index("below_gamma_min")
+    code = _FRONTIER_CODES[constants.outcome]
+    degenerate = grid.outcome[:, 0] == OUTCOMES.index("degenerate_frontier")
+    code[(code < 0) & degenerate] = _CODES.index("degenerate_frontier")
+    code[~chol_ok] = _CODES.index("singular_covariance")
+    good = code < 0
+    solved = grid.ok & good[:, None]
+    below = (grid.outcome == OUTCOMES.index("below_gamma_min")) & good[:, None]
     clock.lap("grid")
     return SimpleNamespace(
         gammas=gammas,
         code=code,
         good=good,
-        subsets=subsets[good],
-        mu=mu[good],
-        sigma=sigma[good],
+        mu=mu,
+        sigma=sigma,
         constants=constants,
         grid=grid,
-        codes={"below_gamma_min": below, "solve_failed": ~below & ~grid.ok},
+        solved=solved,
+        codes={"below_gamma_min": below, "solve_failed": good[:, None] & ~below & ~solved},
     )
 
 
@@ -365,11 +368,10 @@ def _append_cells(table: dict, k: int, m: SimpleNamespace, subset_index: np.ndar
     """A cell_errors row per code of every cell of ``_solve_markets``'
     markets ``m``: market by market, gamma by gamma, and within a cell in
     the order of ``_CODES``."""
-    flags = np.zeros((m.code.size, m.gammas.size, len(_CODES)), dtype=bool)
+    none = np.zeros(m.solved.shape, dtype=bool)
+    flags = np.stack([m.codes.get(c, none) for c in _CODES], axis=-1)
     coded = np.flatnonzero(~m.good)
     flags[coded, :, m.code[coded]] = True
-    none = np.zeros(m.grid.ok.shape, dtype=bool)
-    flags[m.good] = np.stack([m.codes.get(c, none) for c in _CODES], axis=-1)
     row, gi, ci = np.nonzero(flags)
     codes = [_CODES[c] for c in ci.tolist()]
     _append(table, row.size, k=k, subset_index=subset_index[row], gamma=m.gammas[gi], code=codes)
@@ -423,46 +425,41 @@ def _solve_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve a block of subsets (B, k) of ``panel``, the first of them
     subset ``first``, and append their cell and strategy rows. Writes the
-    p-values of the tested cells into the rows of ``p_values`` (B, G) of
-    the markets without a market-level code, and returns, for those
-    markets, where gamma reaches gamma_min (B_good, G) and where
-    r_gmv > 0 (B_good,)."""
+    p-values of the tested cells into ``p_values`` (B, G), and returns,
+    for the markets without a market-level code, where gamma reaches
+    gamma_min (B_good, G) and where r_gmv > 0 (B_good,)."""
     m = _solve_markets(panel, subsets, cfg, clock)
-    constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
-    solved = grid.ok
+    constants, grid, codes, gammas, solved = m.constants, m.grid, m.codes, m.gammas, m.solved
 
     n_periods = panel.gross.shape[0]
     if not 3 <= n_periods <= 5000:
         codes["sw_sample_size"] = solved
     else:
-        # A chunk of markets at a time, through the one workspace: the
-        # log returns are taken and sorted in place, and only a chunk
-        # with an unsolved or nonpositive cell copies the rows it keeps.
-        tested = np.full(solved.shape, np.nan)
-        positive = solved.copy()
+        # The solved cells' realized returns t * slope + base, a chunk at
+        # a time in the one workspace; rows with a nonpositive return are
+        # dropped, the others logged, sorted and tested in place.
+        series = constants.period_returns(panel.gross, subsets)
+        market, gi = np.nonzero(solved)
+        positive = np.zeros_like(solved)
         chunk = len(panel.workspace)
-        for lo in range(0, len(solved), chunk):
-            cells = slice(lo, lo + chunk)
-            keep = solved[cells]
-            realized = constants[cells].returns_at(
-                panel.gross, m.subsets[cells], grid.t[cells], panel.workspace[: len(keep)]
-            )
+        for lo in range(0, market.size, chunk):
+            b, g = market[lo : lo + chunk], gi[lo : lo + chunk]
+            rows = panel.workspace[: b.size]
+            np.multiply(grid.t[b, g][:, None], series[b, 1], out=rows)
+            rows += series[b, 0]
             clock.lap("realized_returns")
-            rows = realized.reshape(-1, n_periods) if keep.all() else realized[keep]
             above = rows.min(axis=1) > 0.0
-            positive[cells][keep] = above
             if not above.all():
-                rows = rows[above]
+                rows, b, g = rows[above], b[above], g[above]
+            positive[b, g] = True
             np.log(rows, out=rows)
             rows.sort(axis=1)
-            tested[cells][positive[cells]] = shapiro_wilk_sorted(rows)[1]
+            p_values[b, g] = shapiro_wilk_sorted(rows)[1]
             clock.lap("shapiro_wilk")
-        p_values[m.good] = tested
         codes["nonpositive_realized_gross_return"] = solved & ~positive
-        codes["sw_degenerate"] = positive & np.isnan(tested)
+        codes["sw_degenerate"] = positive & np.isnan(p_values)
 
-    n_good, n_assets = m.mu.shape
-    naive_w = np.full((n_good, n_assets), 1.0 / n_assets)
+    naive_w = np.full(m.mu.shape, 1.0 / k)
     naive, naive_inside = objective_rows(naive_w, m.mu, m.sigma, gammas, cfg.w0)
     sharpe_w = constants.weights_at(constants.t_sharpe)
     sharpe_defined = feasible_rows(sharpe_w)
@@ -472,7 +469,7 @@ def _solve_block(
     codes["sharpe_undefined"] = solved & ~sharpe_defined[:, None]
     codes["sharpe_outside_domain"] = solved & (sharpe_defined & ~sharpe_inside)[:, None]
 
-    subset_index = first + np.arange(m.code.size)
+    subset_index = first + np.arange(len(subsets))
     _append_cells(tables["cell_errors"], k, m, subset_index)
     row, gi = np.nonzero(solved & (naive_inside & sharpe_defined & sharpe_inside)[:, None])
     _append(
@@ -480,12 +477,12 @@ def _solve_block(
         row.size,
         k=k,
         gamma=gammas[gi],
-        subset_index=subset_index[m.good][row],
+        subset_index=subset_index[row],
         utility_naive=naive[row, gi],
         utility_sharpe=sharpe[row, gi],
         utility_optimal=grid.utility[row, gi],
     )
-    return ~codes["below_gamma_min"], constants.r_gmv > 0.0
+    return ~codes["below_gamma_min"][m.good], constants.r_gmv[m.good] > 0.0
 
 
 def _frontier_pass(tables: dict, k: int, panel: SimpleNamespace, cfg: StudyConfig, clock: _Stopwatch) -> None:
@@ -517,7 +514,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         raise ValueError("k_range exceeds the number of assets in the data")
 
     clock = _Stopwatch()
-    panel = _panel(returns, len(cfg.gamma_grid))
+    panel = _panel(returns)
     clock.lap("estimate")
     tables = {name: {col: [] for col in header} for name, header in _CSV_FILES.items()}
     for k in cfg.k_range:

@@ -52,6 +52,23 @@ class TestSolve:
         assert code == 2
         assert "below gamma_min" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("gamma", ["1e160", "inf"])
+    def test_gamma_beyond_double_range_prints_one_json_line(self, market_file, gamma):
+        # The optimum exists (gamma >= gamma_min), but the discriminant's
+        # squares overflow: no overflow warning and no false
+        # "optimal mean non-positive" on stderr, just the one error line.
+        argv = ["solve", "--market", market_file, "--gamma", gamma]
+        proc = subprocess.run(
+            [sys.executable, "-m", "crraport.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(crraport.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {"error": "gamma is beyond the double range of the closed form"}
+
     def test_missing_market_source(self, capsys):
         code, _, err = _run(capsys, ["solve", "--gamma", "3"])
         assert code == 2
@@ -195,6 +212,16 @@ class TestVerify:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["status"] == "pass" for r in records)
         assert all(r["weight_gap"] <= 1e-5 for r in records)
+
+    def test_gamma_beyond_utility_double_range_passes(self, capsys):
+        # At 1e4 and 1e6 both expected utilities of the default synth are
+        # -inf (beyond the double range); their ln CE stays finite.
+        argv = ["verify", "--synth", "default", "--seed", "7", "--gammas", "1e4,1e6", "--n-starts", "6"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["status"] for r in records] == ["pass", "pass"]
+        assert all(0.0 <= r["ln_ce_gap_rel"] <= 1e-9 for r in records)
 
     def test_below_threshold_skipped(self, capsys, market_file):
         code, out, _ = _run(

@@ -356,24 +356,36 @@ class TestPowerGrid:
         )
         gammas = [0.5, 2.0, 7.0, 1e4]
         grid = power_grid(con, gammas)
-        gm = gamma_min(con)
         assert grid.x.shape == grid.outcome.shape == (6, 4)
         for b, params in enumerate(markets):
-            one = efficient_constants(params)
-            ref = power_grid(one, gammas)
+            ref = power_grid(efficient_constants(params), gammas)
             for name in ("x", "y", "t", "utility", "outcome"):
                 assert np.array_equal(getattr(grid, name)[b], getattr(ref, name), equal_nan=True)
-            assert gm[b] == gamma_min(one)
 
-    def test_gamma_min_batch_gives_nan_where_undefined(self):
+    def test_degenerate_and_zero_r_gmv_markets_are_coded_in_a_batch(self):
+        # A flat market (equal means, s = 0) and one with r_gmv = 0 sit in
+        # one batch with ordinary markets: each is coded at every gamma,
+        # and the others keep their one-market grids bit for bit.
+        rng = np.random.default_rng(35)
         flat = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
-        ok = MarketParams([1.05, 1.15], np.diag([0.01, 0.04]))
-        con = efficient_constants_rows(np.stack([flat.mu, ok.mu]), np.stack([flat.lower, ok.lower]))
-        gm = gamma_min(con)
-        assert np.isnan(gm[0]) and gm[1] == gamma_min(efficient_constants(ok))
-        with pytest.raises(ValueError, match="degenerate frontier"):
-            power_grid(con, [2.0])
-        assert power_grid(con[1:], [2.0]).ok.all()
+        zero = MarketParams([0.04, -0.16], np.diag([0.01, 0.04]))
+        markets = [random_market(rng, 2), flat, random_market(rng, 2), zero, random_market(rng, 2)]
+        con = efficient_constants_rows(
+            np.stack([m.mu for m in markets]), np.stack([m.lower for m in markets])
+        )
+        assert con.s[1] == 0.0 and con.r_gmv[3] == 0.0
+        gammas = [0.5, 1.0, 2.0, 7.0, 1e4, 1e8]
+        grid = power_grid(con, gammas)
+        assert [OUTCOMES[c] for c in grid.outcome[1]] == ["degenerate_frontier"] * len(gammas)
+        assert [OUTCOMES[c] for c in grid.outcome[3]] == ["below_gamma_min"] * len(gammas)
+        assert np.isnan(grid.x[[1, 3]]).all() and np.isnan(grid.t[[1, 3]]).all()
+        for b in (0, 2, 4):
+            ref = power_grid(efficient_constants(markets[b]), gammas)
+            assert ref.ok.any()
+            for name in ("x", "y", "t", "utility", "outcome"):
+                assert np.array_equal(getattr(grid, name)[b], getattr(ref, name), equal_nan=True)
+        with pytest.raises(ValueError, match="^degenerate frontier$"):
+            power_solution(2.0, flat)
 
     def test_outcomes_name_the_failed_check(self, worked_market):
         con = efficient_constants(worked_market)
@@ -453,9 +465,6 @@ class TestPowerGrid:
         for w0 in (0.0, math.nan):
             with pytest.raises(ValueError, match="wealth"):
                 power_grid(con, [2.0], w0=w0)
-        flat = efficient_constants(MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4])))
-        with pytest.raises(ValueError, match="degenerate frontier"):
-            power_grid(flat, [2.0])
 
     def test_levered_market_near_threshold(self):
         params = MarketParams(*LEVERED_MARKET)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -331,7 +332,7 @@ class TestRunStudy:
         # the Sigma^-1 mu solve, on every evaluated market of a small study.
         cfg = _small_config(tmp_path)
         returns = synth_market(cfg.synth, cfg.seed)
-        panel = _panel(returns, len(cfg.gamma_grid))
+        panel = _panel(returns)
         checked = 0
         for k in cfg.k_range:
             subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
@@ -339,10 +340,10 @@ class TestRunStudy:
             markets = _solve_markets(panel, np.array(subsets), cfg, _Stopwatch())
             con = markets.constants
             study_w = con.weights_at(con.t_sharpe)
-            for row, si in enumerate(np.flatnonzero(markets.good)):
+            for si in np.flatnonzero(markets.good):
                 params = estimate_params(ReturnMatrix(returns.values[:, list(subsets[si])]))
                 ref = sharpe_weights(params).w
-                gap = np.max(np.abs(study_w[row] - ref))
+                gap = np.max(np.abs(study_w[si] - ref))
                 assert gap <= 1e-12 * np.abs(ref).sum(), (k, subsets[si])
                 checked += 1
         assert checked == 2 * (cfg.n_subsets_cap + 1)
@@ -380,13 +381,39 @@ class TestRunStudy:
         assert {e["code"] for e in table_rows(report.cell_errors)} == {"degenerate_frontier"}
         assert not table_rows(report.strategy_utilities)
 
+    def test_zero_r_gmv_market_is_below_gamma_min_at_every_gamma(self, tmp_path):
+        # Dyadic returns whose sample moments are exact: gross means
+        # 0.0625 and -0.25, variances 1/64 and 1/16 and no covariance, so
+        # 1' Sigma^-1 mu = 4 - 4 = 0. The slope is positive; only the
+        # threshold is infinite, so the market is evaluated and no gamma
+        # reaches it. Its Sharpe portfolio is undefined.
+        d1, d2 = [1, -1, 1, -1, 0], [1, 1, -1, -1, 0]
+        csv_path = tmp_path / "zero_r_gmv.csv"
+        lines = ["x,y"] + [f"{-0.9375 + 0.125 * a!r},{-1.25 + 0.25 * b!r}" for a, b in zip(d1, d2)]
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = _small_config(tmp_path, synth=None, data_csv=csv_path, k_range=(2,), gamma_grid=(2.0, 1e8))
+        report = run_study(cfg)
+        assert table_rows(report.cell_errors) == [
+            {"k": 2, "subset_index": 0, "gamma": 2.0, "code": "below_gamma_min"},
+            {"k": 2, "subset_index": 0, "gamma": 1e8, "code": "below_gamma_min"},
+            {"k": 2, "subset_index": -1, "gamma": None, "code": "sharpe_undefined"},
+            {"k": 2, "subset_index": -1, "gamma": 2.0, "code": "below_gamma_min"},
+            {"k": 2, "subset_index": -1, "gamma": 1e8, "code": "below_gamma_min"},
+        ]
+        rates = table_rows(report.condition_failure_rates)
+        assert [(r["n_evaluated"], r["rate_gamma_min_violated"]) for r in rates] == [(1, 1.0), (1, 1.0)]
+        assert table_rows(report.frontier_locations) == [
+            {"k": 2, "portfolio": "gmv", "gamma": None, "x": 0.0, "v": 0.0125}
+        ]
+
     def test_results_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
         # k up to all 17 assets, in the default blocks (each k one block
         # and one Shapiro-Wilk chunk) and in small ones: at 2**10 values
-        # blocks of 3 markets tested one at a time, at 3000 blocks of 9
-        # tested in chunks of 4, 4 and 1. The gammas give below_gamma_min
-        # and nonpositive_realized_gross_return cells, so chunks with
-        # untested cells drop them. The tables are byte for byte the same.
+        # blocks of 3 markets whose solved cells are tested 6 at a time,
+        # at 3000 blocks of 9 tested 19 cells at a time. The gammas give
+        # below_gamma_min and nonpositive_realized_gross_return cells, so
+        # chunks drop nonpositive rows. The tables are byte for byte the
+        # same.
         returns = synth_market(default_synth_spec(), seed=5)
         csv_path = tmp_path / "returns.csv"
         lines = [",".join(returns.asset_labels)]
@@ -444,10 +471,12 @@ class TestRunStudy:
 
 def _check_subsets_against_reference(tmp_path, panel, k_range, gammas, singular):
     """Run a CSV-source study of ``panel`` and check every sampled subset:
-    those ``singular`` says are coded singular_covariance at every gamma,
-    and the others' optimal utilities match ``estimate_params`` and
-    ``power_solution`` on their own columns. Returns the numbers of
-    singular subsets and of solved cells checked."""
+    those ``singular`` says are coded singular_covariance at every gamma
+    and have no other row, and the others' optimal utilities match
+    ``estimate_params`` and ``power_solution`` on their own columns. Each
+    (k, gamma)'s p-value count is that of the other subsets' solved cells
+    that Shapiro-Wilk tested. Returns the numbers of singular subsets and
+    of solved cells checked."""
     csv_path = tmp_path / "panel.csv"
     lines = [",".join(f"a{j}" for j in range(panel.shape[1]))]
     lines += [",".join(repr(float(v)) for v in row) for row in panel]
@@ -459,13 +488,17 @@ def _check_subsets_against_reference(tmp_path, panel, k_range, gammas, singular)
         (r["k"], r["subset_index"], r["gamma"]): r["utility_optimal"]
         for r in table_rows(report.strategy_utilities)
     }
+    n_tested = {(r["k"], r["gamma"]): r["n"] for r in table_rows(report.pvalue_quantiles)}
+    untested = {"nonpositive_realized_gross_return", "sw_degenerate"}
     values = load_returns_csv(csv_path).values
     n_singular = n_solved = 0
     for k in cfg.k_range:
+        tested = Counter()
         for si, sub in enumerate(_draw_subsets(panel.shape[1], k, cfg.n_subsets_cap, cfg.seed)):
             codes = {(e["gamma"], e["code"]) for e in cells if (e["k"], e["subset_index"]) == (k, si)}
             if singular(sub):
                 assert codes == {(g, "singular_covariance") for g in cfg.gamma_grid}, (k, sub)
+                assert not any((k, si, g) in utility for g in cfg.gamma_grid), (k, sub)
                 n_singular += 1
                 continue
             assert "singular_covariance" not in {code for _, code in codes}
@@ -477,5 +510,7 @@ def _check_subsets_against_reference(tmp_path, panel, k_range, gammas, singular)
                     assert (k, si, gamma) not in utility
                     continue
                 assert utility[(k, si, gamma)] == pytest.approx(sol.expected_utility, rel=1e-12)
+                tested[gamma] += not {(gamma, code) for code in untested} & codes
                 n_solved += 1
+        assert {g: n_tested[(k, g)] for g in cfg.gamma_grid} == {g: tested[g] for g in cfg.gamma_grid}, k
     return n_singular, n_solved
