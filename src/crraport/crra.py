@@ -182,6 +182,21 @@ def _utility(x, y, gamma, w0: float) -> np.ndarray:
         return np.where(gamma == 1.0, level, np.copysign(power, 1.0 - gamma))
 
 
+def _off_parabola(x, y, r, s, v) -> np.ndarray:
+    """Where (x, y) misses the parabola (x - r)^2 = s (y - x^2 - v) by
+    more than rounding: 1e-8 of the larger side, a floor for extreme
+    gamma, where y - x^2 cannot resolve v - v_gmv, and the s ulp(...)
+    cancellation of s (y - x^2 - v). Real defects miss it at O(1)."""
+    lhs = (x - r) ** 2
+    rhs = s * (y - x * x - v)
+    tol = (
+        _PARABOLA_RTOL * np.maximum(np.abs(lhs), np.abs(rhs))
+        + 1e-12 * np.maximum(np.maximum(1.0, y), x * x)
+        + 4.0 * s * (np.spacing(y) + np.spacing(x * x) + np.spacing(v))
+    )
+    return ~(np.abs(lhs - rhs) <= tol)
+
+
 def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGrid:
     """Optimal portfolios for every risk aversion in ``gammas`` (G,) and
     every market of ``constants`` (batch shape B) at once; every field of
@@ -224,14 +239,6 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
         # every term keeps its sign: stable for tiny s and huge gamma.
         y = g / (g + 2.0) * ((1.0 + s) * t * (x + r) + (r * r - v))
         utility = _utility(x, y, g, w0)
-        # The absolute floor covers extreme gamma, where v - v_gmv sinks
-        # below what y - x^2 can resolve in doubles; real defects
-        # violate the identity at O(1).
-        lhs = (x - r) ** 2
-        rhs = s * (y - x * x - v)
-        tol = _PARABOLA_RTOL * np.maximum(np.abs(lhs), np.abs(rhs)) + 1e-12 * np.maximum(
-            np.maximum(1.0, y), x * x
-        )
         failed = (
             np.broadcast_to(~(s > S_MIN), d.shape),
             below,
@@ -240,7 +247,7 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
             ~(x > 0.0) | ~(r > 0.0),
             ~(y > 0.0),
             np.isnan(utility),
-            ~(np.abs(lhs - rhs) <= tol),
+            _off_parabola(x, y, r, s, v),
             x == r,
         )
     outcome, x, y, t, utility = _first_failures(failed, (x, y, t, utility))

@@ -19,8 +19,10 @@ outcome codes degenerate and below-gamma_min markets, each market's
 GMV and tilt returns over the whole panel (B, 2, n), from which the
 realized gross returns of the solved cells only are written a chunk of
 cells at a time into one workspace where Shapiro-Wilk tests their logs
-in place, and the naive and Sharpe utilities (B, G). The first-k market
-is the same solve with B = 1. The optimum at each gamma is
+in place, and the naive and Sharpe utilities (B, G). Each k's
+first-k-assets market is stacked after its subsets and solved in their
+last block; its row is placed on its frontier rather than tested. The
+optimum at each gamma is
 ``w_gmv + t tilt`` and the Sharpe portfolio that line's gamma ->
 infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come from the
 market's one set of frontier constants. A market's
@@ -32,11 +34,13 @@ Each k's p-value quantiles, one column per gamma, come from one
 list per CSV column, and writes one CSV per table plus a JSON summary.
 ``csvout.write_csv`` formats a chunk of rows of each column at once, a
 float by its repr and None as an empty cell, and joins the chunk's rows;
-its bytes are those of the csv module's writer. The summary's ``error_counts``
-counts each code of cell_errors per (k, gamma), and its ``timings_s``
-holds the seconds spent per stage; everything else is deterministic
-given the seed (per-k subset draws use independent child streams, so
-evaluation order never matters).
+its bytes are those of the csv module's writer. The summary's
+``error_counts`` counts each code of cell_errors per (k, gamma), its
+``batches`` the run's ``blocks``, ``markets`` (subsets and first-k
+markets) and Shapiro-Wilk chunks (``sw_chunks``), and its ``timings_s``
+the seconds spent per stage; everything but ``timings_s`` and the
+timestamp is deterministic given the seed (per-k subset draws use
+independent child streams, so evaluation order never matters).
 """
 
 from __future__ import annotations
@@ -195,6 +199,7 @@ class StudyReport:
     strategy_utilities: dict = field(default_factory=dict)
     cell_errors: dict = field(default_factory=dict)
     timings_s: dict = field(default_factory=dict)
+    batches: dict = field(default_factory=dict)
 
     def write(self, output_dir: Path) -> dict[str, Path]:
         """Write one CSV per table plus summary.json; returns the paths.
@@ -222,6 +227,7 @@ class StudyReport:
             "counts": counts,
             "error_counts": _error_counts(self.cell_errors),
             "timings_s": self.timings_s,
+            "batches": self.batches,
         }
         path = output_dir / "summary.json"
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -364,34 +370,43 @@ def _solve_markets(
     )
 
 
-def _append_cells(table: dict, k: int, m: SimpleNamespace, subset_index: np.ndarray) -> None:
-    """A cell_errors row per code of every cell of ``_solve_markets``'
-    markets ``m``: market by market, gamma by gamma, and within a cell in
-    the order of ``_CODES``."""
+def _append_cells(table: dict, k: int, m: SimpleNamespace, rows: slice, subset_index: np.ndarray) -> None:
+    """A cell_errors row per code of every cell of the markets ``rows``
+    of ``_solve_markets``' markets ``m``, labelled ``subset_index``:
+    market by market, gamma by gamma, and within a cell in the order of
+    ``_CODES``."""
     none = np.zeros(m.solved.shape, dtype=bool)
-    flags = np.stack([m.codes.get(c, none) for c in _CODES], axis=-1)
-    coded = np.flatnonzero(~m.good)
-    flags[coded, :, m.code[coded]] = True
+    flags = np.stack([m.codes.get(c, none) for c in _CODES], axis=-1)[rows]
+    code = m.code[rows]
+    coded = np.flatnonzero(code >= 0)
+    flags[coded, :, code[coded]] = True
     row, gi, ci = np.nonzero(flags)
     codes = [_CODES[c] for c in ci.tolist()]
     _append(table, row.size, k=k, subset_index=subset_index[row], gamma=m.gammas[gi], code=codes)
 
 
 def _subsets_pass(
-    tables: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
+    tables: dict, batches: dict, k: int, panel: SimpleNamespace, markets: np.ndarray, cfg: StudyConfig,
+    clock: _Stopwatch,
 ) -> None:
-    """Solve one k's subsets (S, k) of ``panel`` block by block and
-    append their rows."""
+    """Solve one k's markets (S + 1, k) of ``panel``, its S sampled
+    subsets and then its first-k-assets market, block by block; append
+    their rows and count them into ``batches``."""
     (n_periods, n_assets), n_gammas = panel.gross.shape, len(cfg.gamma_grid)
     block = max(1, _BLOCK_VALUES // max(k * k, 2 * max(n_periods, n_assets), n_gammas))
-    # The coded markets' rows stay NaN, which quantile_columns skips.
-    p_values = np.full((len(subsets), n_gammas), np.nan)
+    # The coded markets' rows, and the first-k market's, stay NaN, which
+    # quantile_columns skips.
+    p_values = np.full((len(markets), n_gammas), np.nan)
     n_eval, violated = 0, np.zeros((2, n_gammas), dtype=np.int64)
-    for first in range(0, len(subsets), block):
-        rows = slice(first, first + block)
-        exists, mv_ok = _solve_block(tables, k, panel, subsets[rows], first, cfg, clock, p_values[rows])
+    batches["markets"] += len(markets)
+    for first in range(0, len(markets), block):
+        rows, first_k = slice(first, first + block), first + block >= len(markets)
+        exists, mv_ok = _solve_block(
+            tables, batches, k, panel, markets[rows], first, first_k, cfg, clock, p_values[rows]
+        )
         n_eval += len(exists)
         violated += np.stack((~exists, ~(exists & mv_ok[:, None]))).sum(axis=1)
+        batches["blocks"] += 1
 
     rate_gamma_min, rate_mv = ([f / n_eval if n_eval else None for f in row] for row in violated.tolist())
     _append(
@@ -399,7 +414,7 @@ def _subsets_pass(
         n_gammas,
         k=k,
         gamma=list(cfg.gamma_grid),
-        n_subsets=len(subsets),
+        n_subsets=len(markets) - 1,
         n_evaluated=n_eval,
         rate_gamma_min_violated=rate_gamma_min,
         rate_mv_violated=rate_mv,
@@ -420,16 +435,21 @@ def _subsets_pass(
 
 
 def _solve_block(
-    tables: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, first: int, cfg: StudyConfig,
-    clock: _Stopwatch, p_values: np.ndarray,
+    tables: dict, batches: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, first: int,
+    first_k: bool, cfg: StudyConfig, clock: _Stopwatch, p_values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve a block of subsets (B, k) of ``panel``, the first of them
-    subset ``first``, and append their cell and strategy rows. Writes the
-    p-values of the tested cells into ``p_values`` (B, G), and returns,
-    for the markets without a market-level code, where gamma reaches
-    gamma_min (B_good, G) and where r_gmv > 0 (B_good,)."""
+    subset ``first``, and append their cell and strategy rows; if
+    ``first_k``, the last is the first-k-assets market, placed on its
+    frontier instead. Writes the p-values of the tested cells into
+    ``p_values`` (B, G), and returns, for the subsets without a
+    market-level code, where gamma reaches gamma_min (B_good, G) and
+    where r_gmv > 0 (B_good,). Counts its Shapiro-Wilk chunks into
+    ``batches``."""
     m = _solve_markets(panel, subsets, cfg, clock)
-    constants, grid, codes, gammas, solved = m.constants, m.grid, m.codes, m.gammas, m.solved
+    constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
+    n = len(subsets) - first_k  # the sampled subsets
+    solved = m.solved & (np.arange(len(subsets)) < n)[:, None]
 
     n_periods = panel.gross.shape[0]
     if not 3 <= n_periods <= 5000:
@@ -455,6 +475,7 @@ def _solve_block(
             np.log(rows, out=rows)
             rows.sort(axis=1)
             p_values[b, g] = shapiro_wilk_sorted(rows)[1]
+            batches["sw_chunks"] += 1
             clock.lap("shapiro_wilk")
         codes["nonpositive_realized_gross_return"] = solved & ~positive
         codes["sw_degenerate"] = positive & np.isnan(p_values)
@@ -469,8 +490,8 @@ def _solve_block(
     codes["sharpe_undefined"] = solved & ~sharpe_defined[:, None]
     codes["sharpe_outside_domain"] = solved & (sharpe_defined & ~sharpe_inside)[:, None]
 
-    subset_index = first + np.arange(len(subsets))
-    _append_cells(tables["cell_errors"], k, m, subset_index)
+    subset_index = first + np.arange(n)
+    _append_cells(tables["cell_errors"], k, m, slice(n), subset_index)
     row, gi = np.nonzero(solved & (naive_inside & sharpe_defined & sharpe_inside)[:, None])
     _append(
         tables["strategy_utilities"],
@@ -482,28 +503,32 @@ def _solve_block(
         utility_sharpe=sharpe[row, gi],
         utility_optimal=grid.utility[row, gi],
     )
-    return ~codes["below_gamma_min"][m.good], constants.r_gmv[m.good] > 0.0
+    if first_k:
+        _frontier_rows(tables, k, m, n, sharpe_w, sharpe_defined)
+    good = m.good[:n]
+    return ~codes["below_gamma_min"][:n][good], constants.r_gmv[:n][good] > 0.0
 
 
-def _frontier_pass(tables: dict, k: int, panel: SimpleNamespace, cfg: StudyConfig, clock: _Stopwatch) -> None:
-    """Place the GMV, Sharpe and optimal portfolios of the first-k-assets
-    market of ``panel`` (subset_index -1) on its frontier."""
-    m = _solve_markets(panel, np.arange(k)[None], cfg, clock)
+def _frontier_rows(
+    tables: dict, k: int, m: SimpleNamespace, i: int, sharpe_w: np.ndarray, sharpe_defined: np.ndarray
+) -> None:
+    """Place the GMV, Sharpe (``sharpe_w``, where ``sharpe_defined``) and
+    optimal portfolios of market ``i`` of ``_solve_markets``' markets
+    ``m``, the first-k-assets market (subset_index -1), on its frontier."""
     cells, frontier = tables["cell_errors"], tables["frontier_locations"]
-    if not m.good[0]:
-        _append(cells, 1, k=k, subset_index=-1, gamma=None, code=_CODES[m.code[0]])
+    if not m.good[i]:
+        _append(cells, 1, k=k, subset_index=-1, gamma=None, code=_CODES[m.code[i]])
         return
-    constants, grid = m.constants, m.grid
-    _append(frontier, 1, k=k, portfolio="gmv", gamma=None, x=constants.r_gmv, v=constants.v_gmv)
-    sharpe_w = constants.weights_at(constants.t_sharpe)
-    if feasible_rows(sharpe_w)[0]:
-        x, v = portfolio_moments_rows(sharpe_w, m.mu, m.sigma)
+    constants, grid, one = m.constants, m.grid, slice(i, i + 1)
+    _append(frontier, 1, k=k, portfolio="gmv", gamma=None, x=constants.r_gmv[one], v=constants.v_gmv[one])
+    if sharpe_defined[i]:
+        x, v = portfolio_moments_rows(sharpe_w[one], m.mu[one], m.sigma[one])
         _append(frontier, 1, k=k, portfolio="sharpe", gamma=None, x=x, v=v)
     else:
         _append(cells, 1, k=k, subset_index=-1, gamma=None, code="sharpe_undefined")
-    _append_cells(cells, k, m, np.array([-1]))
-    on = np.flatnonzero(grid.ok[0])
-    x, y = grid.x[0, on], grid.y[0, on]
+    _append_cells(cells, k, m, one, np.array([-1]))
+    on = np.flatnonzero(grid.ok[i])
+    x, y = grid.x[i, on], grid.y[i, on]
     _append(frontier, on.size, k=k, portfolio="optimal", gamma=m.gammas[on], x=x, v=y - x * x)
 
 
@@ -517,12 +542,13 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     panel = _panel(returns)
     clock.lap("estimate")
     tables = {name: {col: [] for col in header} for name, header in _CSV_FILES.items()}
+    batches = dict.fromkeys(("blocks", "markets", "sw_chunks"), 0)
     for k in cfg.k_range:
-        subsets = np.array(_draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed))
+        # The sampled subsets, then the first-k-assets market.
+        subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
+        markets = np.array(subsets + [tuple(range(k))])
         clock.lap()
-        _subsets_pass(tables, k, panel, subsets, cfg, clock)
-        clock.lap()
-        _frontier_pass(tables, k, panel, cfg, clock)
+        _subsets_pass(tables, batches, k, panel, markets, cfg, clock)
         clock.lap()
 
     report = StudyReport(
@@ -539,6 +565,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
         timings_s=clock.seconds,
+        batches=batches,
         **tables,
     )
     report.write(cfg.output_dir)

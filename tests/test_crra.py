@@ -25,7 +25,7 @@ from crraport import (
     sharpe_weights,
     synth_market,
 )
-from crraport.crra import OUTCOMES, _utility
+from crraport.crra import OUTCOMES, _off_parabola, _utility
 from crraport.study import _draw_subsets
 from helpers import (
     discriminant,
@@ -307,6 +307,32 @@ LEVERED_MARKET = (
 )
 
 
+@pytest.fixture(scope="module")
+def parabola_probe():
+    """1,500 ill-conditioned markets (rng 2026), each with its constants,
+    its gammas gm (1 + 1e-12), gm (1 + 1e-6), 2 gm, 1e4 and 1e8 for gm
+    its gamma_min, and their grid."""
+    rng = np.random.default_rng(2026)
+    probe = []
+    for _ in range(1500):
+        con = efficient_constants(ill_conditioned_market(rng))
+        gm = gamma_min(con)
+        gammas = np.array([gm * (1.0 + 1e-12), gm * (1.0 + 1e-6), 2.0 * gm, 1e4, 1e8])
+        probe.append((con, gammas, power_grid(con, gammas)))
+    return probe
+
+
+def _mp_optimum(r, s, v, gamma):
+    """x, y and t of the smaller root of the optimal-mean quadratic, at
+    60 digits from the double constants."""
+    with mp.workdps(60):
+        r, s, v, gamma = (mp.mpf(float(c)) for c in (r, s, v, gamma))
+        a, b = 1 + s, (gamma + 2) * r
+        x = (b - mp.sqrt(b * b - 4 * a * (gamma + 1) * (r * r + s * v))) / (2 * a)
+        t = (x - r) / s
+        return x, v + s * t * t + x * x, t
+
+
 class TestPowerGrid:
     def test_matches_one_gamma_solutions_on_every_study_cell(self, tmp_path):
         cfg = StudyConfig(
@@ -416,6 +442,50 @@ class TestPowerGrid:
             n_below += np.count_nonzero(gammas < gm)
             n_above += np.count_nonzero(gammas >= gm)
         assert n_below > 100 and n_above > 200
+
+    def test_ill_conditioned_probe_has_no_off_parabola_cell(self, parabola_probe):
+        # Every cell at or above gamma_min is solved. s runs to about 1e10
+        # here, and s (y - x^2 - v) carries about s ulp(y) of cancellation:
+        # over a thousand cells miss the parabola by more than 1e-8 of its
+        # sides plus 1e-12 max(1, y, x^2). A sample of those matches a
+        # 60-digit solve of the same constants.
+        below = OUTCOMES.index("below_gamma_min")
+        beyond_rounding = []
+        for con, gammas, grid in parabola_probe:
+            np.testing.assert_array_equal(grid.outcome, np.where(gammas < gamma_min(con), below, 0))
+            ok = grid.ok
+            r, s, v, x, y = con.r_gmv, con.s, con.v_gmv, grid.x[ok], grid.y[ok]
+            lhs, rhs = (x - r) ** 2, s * (y - x * x - v)
+            floor = 1e-8 * np.maximum(np.abs(lhs), np.abs(rhs))
+            floor += 1e-12 * np.maximum(np.maximum(1.0, y), x * x)
+            for i in np.flatnonzero(np.abs(lhs - rhs) > floor):
+                beyond_rounding.append((con, gammas[ok][i], x[i], y[i], grid.t[ok][i]))
+        assert len(beyond_rounding) > 1000
+        for i in np.random.default_rng(7).choice(len(beyond_rounding), 12, replace=False):
+            con, gamma, *got = beyond_rounding[i]
+            assert con.s > 1e3
+            for value, ref in zip(got, _mp_optimum(con.r_gmv, con.s, con.v_gmv, gamma)):
+                assert abs(value - ref) <= 1e-9 * abs(ref), (gamma, value, ref)
+
+    def test_point_moved_off_the_parabola_is_rejected(self, parabola_probe):
+        # A 1e-9 relative move of y, either way, on every solved cell of
+        # the probe whose slope is not tiny (the absolute floor covers
+        # s y 1e-9 below 1e-12) and whose variance above v_gmv is under 5%
+        # of y (where the relative part covers it): the s ulp floor
+        # still rejects it, up to s ~ 1e10.
+        n_moved = n_large_s = 0
+        for con, _, grid in parabola_probe:
+            ok = grid.ok
+            r, s, v, x, y = con.r_gmv, con.s, con.v_gmv, grid.x[ok], grid.y[ok]
+            assert not _off_parabola(x, y, r, s, v).any()
+            if s < 0.1:
+                continue
+            near = (y - x * x - v) < 0.05 * y
+            for moved in (y * (1.0 + 1e-9), y * (1.0 - 1e-9)):
+                assert _off_parabola(x[near], moved[near], r, s, v).all(), s
+            n_moved += np.count_nonzero(near)
+            n_large_s += np.count_nonzero(near) if s > 1e3 else 0
+        assert n_moved > 5000 and n_large_s > 3000
 
     def test_just_below_gamma_min_raises(self):
         rng = np.random.default_rng(81)

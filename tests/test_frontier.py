@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from crraport import (
     MarketParams,
@@ -14,6 +15,7 @@ from crraport import (
     synth_market,
 )
 from crraport.frontier import FRONTIER_OUTCOMES
+from crraport.market import sample_moments, subset_rows
 from helpers import (
     frontier_sample,
     ill_conditioned_market,
@@ -307,3 +309,61 @@ def test_weights_sum_tolerance_scales_with_leverage():
         Weights([39.5, -38.5 + 1e-8])
     with pytest.raises(ValueError, match="sum to 1"):
         Weights([0.5, 0.5 + 2e-10])
+
+
+class TestFiniteSampleLaws:
+    """The study's batch path, ``sample_moments`` -> ``subset_rows`` ->
+    ``efficient_constants_rows``, against the exact laws of the sample
+    frontier of i.i.d. normal returns with the unbiased covariance (Kan
+    and Smith 2008; Bodnar and Schmid 2009), at n = 156 periods of the
+    shipped calibration's first k assets:
+
+        (n - 1) v_gmv_hat / v_gmv ~ chi2(n - k),
+        s_hat ~ (n - 1)(k - 1) / (n (n - k + 1)) F'(k - 1, n - k + 1; n s).
+
+    With 10,000 draws per k, the v_gmv test also rejects chi2(n - k + 1)
+    and the law a divisor-n covariance gives, (n - 1)/n times the true
+    one, at both k. The slope test rejects a central F (the
+    noncentrality n s dropped) at k = 14, where n s is 1.7, but not at
+    k = 4 (n s = 0.08), and it cannot tell a divisor-n covariance (a
+    0.6% change of scale) from the true law at either k.
+    """
+
+    N_PERIODS = 156
+    N_DRAWS = 10_000
+
+    def draws(self, k: int, m: int, seed: int):
+        """v_gmv_hat and s_hat of N_DRAWS panels, and the true constants.
+        The panels are drawn m at a time, as the k-column blocks of one
+        wide panel: one ``sample_moments`` call serves all m, and
+        ``subset_rows`` gathers their blocks."""
+        spec = default_synth_spec()
+        mu0, sigma0 = spec.mu0[:k], spec.sigma0[:k, :k]
+        chol = np.linalg.cholesky(sigma0)
+        rng = np.random.default_rng(seed)
+        n = self.N_PERIODS
+        blocks = np.arange(m * k).reshape(m, k)
+        v_gmv, s = [], []
+        for _ in range(self.N_DRAWS // m):
+            values = (rng.standard_normal((n * m, k)) @ chol.T + (mu0 - 1.0)).reshape(n, m * k)
+            mu, sigma = sample_moments(ReturnMatrix(values))
+            sub_mu, _, lower, ok = subset_rows(mu, sigma, blocks)
+            con = efficient_constants_rows(sub_mu, lower)
+            assert ok.all() and (con.outcome == 0).all()
+            v_gmv.append(con.v_gmv)
+            s.append(con.s)
+        return np.concatenate(v_gmv), np.concatenate(s), efficient_constants(MarketParams(mu0, sigma0))
+
+    @pytest.mark.parametrize("k, m", [(4, 50), (14, 16)])
+    def test_v_gmv_and_slope_follow_their_laws(self, k, m):
+        n = self.N_PERIODS
+        v_gmv, s, true = self.draws(k, m, seed=1000 * k)
+        assert v_gmv.size == self.N_DRAWS
+        ratio = (n - 1) * v_gmv / true.v_gmv
+        assert stats.kstest(ratio, stats.chi2(n - k).cdf).pvalue > 1e-3
+        assert stats.kstest(ratio, stats.chi2(n - k + 1).cdf).pvalue < 1e-3
+        assert stats.kstest(ratio * (n - 1) / n, stats.chi2(n - k).cdf).pvalue < 1e-3
+        f_draws = s / ((n - 1) * (k - 1) / (n * (n - k + 1)))
+        assert stats.kstest(f_draws, stats.ncf(k - 1, n - k + 1, n * true.s).cdf).pvalue > 1e-3
+        if k == 14:
+            assert stats.kstest(f_draws, stats.f(k - 1, n - k + 1).cdf).pvalue < 1e-3

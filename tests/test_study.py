@@ -275,6 +275,23 @@ class TestRunStudy:
         assert all(isinstance(t, float) and t >= 0.0 for t in summary["timings_s"].values())
         assert summary["timings_s"] == report.timings_s
 
+    def test_summary_counts_the_batches(self, tmp_path):
+        # 47 k's of 8 subsets and a first-k market each, on 156 periods
+        # of 48 assets: each k is one block, its first-k market solved
+        # with its subsets, and its cells are tested in one chunk.
+        rng = np.random.default_rng(47)
+        mu0 = 1.0 + rng.uniform(0.0005, 0.0035, 48)
+        spec = SynthSpec(n=156, mu0=mu0, sigma0=np.diag(rng.uniform(0.02, 0.045, 48) ** 2))
+        cfg = _small_config(
+            tmp_path, synth=spec, k_range=tuple(range(2, 49)), gamma_grid=(2.0, 10.0), n_subsets_cap=8
+        )
+        report = run_study(cfg)
+        batches = json.loads((cfg.output_dir / "summary.json").read_text())["batches"]
+        assert batches == report.batches
+        assert batches["markets"] == 46 * 9 + 2  # k = 48 has one subset
+        assert batches["blocks"] == batches["sw_chunks"] == len(cfg.k_range)
+        assert sum(report.condition_failure_rates["n_evaluated"]) > 0
+
     def test_golden_digests(self, tmp_path):
         # SHA-256 of two tables as written before the per-k batched solve.
         cfg = _small_config(
@@ -407,13 +424,15 @@ class TestRunStudy:
         ]
 
     def test_results_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
-        # k up to all 17 assets, in the default blocks (each k one block
-        # and one Shapiro-Wilk chunk) and in small ones: at 2**10 values
-        # blocks of 3 markets whose solved cells are tested 6 at a time,
-        # at 3000 blocks of 9 tested 19 cells at a time. The gammas give
+        # k up to all 17 assets, 20 subsets and a first-k market each at
+        # k < 17: 21 markets of 312 values. The default budget and 2**20
+        # solve each k in one block, its first-k market with its subsets,
+        # and test its cells in one Shapiro-Wilk chunk. At 2**10 blocks
+        # hold 3 markets whose solved cells are tested 6 at a time, at 3000
+        # 9 markets tested 19 cells at a time. The gammas give
         # below_gamma_min and nonpositive_realized_gross_return cells, so
         # chunks drop nonpositive rows. The tables are byte for byte the
-        # same.
+        # same, and summary.json's batches count the blocks and chunks run.
         returns = synth_market(default_synth_spec(), seed=5)
         csv_path = tmp_path / "returns.csv"
         lines = [",".join(returns.asset_labels)]
@@ -430,24 +449,37 @@ class TestRunStudy:
         report = run_study(cfg)
         codes = set(report.cell_errors["code"])
         assert {"below_gamma_min", "nonpositive_realized_gross_return"} <= codes
-        calls = {"block": 0, "chunk": 0}
+        assert report.batches == {"blocks": 4, "markets": 65, "sw_chunks": 4}
+        blocks, calls = [], {"chunk": 0}
 
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
+        def solve_block(tables, batches, k, panel, subsets, first, first_k, *args):
+            blocks.append((k, len(subsets), first_k))
+            return study_solve_block(tables, batches, k, panel, subsets, first, first_k, *args)
 
-        monkeypatch.setattr(study, "_solve_block", counted("block", study._solve_block))
-        monkeypatch.setattr(study, "shapiro_wilk_sorted", counted("chunk", study.shapiro_wilk_sorted))
-        for values in (2**10, 3000):
+        def shapiro_wilk_sorted(rows):
+            calls["chunk"] += 1
+            return study_shapiro_wilk_sorted(rows)
+
+        study_solve_block, study_shapiro_wilk_sorted = study._solve_block, study.shapiro_wilk_sorted
+        monkeypatch.setattr(study, "_solve_block", solve_block)
+        monkeypatch.setattr(study, "shapiro_wilk_sorted", shapiro_wilk_sorted)
+        for values in (2**10, 3000, 2**20):
             monkeypatch.setattr(study, "_BLOCK_VALUES", values)
-            calls.update(block=0, chunk=0)
-            run_study(replace(cfg, output_dir=tmp_path / str(values)))
-            assert calls["chunk"] > calls["block"] > len(cfg.k_range), values
+            blocks.clear()
+            calls.update(chunk=0)
+            out = tmp_path / str(values)
+            run_study(replace(cfg, output_dir=out))
+            batches = json.loads((out / "summary.json").read_text())["batches"]
+            assert batches == {"blocks": len(blocks), "markets": 65, "sw_chunks": calls["chunk"]}, values
+            assert sum(first_k for _, _, first_k in blocks) == len(cfg.k_range)
+            if values < 2**20:
+                assert calls["chunk"] > len(blocks) > len(cfg.k_range), values
+            else:
+                assert blocks == [(2, 21, True), (5, 21, True), (9, 21, True), (17, 2, True)]
+                assert calls["chunk"] == len(blocks)
             for name in study._CSV_FILES:
                 assert filecmp.cmp(
-                    tmp_path / "default" / f"{name}.csv", tmp_path / str(values) / f"{name}.csv", shallow=False
+                    tmp_path / "default" / f"{name}.csv", out / f"{name}.csv", shallow=False
                 ), (values, name)
 
     def test_panel_with_more_assets_than_periods(self, tmp_path):
