@@ -14,8 +14,8 @@ mirror are ``solve --gamma``, ``frontier --points/--span``, ``verify
 --n-starts/--tol-w/--tol-obj`` and ``lemma1 --ratios/--mu/--n-grid``.
 A mirror is a string default that argparse parses with the flag's
 ``type``, so a bad value is a usage error (exit 2). CSV output writes
-floats by their repr. Other errors exit nonzero with a one-line JSON
-message on stderr.
+floats by their repr, ``solve`` strict JSON. Other errors exit nonzero
+with a one-line JSON message on stderr.
 """
 
 from __future__ import annotations
@@ -99,6 +99,12 @@ def _write_csv(path: str | None, header, columns) -> None:
         write_csv(fh, header, columns)
 
 
+def _ln_ce(x, v, gamma):
+    """ln CE of a gross return with mean ``x`` and variance ``v``: finite
+    where E[U] = CE^(1-gamma)/(1-gamma) is beyond the double range."""
+    return np.log(x) - 0.5 * gamma * np.log1p(v / (x * x))
+
+
 def _solution_payload(sol, constants) -> dict:
     return {
         "gamma": sol.gamma,
@@ -106,7 +112,8 @@ def _solution_payload(sol, constants) -> dict:
         "y": sol.y,
         "v": sol.v,
         "weights": [float(w) for w in sol.weights.w],
-        "expected_utility": sol.expected_utility,
+        "expected_utility": sol.expected_utility if np.isfinite(sol.expected_utility) else None,
+        "ln_ce": float(_ln_ce(sol.x, sol.v, sol.gamma)),
         "mv_efficient": sol.mv_efficient,
         "w0": sol.w0,
         "r_gmv": constants.r_gmv,
@@ -120,7 +127,7 @@ def _cmd_solve(args) -> int:
     params = _load_market(args)
     constants = efficient_constants(params)
     sol = power_solution(args.gamma, params, args.w0)
-    print(json.dumps(_solution_payload(sol, constants), indent=2, sort_keys=True))
+    print(json.dumps(_solution_payload(sol, constants), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -170,7 +177,7 @@ def _cmd_verify(args) -> int:
         gap_w = float(np.max(np.abs(sol.weights.w - oracle_w.w)))
         # Each side's ln CE from its own moments: finite where E[U] is not.
         x, v = portfolio_moments_rows(np.stack((sol.weights.w, oracle_w.w)), params.mu, params.sigma)
-        ln_ce = np.log(x) - 0.5 * gamma * np.log1p(v / (x * x))
+        ln_ce = _ln_ce(x, v, gamma)
         gap_obj = float(abs(ln_ce[0] - ln_ce[1]) / max(1.0, abs(ln_ce[0])))
         ok = gap_w <= args.tol_w and gap_obj <= args.tol_obj
         failed |= not ok

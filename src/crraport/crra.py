@@ -21,8 +21,9 @@ the frontier portfolio with that mean,
 so one market's ``FrontierConstants`` serve every g and only the scalar
 t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
 (G,) for a batch of markets (B,) at once, on (B, G) arrays, and is the
-one place the optimum is computed: it codes each cell's first failed
-check, a degenerate frontier included, and raises for no market.
+one place the optimum is computed, at every finite gamma: it codes each
+cell's first failed check, a degenerate frontier included, and raises
+for no market.
 ``power_solution`` is its one-market, one-gamma call, which raises the
 check's error. Logarithmic utility is its g = 1 case,
 ``power_solution(1.0, ...)``, with value L; it exists iff one market's
@@ -60,26 +61,14 @@ __all__ = [
     "objective_rows",
 ]
 
-_NO_SOLUTION_MSG = "no solution exists below gamma_min"
-_NONPOS_MEAN_MSG = "optimal mean non-positive; the objective's ln X is undefined"
-_PARABOLA_RTOL = 1e-8
-
 # The checks every optimum must pass, in the order they apply, with the
 # error a one-gamma solve raises when one fails. A degenerate frontier
 # fills a market's every cell; existence comes next, so a cell is
 # below_gamma_min exactly where gamma >= gamma_min fails.
 _CHECKS = (
     ("degenerate_frontier", ValueError, "degenerate frontier"),
-    ("below_gamma_min", ValueError, _NO_SOLUTION_MSG),
-    ("nonfinite_discriminant", ValueError, "gamma is beyond the double range of the closed form"),
-    ("discriminant_mismatch", ArithmeticError, "discriminant forms disagree"),
-    ("nonpositive_mean", ValueError, _NONPOS_MEAN_MSG),
-    (
-        "nonpositive_second_moment",
-        ArithmeticError,
-        "internal inconsistency: second moment non-positive",
-    ),
-    ("nan_utility", ValueError, "expected utility must not be NaN"),
+    ("below_gamma_min", ValueError, "no solution exists below gamma_min"),
+    ("nonpositive_mean", ValueError, "optimal mean non-positive; the objective's ln X is undefined"),
     ("off_parabola", ArithmeticError, "solution left the mean-variance parabola"),
     ("at_gmv", ArithmeticError, "solution coincides with the GMV portfolio"),
 )
@@ -157,15 +146,6 @@ def gamma_min(constants: FrontierConstants):
     return float(_threshold(r, s, constants.v_gmv))
 
 
-def _discriminants(gamma, r, s, v) -> tuple[np.ndarray, np.ndarray]:
-    """Existence discriminant, and where its two algebraic forms disagree."""
-    r2 = r * r
-    d = (gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v)
-    alt = (gamma - 2.0 * s) ** 2 * r2 - 4.0 * (1.0 + s) * s * (r2 + (gamma + 1.0) * v)
-    scale = np.maximum(np.maximum(np.abs(d), (gamma + 2.0) ** 2 * r2), 1.0)
-    return d, np.abs(d - alt) > 1e-10 * scale
-
-
 def _utility(x, y, gamma, w0: float) -> np.ndarray:
     """Expected utility at portfolio moments (x, y), elementwise over
     broadcast arrays, from its log level L = ln W0 + ln x - (gamma/2)
@@ -182,16 +162,33 @@ def _utility(x, y, gamma, w0: float) -> np.ndarray:
         return np.where(gamma == 1.0, level, np.copysign(power, 1.0 - gamma))
 
 
+def _positive_finite(values) -> bool:
+    """Whether every value is a positive, finite number (NaN is not)."""
+    return bool(np.all(np.isfinite(values) & np.greater(values, 0.0)))
+
+
+def _checked_gammas(gammas, w0: float) -> np.ndarray:
+    """``gammas`` as floats; raises ValueError unless they and ``w0`` are
+    positive and finite."""
+    g = np.asarray(gammas, dtype=float)
+    if not _positive_finite(g):
+        raise ValueError("relative risk aversion must be positive and finite")
+    if not _positive_finite(w0):
+        raise ValueError("initial wealth must be positive and finite")
+    return g
+
+
 def _off_parabola(x, y, r, s, v) -> np.ndarray:
     """Where (x, y) misses the parabola (x - r)^2 = s (y - x^2 - v) by
-    more than rounding: 1e-8 of the larger side, a floor for extreme
-    gamma, where y - x^2 cannot resolve v - v_gmv, and the s ulp(...)
-    cancellation of s (y - x^2 - v). Real defects miss it at O(1)."""
+    more than rounding: 1e-8 of the larger side, 1e-12 max(y, x^2) for
+    extreme gamma, where y - x^2 cannot resolve v - v_gmv, and the s
+    ulp(...) cancellation of s (y - x^2 - v); none is absolute, so a
+    market's scale does not matter. Real defects miss it at O(1)."""
     lhs = (x - r) ** 2
     rhs = s * (y - x * x - v)
     tol = (
-        _PARABOLA_RTOL * np.maximum(np.abs(lhs), np.abs(rhs))
-        + 1e-12 * np.maximum(np.maximum(1.0, y), x * x)
+        1e-8 * np.maximum(np.abs(lhs), np.abs(rhs))
+        + 1e-12 * np.maximum(y, x * x)
         + 4.0 * s * (np.spacing(y) + np.spacing(x * x) + np.spacing(v))
     )
     return ~(np.abs(lhs - rhs) <= tol)
@@ -206,47 +203,45 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
     second moment, frontier coordinate and expected utility, and the
     first check it fails, if any: s > S_MIN (which NaN constants fail),
     gamma >= gamma_min (as ``gamma_min`` gives it; never for r_gmv = 0),
-    a finite discriminant (its squares overflow past gamma ~ 1e154), its
-    two forms agree, x > 0 (so r_gmv > 0), y > 0, the utility is not NaN,
-    the point lies on the parabola, and it is not the GMV portfolio.
-    Raises ValueError only for a nonpositive gamma or wealth.
+    x > 0 (so r_gmv > 0), the point lies on the parabola, and it is not
+    the GMV portfolio. With gamma = m 2^e (m in [1/2, 1)) and u = 2^-e,
+    each term is the unscaled form's times a power of two: the same
+    roundings, and past gamma_min u < 1/gamma_min < 5e5, so no finite
+    gamma overflows while r_gmv^2, v_gmv, (1 + s)(r_gmv^2 + s v_gmv) and
+    (s v_gmv / r_gmv)^2 stay below 1e290. Raises ValueError only for a
+    gamma or wealth that is not positive and finite.
     """
-    g = np.array(gammas, dtype=float).ravel()
-    if not np.all(g > 0.0):
-        raise ValueError("relative risk aversion must be positive")
-    if not w0 > 0.0:
-        raise ValueError("initial wealth must be positive")
+    g = _checked_gammas(gammas, w0).ravel()
     r, s, v = (
         np.asarray(c)[..., None] for c in (constants.r_gmv, constants.s, constants.v_gmv)
     )
+    m, e = np.frexp(g)
+    u = np.ldexp(1.0, -e)
     with np.errstate(all="ignore"):
-        d, mismatch = _discriminants(g, r, s, v)
         below = ~(g >= _threshold(r, s, v))
+        r2 = r * r
+        d = (m + 2.0 * u) ** 2 * r2 - 4.0 * (m + u) * (1.0 + s) * (r2 + s * v) * u
         sq = np.sqrt(np.maximum(d, 0.0))
         # The smaller root in conjugate form: no cancellation as gamma
-        # grows large. For r < 0, sq < (gamma+2)|r| makes the denominator
+        # grows large. For r < 0, sq < (m + 2u)|r| makes the denominator
         # negative and x < 0; past gamma ~ 1e17, d can round to
-        # (gamma+2)^2 r^2 and the denominator to 0 or above, so
+        # (m + 2u)^2 r^2 and the denominator to 0 or above, so
         # nonpositive_mean reads r too.
-        x = 2.0 * (g + 1.0) * (r * r + s * v) / ((g + 2.0) * r + sq)
+        x = 2.0 * (m + u) * (r2 + s * v) / ((m + 2.0 * u) * r + sq)
         # t = (x - r)/s through the conjugate of the alternate
         # discriminant form: exact algebra, and it dodges the small-s
         # cancellation that the literal (gamma/s)(x r - r^2 - s v)
         # suffers. The denominator is positive where x > 0, because
         # then r > 0 and gamma >= gamma_min > 2s.
-        t = 2.0 * (r * r + (g + 1.0) * v) / ((g - 2.0 * s) * r + sq)
+        t = 2.0 * (u * r2 + (m + u) * v) / ((m - 2.0 * s * u) * r + sq)
         # Same quantity as (gamma/s)(x r - r^2 - s v), rearranged so
         # every term keeps its sign: stable for tiny s and huge gamma.
-        y = g / (g + 2.0) * ((1.0 + s) * t * (x + r) + (r * r - v))
+        y = m / (m + 2.0 * u) * ((1.0 + s) * t * (x + r) + (r2 - v))
         utility = _utility(x, y, g, w0)
         failed = (
-            np.broadcast_to(~(s > S_MIN), d.shape),
+            np.broadcast_to(~(s > S_MIN), below.shape),
             below,
-            ~np.isfinite(d),
-            mismatch,
             ~(x > 0.0) | ~(r > 0.0),
-            ~(y > 0.0),
-            np.isnan(utility),
             _off_parabola(x, y, r, s, v),
             x == r,
         )
@@ -266,7 +261,7 @@ def power_solution(
     code = int(grid.outcome[0])
     if code:
         _, error, message = _CHECKS[code - 1]
-        if message == _NO_SOLUTION_MSG:
+        if OUTCOMES[code] == "below_gamma_min":
             message += f" (gamma={gamma:.6g}, gamma_min={gamma_min(constants):.6g})"
         raise error(message)
     x, y = float(grid.x[0]), float(grid.y[0])
@@ -300,16 +295,11 @@ def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
 
     ``gamma`` is one risk aversion (returns a float) or an array of them
     (returns an array, elementwise). Exact under the moment-matched
-    log-normal model. Raises ValueError for a nonpositive (or NaN) gamma
-    or wealth, for weights of another size than the market, and outside
-    the objective's domain w'mu > 0 (the objective contains ln of the
-    mean).
+    log-normal model. Raises ValueError for a gamma or wealth that is not
+    positive and finite, for weights of another size than the market, and
+    outside the objective's domain w'mu > 0 (it contains ln of the mean).
     """
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(g > 0.0):
-        raise ValueError("relative risk aversion must be positive")
-    if not w0 > 0.0:
-        raise ValueError("initial wealth must be positive")
+    g = _checked_gammas(gamma, w0)
     if w.w.size != params.k:
         raise ValueError("weights dimension does not match market")
     utility, inside = objective_rows(w.w, params.mu, params.sigma, g, w0)

@@ -171,11 +171,12 @@ def maximize_numeric(
     CE itself at gamma = 1): +/-inf or 0 only where the true value is
     beyond the double range (extreme gamma); the search never overflows.
 
-    Raises ValueError when no start lies in the objective's domain or
-    when every run diverges to the leverage box.
+    Raises ValueError for a gamma that is not positive and finite, when
+    no start lies in the objective's domain, and when every run diverges
+    to the leverage box.
     """
-    if not gamma > 0.0:
-        raise ValueError("relative risk aversion must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("relative risk aversion must be positive and finite")
     cfg = cfg or OracleConfig()
     target = _NegLnCE(params, gamma)
 

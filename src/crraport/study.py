@@ -56,7 +56,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .crra import OUTCOMES, objective_rows, power_grid
+from .crra import OUTCOMES, _positive_finite, objective_rows, power_grid
 from .csvout import write_csv
 from .frontier import (
     FRONTIER_ERRORS,
@@ -173,12 +173,12 @@ class StudyConfig:
                 raise ValueError(f"{name} entries must be distinct")
         if any(k < 2 for k in self.k_range):
             raise ValueError("k_range entries must be >= 2")
-        if any(not g > 0.0 for g in self.gamma_grid):
-            raise ValueError("gamma_grid entries must be positive")
+        if not _positive_finite(self.gamma_grid):
+            raise ValueError("gamma_grid entries must be positive and finite")
         if self.n_subsets_cap < 1:
             raise ValueError("n_subsets_cap must be at least 1")
-        if not self.w0 > 0.0:
-            raise ValueError("w0 must be positive")
+        if not _positive_finite(self.w0):
+            raise ValueError("w0 must be positive and finite")
         if any(not 0.0 <= q <= 1.0 for q in self.quantiles):
             raise ValueError("quantiles must lie in [0, 1]")
 

@@ -71,6 +71,22 @@ def discriminant(gamma: float, constants: FrontierConstants) -> float:
     return float((gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v))
 
 
+def power_grid_reference(constants: FrontierConstants, gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and t (batch + (G,)) of ``power_grid``'s closed form without
+    its power-of-two scaling of gamma: the same operations in the same
+    order, on gamma itself. Its squares overflow past gamma ~ 1e154."""
+    g = np.asarray(gammas, dtype=float)
+    r, s, v = (np.asarray(c)[..., None] for c in (constants.r_gmv, constants.s, constants.v_gmv))
+    with np.errstate(all="ignore"):
+        r2 = r * r
+        d = (g + 2.0) ** 2 * r2 - 4.0 * (g + 1.0) * (1.0 + s) * (r2 + s * v)
+        sq = np.sqrt(np.maximum(d, 0.0))
+        x = 2.0 * (g + 1.0) * (r2 + s * v) / ((g + 2.0) * r + sq)
+        t = 2.0 * (r2 + (g + 1.0) * v) / ((g - 2.0 * s) * r + sq)
+        y = g / (g + 2.0) * ((1.0 + s) * t * (x + r) + (r2 - v))
+    return x, y, t
+
+
 def objective_reference(x: float, y: float, gamma: float, w0: float) -> float:
     """Expected utility at portfolio moments (x, y); gamma = 1 is log.
 

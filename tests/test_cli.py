@@ -3,6 +3,7 @@ import filecmp
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -25,6 +26,15 @@ def market_file(tmp_path):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(WORKED_MARKET))
     return str(path)
+
+
+def _strict_json(text: str):
+    """Parse RFC 8259 JSON: a bare NaN, Infinity or -Infinity raises."""
+
+    def reject(token):
+        raise ValueError(f"not valid JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _run(capsys, argv):
@@ -54,9 +64,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("gamma", ["1e160", "inf"])
     def test_gamma_beyond_double_range_prints_one_json_line(self, market_file, gamma):
-        # The optimum exists (gamma >= gamma_min), but the discriminant's
-        # squares overflow: no overflow warning and no false
-        # "optimal mean non-positive" on stderr, just the one error line.
+        # The optimum exists for every finite gamma >= gamma_min: 1e160
+        # prints it, with no overflow warning on stderr. An infinite
+        # gamma is rejected with the one error line.
         argv = ["solve", "--market", market_file, "--gamma", gamma]
         proc = subprocess.run(
             [sys.executable, "-m", "crraport.cli", *argv],
@@ -65,9 +75,32 @@ class TestSolve:
             timeout=60,
             env={**os.environ, "PYTHONPATH": str(Path(crraport.__file__).parents[1])},
         )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.count("\n") == 1
-        assert json.loads(proc.stderr) == {"error": "gamma is beyond the double range of the closed form"}
+        if gamma == "inf":
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr.count("\n") == 1
+            assert json.loads(proc.stderr) == {"error": "relative risk aversion must be positive and finite"}
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            payload = _strict_json(proc.stdout)
+            assert payload["gamma"] == 1e160 and payload["mv_efficient"] is True
+            assert payload["expected_utility"] is None and math.isfinite(payload["ln_ce"])
+
+    @pytest.mark.parametrize("gamma", ["3", "1e8"])
+    def test_solution_is_strict_json_with_finite_ln_ce(self, capsys, market_file, gamma):
+        # E[U] underflows to -inf past gamma ~ 1e3 on this market; it is
+        # printed as null, and ln CE, which stays finite, beside it.
+        code, out, _ = _run(capsys, ["solve", "--market", market_file, "--gamma", gamma])
+        assert code == 0
+        payload = _strict_json(out)
+        x, v, g = payload["x"], payload["v"], float(gamma)
+        assert math.isfinite(payload["ln_ce"])
+        assert payload["ln_ce"] == pytest.approx(math.log(x) - 0.5 * g * math.log1p(v / (x * x)), rel=1e-12)
+        if gamma == "3":
+            assert payload["expected_utility"] == pytest.approx(
+                math.exp(-2.0 * payload["ln_ce"]) / -2.0, rel=1e-12
+            )
+        else:
+            assert payload["expected_utility"] is None
 
     def test_missing_market_source(self, capsys):
         code, _, err = _run(capsys, ["solve", "--gamma", "3"])
@@ -354,6 +387,15 @@ class TestStudy:
         assert code == 2
         assert json.loads(err) == {"error": "k_range must not be empty"}
         assert not (tmp_path / "empty").exists()
+
+    def test_infinite_gamma_is_rejected_before_the_panel_loads(self, capsys, tmp_path):
+        # The CSV does not exist: the config check comes first.
+        argv = ["study", "--data", str(tmp_path / "missing.csv"), "--gammas", "2,inf", "--out", str(tmp_path / "o")]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "gamma_grid entries must be positive and finite"}
+        assert not (tmp_path / "o").exists()
 
     def test_small_volatility_market_completes(self, capsys, tmp_path):
         # The shipped calibration at a tenth of its volatility: every

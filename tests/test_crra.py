@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crraport import (
+    FrontierConstants,
     MarketParams,
     ReturnMatrix,
     StudyConfig,
@@ -34,6 +35,7 @@ from helpers import (
     is_mv_efficient_power,
     market_with_constants,
     monotonicity_check,
+    power_grid_reference,
     random_market,
     sigma_solve,
     table_rows,
@@ -234,11 +236,11 @@ class TestPowerSolution:
             power_solution(gm + 1.0, params)
 
     def test_invalid_inputs(self, worked_market):
-        for gamma in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="risk aversion"):
+        for gamma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^relative risk aversion must be positive and finite$"):
                 power_solution(gamma, worked_market)
-        for w0 in (0.0, math.nan):
-            with pytest.raises(ValueError, match="wealth"):
+        for w0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^initial wealth must be positive and finite$"):
                 power_solution(3.0, worked_market, w0=w0)
 
     def test_utility_scales_with_wealth(self, worked_market):
@@ -324,8 +326,9 @@ def parabola_probe():
 
 def _mp_optimum(r, s, v, gamma):
     """x, y and t of the smaller root of the optimal-mean quadratic, at
-    60 digits from the double constants."""
-    with mp.workdps(60):
+    60 digits from the double constants, plus the log10(gamma) digits
+    that b - sqrt(b^2 - 4ac) cancels."""
+    with mp.workdps(60 + max(0, int(math.log10(gamma)))):
         r, s, v, gamma = (mp.mpf(float(c)) for c in (r, s, v, gamma))
         a, b = 1 + s, (gamma + 2) * r
         x = (b - mp.sqrt(b * b - 4 * a * (gamma + 1) * (r * r + s * v))) / (2 * a)
@@ -469,9 +472,9 @@ class TestPowerGrid:
 
     def test_point_moved_off_the_parabola_is_rejected(self, parabola_probe):
         # A 1e-9 relative move of y, either way, on every solved cell of
-        # the probe whose slope is not tiny (the absolute floor covers
-        # s y 1e-9 below 1e-12) and whose variance above v_gmv is under 5%
-        # of y (where the relative part covers it): the s ulp floor
+        # the probe whose slope is not tiny (the 1e-12 y floor covers
+        # s y 1e-9 below 1e-12 y) and whose variance above v_gmv is under
+        # 5% of y (where the relative part covers it): the s ulp floor
         # still rejects it, up to s ~ 1e10.
         n_moved = n_large_s = 0
         for con, _, grid in parabola_probe:
@@ -481,11 +484,115 @@ class TestPowerGrid:
             if s < 0.1:
                 continue
             near = (y - x * x - v) < 0.05 * y
+            # The same points at a 2^-200 scale of returns, where an
+            # absolute floor would accept every move.
+            small = np.ldexp(x[near], -200), np.ldexp(r, -200), s, np.ldexp(v, -400)
+            assert not _off_parabola(small[0], np.ldexp(y[near], -400), *small[1:]).any()
             for moved in (y * (1.0 + 1e-9), y * (1.0 - 1e-9)):
                 assert _off_parabola(x[near], moved[near], r, s, v).all(), s
+                assert _off_parabola(small[0], np.ldexp(moved[near], -400), *small[1:]).all(), s
             n_moved += np.count_nonzero(near)
             n_large_s += np.count_nonzero(near) if s > 1e3 else 0
         assert n_moved > 5000 and n_large_s > 3000
+
+    def test_every_outcome_has_an_input(self, worked_market):
+        # One cell per outcome, so that no outcome stays in OUTCOMES
+        # without an input that reaches it.
+        def literal(r, s, v):
+            return FrontierConstants(
+                r_gmv=np.float64(r), v_gmv=np.float64(v), s=np.float64(s),
+                w_gmv=np.array([0.5, 0.5]), tilt=np.array([1.0, -1.0]), outcome=np.int8(0),
+            )
+
+        worked = efficient_constants(worked_market)
+        table = {
+            "ok": (worked, 3.0),
+            "degenerate_frontier": (efficient_constants(MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))), 2.0),
+            "below_gamma_min": (worked, 0.5),
+            "nonpositive_mean": (efficient_constants(MarketParams(*NEGATIVE_R_MARKET)), 1e4),
+            # v_gmv < 0, which no covariance gives, makes t negative, and
+            # y = (1 + s) t (x + r) + r^2 - v cancels to 14 times its size.
+            "off_parabola": (literal(0.9, 5e9, -1e-10), 1e16),
+            # s t = s v_gmv / r_gmv ~ 1e-17 is below half an ulp of r_gmv.
+            "at_gmv": (literal(1.0, 1e-11, 1e-6), 1e8),
+        }
+        assert tuple(table) == OUTCOMES
+        for name, (con, gamma) in table.items():
+            assert OUTCOMES[power_grid(con, [gamma]).outcome[0]] == name
+
+    def test_scaled_form_equals_the_unscaled_one_bit_for_bit(self):
+        # Wherever the unscaled form is finite (gamma up to ~1e154), the
+        # power-of-two scaling of gamma changes no bit of x, y or t:
+        # random and ill-conditioned markets from gamma 0.3 to 1e150,
+        # and at gamma_min (1 + 1e-15).
+        rng = np.random.default_rng(2031)
+        n_ok = 0
+        for i in range(200):
+            params = random_market(rng, int(rng.integers(2, 10))) if i % 2 else ill_conditioned_market(rng)
+            con = efficient_constants(params)
+            gammas = np.append(np.geomspace(0.3, 1e150, 120), gamma_min(con) * (1.0 + 1e-15))
+            grid = power_grid(con, gammas)
+            ok = grid.ok
+            for got, ref in zip((grid.x, grid.y, grid.t), power_grid_reference(con, gammas)):
+                assert np.array_equal(got[ok], ref[ok]), i
+            assert ok[-1], i
+            n_ok += np.count_nonzero(ok)
+        assert n_ok > 20000
+
+    def test_sharpe_limit_up_to_the_largest_double(self):
+        # The paper's limit: from gamma 1e8 to the largest double, x and v
+        # do not rise (to 16 ulps, as the benchmark's frontier check
+        # allows), and at 1e300 x, v and t are within 4 ulps of the Sharpe
+        # portfolio's. Cells past 1e154 match a high-precision solve.
+        rng = np.random.default_rng(41)
+        gammas = np.append(np.geomspace(1e8, 1e300, 60), [1e305, np.finfo(float).max])
+        at_gmv = OUTCOMES.index("at_gmv")
+        n_limit = n_mp = 0
+        for i in range(120):
+            params = random_market(rng, int(rng.integers(2, 10))) if i % 2 else ill_conditioned_market(rng)
+            con = efficient_constants(params)
+            if not con.r_gmv > 0.0:
+                continue
+            grid = power_grid(con, gammas)
+            above = gammas >= gamma_min(con)
+            assert np.all(grid.ok[above] | (grid.outcome[above] == at_gmv)), i
+            ok = grid.ok
+            x, y = grid.x[ok], grid.y[ok]
+            v = y - x * x
+            assert np.all(np.diff(x) <= 16 * EPS * x[1:]), i
+            assert np.all(np.diff(v) <= 16 * EPS * y[1:]), i
+            ts = con.t_sharpe
+            xs, vs = con.r_gmv + con.s * ts, con.v_gmv + con.s * ts * ts
+            if ok[59]:
+                n_limit += 1
+                assert abs(grid.x[59] - xs) <= 4 * np.spacing(xs), i
+                assert abs(grid.y[59] - grid.x[59] ** 2 - vs) <= 4 * np.spacing(vs + xs * xs), i
+                assert abs(grid.t[59] - ts) <= 4 * np.spacing(ts), i
+            for j in np.flatnonzero(ok & (gammas > 1e154))[i % 5 :: 5]:
+                n_mp += 1
+                got = grid.x[j], grid.y[j], grid.t[j]
+                for value, ref in zip(got, _mp_optimum(con.r_gmv, con.s, con.v_gmv, gammas[j])):
+                    assert abs(value - ref) <= 4 * EPS * abs(ref), (i, gammas[j], value, ref)
+        assert n_limit > 100 and n_mp > 500
+
+    def test_scale_of_returns_changes_no_bit(self):
+        # Gross means times 2^j and covariances times 2^2j, j = +/-200:
+        # s is unchanged, and x and t scale by 2^j, y by 2^2j, bit for
+        # bit, with the same outcomes, up to gamma 1e300.
+        rng = np.random.default_rng(42)
+        for i in range(100):
+            params = random_market(rng, int(rng.integers(2, 9))) if i % 2 else ill_conditioned_market(rng)
+            con = efficient_constants(params)
+            gammas = np.geomspace(5.0 * con.s, 1e300, 40)
+            ref = power_grid(con, gammas)
+            assert ref.ok.any(), i
+            for j in (200, -200):
+                scaled = MarketParams(np.ldexp(params.mu, j), np.ldexp(params.sigma, 2 * j))
+                grid = power_grid(efficient_constants(scaled), gammas)
+                assert np.array_equal(grid.outcome, ref.outcome), (i, j)
+                for name, p in (("x", j), ("t", j), ("y", 2 * j)):
+                    got, want = getattr(grid, name), np.ldexp(getattr(ref, name), p)
+                    assert np.array_equal(got, want, equal_nan=True), (i, j, name)
 
     def test_just_below_gamma_min_raises(self):
         rng = np.random.default_rng(81)
@@ -496,9 +603,9 @@ class TestPowerGrid:
                 power_solution(gm * (1.0 - 1e-12), params)
 
     def test_far_below_gamma_min_raises_no_solution(self):
-        # Below gamma_min the discriminant's two forms can disagree in
-        # ill-conditioned markets; the error is still that no optimum
-        # exists, not that the forms disagree.
+        # Far below gamma_min in ill-conditioned markets, where the
+        # discriminant is negative by a wide margin, the error is that no
+        # optimum exists.
         rng = np.random.default_rng(2026)
         n_checked = 0
         for _ in range(150):
@@ -529,11 +636,11 @@ class TestPowerGrid:
 
     def test_invalid_inputs(self, worked_market):
         con = efficient_constants(worked_market)
-        for gamma in (0.0, math.nan):
-            with pytest.raises(ValueError, match="risk aversion"):
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^relative risk aversion must be positive and finite$"):
                 power_grid(con, [2.0, gamma])
-        for w0 in (0.0, math.nan):
-            with pytest.raises(ValueError, match="wealth"):
+        for w0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^initial wealth must be positive and finite$"):
                 power_grid(con, [2.0], w0=w0)
 
     def test_levered_market_near_threshold(self):
@@ -637,11 +744,11 @@ class TestObjectiveValue:
 
     def test_invalid_inputs(self, worked_market):
         w = Weights([0.5, 0.5])
-        for gamma in (0.0, math.nan, [2.0, math.nan]):
-            with pytest.raises(ValueError, match="risk aversion"):
+        for gamma in (0.0, math.nan, math.inf, [2.0, math.nan], [2.0, math.inf]):
+            with pytest.raises(ValueError, match="^relative risk aversion must be positive and finite$"):
                 objective_value(w, worked_market, gamma)
-        for w0 in (0.0, math.nan):
-            with pytest.raises(ValueError, match="wealth"):
+        for w0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^initial wealth must be positive and finite$"):
                 objective_value(w, worked_market, 2.0, w0=w0)
 
     def test_one_row_of_objective_rows(self, worked_market):

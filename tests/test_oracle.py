@@ -197,8 +197,8 @@ class TestMaximizeNumeric:
                 assert gamma == 1e4 and obj == sol.expected_utility == -math.inf
 
     def test_gamma_validation(self, worked_market):
-        for gamma in (0.0, math.nan):
-            with pytest.raises(ValueError, match="risk aversion"):
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^relative risk aversion must be positive and finite$"):
                 maximize_numeric(worked_market, gamma)
 
     def test_every_run_divergent_error(self):

@@ -63,15 +63,15 @@ class TestStudyConfig:
         spec = default_synth_spec()
         with pytest.raises(ValueError, match="k_range"):
             StudyConfig(seed=0, k_range=(1,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec)
-        for gamma in (0.0, math.nan):
-            with pytest.raises(ValueError, match="gamma_grid"):
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^gamma_grid entries must be positive and finite$"):
                 StudyConfig(seed=0, k_range=(4,), gamma_grid=(gamma,), output_dir=tmp_path, synth=spec)
         with pytest.raises(ValueError, match="n_subsets_cap"):
             StudyConfig(seed=0, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec, n_subsets_cap=0)
         with pytest.raises(ValueError, match="quantiles"):
             StudyConfig(seed=0, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec, quantiles=(1.5,))
-        for w0 in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="w0"):
+        for w0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^w0 must be positive and finite$"):
                 StudyConfig(seed=0, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec, w0=w0)
 
     @pytest.mark.parametrize("field", ["k_range", "gamma_grid"])
