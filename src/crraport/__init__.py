@@ -34,7 +34,7 @@ from .market import (
     synth_market,
 )
 from .oracle import OracleConfig, maximize_numeric, random_feasible
-from .stats import TestResult, normal_cdf, quantile, quantile_columns, shapiro_wilk, shapiro_wilk_rows
+from .stats import TestResult, normal_cdf, quantile, quantile_columns, shapiro_wilk
 from .study import StudyConfig, StudyReport, default_synth_spec, run_study
 
 __version__ = "0.1.0"
@@ -73,6 +73,5 @@ __all__ = [
     "run_study",
     "sharpe_weights",
     "shapiro_wilk",
-    "shapiro_wilk_rows",
     "synth_market",
 ]

@@ -29,8 +29,14 @@ check's error. Logarithmic utility is its g = 1 case,
 ``power_solution(1.0, ...)``, with value L; it exists iff one market's
 ``gamma_min`` <= 1. The optimum is mean-variance efficient iff it exists and
 r_gmv > 0, it never coincides with the GMV portfolio, and as g ->
-infinity it converges to the Sharpe ratio portfolio while X and V
+infinity it converges to the Sharpe ratio portfolio, t = v_gmv / r_gmv
+with mean r_gmv + s t and variance v_gmv + s t^2, while X and V
 decrease monotonically.
+
+The objective depends on a portfolio only through its moments:
+``objective_rows`` scores a batch of portfolios from their means and
+variances, and ``objective_value`` is its one-portfolio call from
+weights.
 """
 
 from __future__ import annotations
@@ -181,15 +187,17 @@ def _checked_gammas(gammas, w0: float) -> np.ndarray:
 def _off_parabola(x, y, r, s, v) -> np.ndarray:
     """Where (x, y) misses the parabola (x - r)^2 = s (y - x^2 - v) by
     more than rounding: 1e-8 of the larger side, 1e-12 max(y, x^2) for
-    extreme gamma, where y - x^2 cannot resolve v - v_gmv, and the s
-    ulp(...) cancellation of s (y - x^2 - v); none is absolute, so a
-    market's scale does not matter. Real defects miss it at O(1)."""
+    extreme gamma, where y - x^2 cannot resolve v - v_gmv, the s
+    ulp(...) cancellation of s (y - x^2 - v), and the 2 s x dx that x's
+    own error dx of up to 4 ulps adds; none is absolute, so a market's
+    scale does not matter. Real defects miss it at O(1)."""
     lhs = (x - r) ** 2
     rhs = s * (y - x * x - v)
     tol = (
         1e-8 * np.maximum(np.abs(lhs), np.abs(rhs))
         + 1e-12 * np.maximum(y, x * x)
         + 4.0 * s * (np.spacing(y) + np.spacing(x * x) + np.spacing(v))
+        + 8.0 * s * x * np.spacing(x)
     )
     return ~(np.abs(lhs - rhs) <= tol)
 
@@ -277,21 +285,24 @@ def power_solution(
     )
 
 
-def objective_rows(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray, gammas, w0: float = 1.0):
-    """Expected utility of a batch of portfolios ``w`` (B, k) in their
-    markets ``mu`` (B, k), ``sigma`` (B, k, k) at every gamma of
-    ``gammas`` (G,), as (B, G), and the portfolios inside the
-    objective's domain (w'mu > 0; the others get NaN)."""
-    x, v = portfolio_moments_rows(w, mu, sigma)
+def objective_rows(x: np.ndarray, v: np.ndarray, gammas, w0: float = 1.0):
+    """Expected utility of a batch of portfolios with gross means ``x``
+    (B,) and variances ``v`` (B,) at every gamma of ``gammas`` (G,), as
+    (B, G), and the portfolios inside the objective's domain (x > 0; the
+    others get NaN). Moments beyond the double range give +/-inf, 0 or
+    NaN, and no warning."""
+    x = np.asarray(x, dtype=float)
     inside = x > 0.0
-    utility = _utility(x[..., None], (v + x * x)[..., None], gammas, w0)
+    with np.errstate(all="ignore"):
+        y = v + x * x
+    utility = _utility(x[..., None], y[..., None], gammas, w0)
     utility[~inside] = np.nan
     return utility, inside
 
 
 def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
     """Expected utility of an arbitrary feasible portfolio: the one-row
-    call of ``objective_rows``.
+    call of ``objective_rows`` at the portfolio's moments.
 
     ``gamma`` is one risk aversion (returns a float) or an array of them
     (returns an array, elementwise). Exact under the moment-matched
@@ -302,7 +313,8 @@ def objective_value(w: Weights, params: MarketParams, gamma, w0: float = 1.0):
     g = _checked_gammas(gamma, w0)
     if w.w.size != params.k:
         raise ValueError("weights dimension does not match market")
-    utility, inside = objective_rows(w.w, params.mu, params.sigma, g, w0)
+    x, v = portfolio_moments_rows(w.w, params.mu, params.sigma)
+    utility, inside = objective_rows(x, v, g, w0)
     if not inside:
         raise ValueError("outside objective domain")
     return float(utility[0]) if g.ndim == 0 else utility

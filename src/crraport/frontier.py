@@ -49,9 +49,9 @@ __all__ = [
 # regularize.
 S_MIN = 1e-12
 
-# Budget and null-space checks, relative to the magnitudes summed: the
-# rounding of a sum grows with its terms, and leveraged or
-# small-variance markets carry large terms.
+# The budget check, relative to the magnitudes summed: the rounding of
+# a sum grows with its terms, and leveraged or small-variance markets
+# carry large terms.
 _SUM_RTOL = 1e-10
 
 
@@ -84,7 +84,6 @@ class Weights:
 # The checks of the frontier constants, in the order they apply, with
 # the error the one-market ``efficient_constants`` raises.
 _CHECKS = (
-    ("tilt_not_null", ArithmeticError, "tilt must sum to zero"),
     ("negative_slope", ValueError, "slope parameter came out materially negative"),
     ("slope_mismatch", ArithmeticError, "inconsistent slope between tilt and quadratic forms"),
     ("infeasible_gmv", ValueError, "GMV weights must be finite and sum to 1"),
@@ -190,7 +189,6 @@ def efficient_constants_rows(mu: np.ndarray, lower: np.ndarray) -> FrontierConst
         shift = sinv_dev.sum(axis=-1) / a
         r_gmv = centre + shift
         tilt = sinv_dev - shift[..., None] * sinv_one
-        scale = np.abs(sinv_dev).sum(axis=-1) + np.abs(shift) * np.abs(sinv_one).sum(axis=-1)
 
         # s is a positive semidefinite form; rounding can leave it a few
         # ulps of its terms either side of zero, and true-zero slopes
@@ -205,7 +203,6 @@ def efficient_constants_rows(mu: np.ndarray, lower: np.ndarray) -> FrontierConst
         w_gmv = sinv_one / a[..., None]
         v_gmv = 1.0 / a
         failed = (
-            np.abs(tilt.sum(axis=-1)) > _SUM_RTOL * scale,
             negative,
             np.abs(s_quadratic - s) > np.maximum(1e-10 * np.maximum(1.0, c_dev), 4.0 * noise),
             ~feasible_rows(w_gmv),

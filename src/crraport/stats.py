@@ -17,7 +17,6 @@ __all__ = [
     "TestResult",
     "normal_cdf",
     "shapiro_wilk",
-    "shapiro_wilk_rows",
     "shapiro_wilk_sorted",
     "quantile",
     "quantile_columns",
@@ -129,26 +128,12 @@ def _sw_p_values(w: np.ndarray, n: int) -> np.ndarray:
     return np.clip(np.where(w1 <= 1e-19, 1.0, p), 0.0, 1.0)
 
 
-def shapiro_wilk_rows(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Shapiro-Wilk W statistics and p-values of each row of a 2-d array.
-
-    The test of ``shapiro_wilk`` applied to every row at once; the rows
-    share one sample size n, whose coefficients are computed once. A row
-    with zero range has no test and gets NaN for both. Raises
-    ValueError unless 3 <= n <= 5000 and every value is finite.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("samples must form a 2-d array")
-    n = x.shape[1]
-    if n < 3 or n > 5000:
-        raise ValueError("sample size must be in [3, 5000]")
-    return shapiro_wilk_sorted(np.sort(x, axis=1))
-
-
 def shapiro_wilk_sorted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``shapiro_wilk_rows`` of rows already sorted ascending, (m, n)
-    with 3 <= n <= 5000, centred in place: ``x`` holds each row minus
+    """Shapiro-Wilk W statistics and p-values of each row of ``x``, rows
+    already sorted ascending, (m, n) with 3 <= n <= 5000: the test of
+    ``shapiro_wilk`` on every row at once, with one set of coefficients
+    for their sample size n. A row with zero range has no test and gets
+    NaN for both. Centres the rows in place: ``x`` holds each row minus
     its mean afterwards. Raises ValueError unless every value is finite,
     which it reads off the first and last columns (NaN sorts last)."""
     if not (np.isfinite(x[:, 0]).all() and np.isfinite(x[:, -1]).all()):
@@ -179,11 +164,17 @@ def shapiro_wilk(sample) -> TestResult:
     polynomial-corrected end coefficients, and a normal approximation
     of the null distribution of ``log(1 - W)`` (with separate
     regressions for n <= 11 and n >= 12; n = 3 is exact). The one-row
-    call of ``shapiro_wilk_rows``.
+    call of ``shapiro_wilk_sorted``, on a sorted copy of the sample.
 
-    Valid for sample sizes 3 <= n <= 5000 with non-degenerate spread.
+    Valid for 1-d samples of size 3 <= n <= 5000 with finite values and
+    non-degenerate spread; raises ValueError otherwise.
     """
-    w, p = shapiro_wilk_rows(np.asarray(sample, dtype=float).reshape(1, -1))
+    x = np.asarray(sample, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("sample must be 1-d")
+    if not 3 <= x.size <= 5000:
+        raise ValueError("sample size must be in [3, 5000]")
+    w, p = shapiro_wilk_sorted(np.sort(x)[None])
     if math.isnan(w[0]):
         raise ValueError("zero sample variance")
     return TestResult(float(w[0]), float(p[0]))

@@ -11,23 +11,24 @@ and optimal portfolios of the first-k-assets market on its frontier.
 The panel's gross means and covariance are estimated once per run; a
 subset's are the matching entries of those, so no subset is
 re-estimated. Each k is solved in batched passes over blocks of its
-sampled subsets (sized by their per-market arrays, so a default k is one
-block). A block of B subsets gathers its means (B, k) and covariances
-(B, k, k) and goes through the library's batch calls on arrays: Cholesky
-factors and frontier constants (B,), the closed-form grid (B, G), whose
-outcome codes degenerate and below-gamma_min markets, each market's
-GMV and tilt returns over the whole panel (B, 2, n), from which the
-realized gross returns of the solved cells only are written a chunk of
-cells at a time into one workspace where Shapiro-Wilk tests their logs
-in place, and the naive and Sharpe utilities (B, G). Each k's
-first-k-assets market is stacked after its subsets and solved in their
-last block; its row is placed on its frontier rather than tested. The
-optimum at each gamma is
-``w_gmv + t tilt`` and the Sharpe portfolio that line's gamma ->
-infinity end ``w_gmv + (v_gmv / r_gmv) tilt``, so both come from the
-market's one set of frontier constants. A market's
-results are bitwise the same whatever block or chunk it runs in, and
-agree with its own ``estimate_params`` solve to rounding.
+sampled subsets, its first-k-assets market stacked after them (blocks
+are sized by their per-market arrays, so a default k is one block). A
+block of B markets gathers its means (B, k) and covariances (B, k, k)
+and goes through the library's batch calls on arrays: Cholesky factors
+and frontier constants (B,), the closed-form grid (B, G), whose outcome
+codes degenerate and below-gamma_min markets, each market's GMV and
+tilt returns over the whole panel (B, 2, n), from which the realized
+gross returns of the solved cells only are written a chunk of cells at
+a time into one workspace where Shapiro-Wilk tests their logs in place,
+and the utilities (B, G). Blocks only compute and return per-market
+arrays; each k's tables are appended once from their concatenation,
+the first-k market placed on its frontier rather than tested. The
+optimum at each gamma is ``w_gmv + t tilt`` and the Sharpe portfolio
+that line's gamma -> infinity end, t = v_gmv / r_gmv, whose mean
+``r_gmv + s t`` and variance ``v_gmv + s t^2`` come from the constants:
+every strategy is scored from its moments. A market's results are
+bitwise the same whatever block or chunk it runs in, and agree with its
+own ``estimate_params`` solve to rounding.
 
 Each k's p-value quantiles, one column per gamma, come from one
 ``quantile_columns`` call. The report keeps each table as columns, one
@@ -58,12 +59,7 @@ import numpy as np
 
 from .crra import OUTCOMES, _positive_finite, objective_rows, power_grid
 from .csvout import write_csv
-from .frontier import (
-    FRONTIER_ERRORS,
-    efficient_constants_rows,
-    feasible_rows,
-    portfolio_moments_rows,
-)
+from .frontier import FRONTIER_ERRORS, efficient_constants_rows, portfolio_moments_rows
 from .market import (
     ReturnMatrix,
     SynthSpec,
@@ -102,7 +98,8 @@ _CSV_FILES = {
 
 # Cell codes, in the order a cell lists them. The first two, and
 # solve_failed when it comes from the frontier constants, are
-# market-level: they fill every gamma of a market, alone.
+# market-level: they fill every gamma of a market, alone. The last
+# only ever labels a first-k market's one row without a gamma.
 _CODES = (
     "singular_covariance",
     "degenerate_frontier",
@@ -113,7 +110,6 @@ _CODES = (
     "sw_degenerate",
     "naive_outside_domain",
     "sharpe_undefined",
-    "sharpe_outside_domain",
 )
 # Market-level code of each frontier outcome: a ValueError is a
 # degenerate frontier, an ArithmeticError a failed solve.
@@ -331,126 +327,102 @@ def _panel(returns: ReturnMatrix) -> SimpleNamespace:
     return SimpleNamespace(gross=returns.values + 1.0, mu=mu, sigma=sigma, workspace=workspace)
 
 
-def _solve_markets(
-    panel: SimpleNamespace, subsets: np.ndarray, cfg: StudyConfig, clock: _Stopwatch
-) -> SimpleNamespace:
-    """Gather the moments of a stack of column subsets (B, k) of
-    ``panel``, build their frontier constants and solve the gamma grid
-    for every market.
-
-    Returns each market's market-level ``code`` (an index into
-    ``_CODES``, or -1 for the ``good`` markets), its ``mu``, ``sigma``,
-    ``constants`` and ``grid``, and the good markets' ``solved`` cells and
-    per-gamma ``codes``, (B, G) masks by name.
-    """
-    mu, sigma, lower, chol_ok = subset_rows(panel.mu, panel.sigma, subsets)
-    clock.lap("estimate")
-    constants = efficient_constants_rows(mu, lower)
-    clock.lap("constants")
-    gammas = np.array(cfg.gamma_grid)
-    grid = power_grid(constants, gammas, cfg.w0)
-    code = _FRONTIER_CODES[constants.outcome]
-    degenerate = grid.outcome[:, 0] == OUTCOMES.index("degenerate_frontier")
-    code[(code < 0) & degenerate] = _CODES.index("degenerate_frontier")
-    code[~chol_ok] = _CODES.index("singular_covariance")
-    good = code < 0
-    solved = grid.ok & good[:, None]
-    below = (grid.outcome == OUTCOMES.index("below_gamma_min")) & good[:, None]
-    clock.lap("grid")
-    return SimpleNamespace(
-        gammas=gammas,
-        code=code,
-        good=good,
-        mu=mu,
-        sigma=sigma,
-        constants=constants,
-        grid=grid,
-        solved=solved,
-        codes={"below_gamma_min": below, "solve_failed": good[:, None] & ~below & ~solved},
-    )
-
-
-def _append_cells(table: dict, k: int, m: SimpleNamespace, rows: slice, subset_index: np.ndarray) -> None:
-    """A cell_errors row per code of every cell of the markets ``rows``
-    of ``_solve_markets``' markets ``m``, labelled ``subset_index``:
-    market by market, gamma by gamma, and within a cell in the order of
-    ``_CODES``."""
-    none = np.zeros(m.solved.shape, dtype=bool)
-    flags = np.stack([m.codes.get(c, none) for c in _CODES], axis=-1)[rows]
-    code = m.code[rows]
-    coded = np.flatnonzero(code >= 0)
-    flags[coded, :, code[coded]] = True
-    row, gi, ci = np.nonzero(flags)
-    codes = [_CODES[c] for c in ci.tolist()]
-    _append(table, row.size, k=k, subset_index=subset_index[row], gamma=m.gammas[gi], code=codes)
-
-
 def _subsets_pass(
     tables: dict, batches: dict, k: int, panel: SimpleNamespace, markets: np.ndarray, cfg: StudyConfig,
     clock: _Stopwatch,
 ) -> None:
     """Solve one k's markets (S + 1, k) of ``panel``, its S sampled
-    subsets and then its first-k-assets market, block by block; append
-    their rows and count them into ``batches``."""
-    (n_periods, n_assets), n_gammas = panel.gross.shape, len(cfg.gamma_grid)
-    block = max(1, _BLOCK_VALUES // max(k * k, 2 * max(n_periods, n_assets), n_gammas))
-    # The coded markets' rows, and the first-k market's, stay NaN, which
-    # quantile_columns skips.
-    p_values = np.full((len(markets), n_gammas), np.nan)
-    n_eval, violated = 0, np.zeros((2, n_gammas), dtype=np.int64)
+    subsets and then its first-k-assets market, block by block, count
+    them into ``batches`` and append k's rows to every table once, from
+    the blocks' per-market arrays."""
+    (n_periods, n_assets), gammas = panel.gross.shape, np.array(cfg.gamma_grid)
+    block = max(1, _BLOCK_VALUES // max(k * k, 2 * max(n_periods, n_assets), gammas.size))
+    n = len(markets) - 1
+    tested = np.arange(len(markets)) < n
+    parts = [
+        _solve_block(panel, markets[lo : lo + block], tested[lo : lo + block], cfg, clock, batches)
+        for lo in range(0, len(markets), block)
+    ]
     batches["markets"] += len(markets)
-    for first in range(0, len(markets), block):
-        rows, first_k = slice(first, first + block), first + block >= len(markets)
-        exists, mv_ok = _solve_block(
-            tables, batches, k, panel, markets[rows], first, first_k, cfg, clock, p_values[rows]
-        )
-        n_eval += len(exists)
-        violated += np.stack((~exists, ~(exists & mv_ok[:, None]))).sum(axis=1)
-        batches["blocks"] += 1
+    batches["blocks"] += len(parts)
+    m = SimpleNamespace(**{name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
 
+    _append_cells(tables["cell_errors"], k, gammas, m.flags[:n], np.arange(n))
+    row, gi = np.nonzero(m.scored)
+    _append(
+        tables["strategy_utilities"],
+        row.size,
+        k=k,
+        gamma=gammas[gi],
+        subset_index=row,
+        utility_naive=m.naive[row, gi],
+        utility_sharpe=m.sharpe[row, gi],
+        utility_optimal=m.optimal[row, gi],
+    )
+    # The rates count the tested subsets without a market-level code.
+    good = tested & (m.code < 0)
+    below = m.flags[good, :, _CODES.index("below_gamma_min")]
+    violated = np.stack((below, below | ~(m.r_gmv[good] > 0.0)[:, None])).sum(axis=1)
+    n_eval = int(np.count_nonzero(good))
     rate_gamma_min, rate_mv = ([f / n_eval if n_eval else None for f in row] for row in violated.tolist())
     _append(
         tables["condition_failure_rates"],
-        n_gammas,
+        gammas.size,
         k=k,
-        gamma=list(cfg.gamma_grid),
-        n_subsets=len(markets) - 1,
+        gamma=gammas,
+        n_subsets=n,
         n_evaluated=n_eval,
         rate_gamma_min_violated=rate_gamma_min,
         rate_mv_violated=rate_mv,
     )
+    # The untested cells' p-values are NaN, which quantile_columns skips.
     n_levels = len(cfg.quantiles)
-    n, values = quantile_columns(p_values, cfg.quantiles)
-    n = np.repeat(n, n_levels).tolist()
-    values = [v if count else None for count, v in zip(n, values.T.ravel().tolist())]
+    count, values = quantile_columns(m.p, cfg.quantiles)
+    count = np.repeat(count, n_levels).tolist()
+    values = [v if c else None for c, v in zip(count, values.T.ravel().tolist())]
     _append(
         tables["pvalue_quantiles"],
-        n_gammas * n_levels,
+        gammas.size * n_levels,
         k=k,
-        gamma=np.repeat(cfg.gamma_grid, n_levels),
-        quantile=list(cfg.quantiles) * n_gammas,
-        n=n,
+        gamma=np.repeat(gammas, n_levels),
+        quantile=list(cfg.quantiles) * gammas.size,
+        n=count,
         value=values,
     )
+    _frontier_rows(tables, k, gammas, m, n)
 
 
 def _solve_block(
-    tables: dict, batches: dict, k: int, panel: SimpleNamespace, subsets: np.ndarray, first: int,
-    first_k: bool, cfg: StudyConfig, clock: _Stopwatch, p_values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a block of subsets (B, k) of ``panel``, the first of them
-    subset ``first``, and append their cell and strategy rows; if
-    ``first_k``, the last is the first-k-assets market, placed on its
-    frontier instead. Writes the p-values of the tested cells into
-    ``p_values`` (B, G), and returns, for the subsets without a
-    market-level code, where gamma reaches gamma_min (B_good, G) and
-    where r_gmv > 0 (B_good,). Counts its Shapiro-Wilk chunks into
-    ``batches``."""
-    m = _solve_markets(panel, subsets, cfg, clock)
-    constants, grid, codes, gammas = m.constants, m.grid, m.codes, m.gammas
-    n = len(subsets) - first_k  # the sampled subsets
-    solved = m.solved & (np.arange(len(subsets)) < n)[:, None]
+    panel: SimpleNamespace, subsets: np.ndarray, tested: np.ndarray, cfg: StudyConfig, clock: _Stopwatch,
+    batches: dict,
+) -> dict:
+    """Solve a block of markets, column subsets (B, k) of ``panel``, over
+    the gamma grid (G,); test and score the solved cells of the markets
+    ``tested`` (B,) marks, and count Shapiro-Wilk chunks into ``batches``.
 
+    Returns per-market arrays by name: the market-level ``code`` (B,)
+    (an index into ``_CODES``, or -1), the cell ``flags`` (B, G, C) in
+    ``_CODES`` order, the p-values ``p`` (NaN where untested), the
+    ``naive``, ``sharpe`` and ``optimal`` utilities and the ``scored``
+    cells (B, G), and the frontier inputs ``r_gmv``, ``v_gmv``,
+    ``sharpe_x``, ``sharpe_v`` (B,) and the grid's ``ok``, ``x``, ``v``.
+    """
+    mu, sigma, lower, chol_ok = subset_rows(panel.mu, panel.sigma, subsets)
+    clock.lap("estimate")
+    constants = efficient_constants_rows(mu, lower)
+    clock.lap("constants")
+    grid = power_grid(constants, cfg.gamma_grid, cfg.w0)
+    code = _FRONTIER_CODES[constants.outcome]
+    degenerate = grid.outcome[:, 0] == OUTCOMES.index("degenerate_frontier")
+    code[(code < 0) & degenerate] = _CODES.index("degenerate_frontier")
+    code[~chol_ok] = _CODES.index("singular_covariance")
+    good = (code < 0)[:, None]
+    below = (grid.outcome == OUTCOMES.index("below_gamma_min")) & good
+    codes = {"below_gamma_min": below, "solve_failed": good & ~below & ~grid.ok}
+    solved = grid.ok & good & tested[:, None]
+    clock.lap("grid")
+
+    p = np.full(solved.shape, np.nan)
     n_periods = panel.gross.shape[0]
     if not 3 <= n_periods <= 5000:
         codes["sw_sample_size"] = solved
@@ -474,62 +446,66 @@ def _solve_block(
             positive[b, g] = True
             np.log(rows, out=rows)
             rows.sort(axis=1)
-            p_values[b, g] = shapiro_wilk_sorted(rows)[1]
+            p[b, g] = shapiro_wilk_sorted(rows)[1]
             batches["sw_chunks"] += 1
             clock.lap("shapiro_wilk")
         codes["nonpositive_realized_gross_return"] = solved & ~positive
-        codes["sw_degenerate"] = positive & np.isnan(p_values)
+        codes["sw_degenerate"] = positive & np.isnan(p)
 
-    naive_w = np.full(m.mu.shape, 1.0 / k)
-    naive, naive_inside = objective_rows(naive_w, m.mu, m.sigma, gammas, cfg.w0)
-    sharpe_w = constants.weights_at(constants.t_sharpe)
-    sharpe_defined = feasible_rows(sharpe_w)
-    sharpe, sharpe_inside = objective_rows(sharpe_w, m.mu, m.sigma, gammas, cfg.w0)
+    # The naive portfolio's moments from its weights; the Sharpe
+    # portfolio's from the constants, at t_sharpe = v_gmv / r_gmv on the
+    # frontier. A solved cell has r_gmv > 0, so its Sharpe mean exceeds
+    # r_gmv: only the naive portfolio can leave the domain.
+    naive_x, naive_v = portfolio_moments_rows(np.full(mu.shape, 1.0 / mu.shape[-1]), mu, sigma)
+    naive, naive_inside = objective_rows(naive_x, naive_v, cfg.gamma_grid, cfg.w0)
+    t, s = constants.t_sharpe, constants.s
+    with np.errstate(all="ignore"):  # r_gmv = 0 gives an infinite t
+        sharpe_x, sharpe_v = constants.r_gmv + s * t, constants.v_gmv + s * t * t
+    sharpe = objective_rows(sharpe_x, sharpe_v, cfg.gamma_grid, cfg.w0)[0]
     clock.lap("utilities")
     codes["naive_outside_domain"] = solved & ~naive_inside[:, None]
-    codes["sharpe_undefined"] = solved & ~sharpe_defined[:, None]
-    codes["sharpe_outside_domain"] = solved & (sharpe_defined & ~sharpe_inside)[:, None]
 
-    subset_index = first + np.arange(n)
-    _append_cells(tables["cell_errors"], k, m, slice(n), subset_index)
-    row, gi = np.nonzero(solved & (naive_inside & sharpe_defined & sharpe_inside)[:, None])
-    _append(
-        tables["strategy_utilities"],
-        row.size,
-        k=k,
-        gamma=gammas[gi],
-        subset_index=subset_index[row],
-        utility_naive=naive[row, gi],
-        utility_sharpe=sharpe[row, gi],
-        utility_optimal=grid.utility[row, gi],
+    none = np.zeros(solved.shape, dtype=bool)
+    flags = np.stack([codes.get(c, none) for c in _CODES], axis=-1)
+    coded = np.flatnonzero(code >= 0)
+    flags[coded, :, code[coded]] = True
+    return dict(
+        code=code, flags=flags, p=p, naive=naive, sharpe=sharpe, optimal=grid.utility,
+        scored=solved & naive_inside[:, None], r_gmv=constants.r_gmv, v_gmv=constants.v_gmv,
+        sharpe_x=sharpe_x, sharpe_v=sharpe_v, ok=grid.ok, x=grid.x, v=grid.y - grid.x * grid.x,
     )
-    if first_k:
-        _frontier_rows(tables, k, m, n, sharpe_w, sharpe_defined)
-    good = m.good[:n]
-    return ~codes["below_gamma_min"][:n][good], constants.r_gmv[:n][good] > 0.0
 
 
-def _frontier_rows(
-    tables: dict, k: int, m: SimpleNamespace, i: int, sharpe_w: np.ndarray, sharpe_defined: np.ndarray
+def _append_cells(
+    table: dict, k: int, gammas: np.ndarray, flags: np.ndarray, subset_index: np.ndarray
 ) -> None:
-    """Place the GMV, Sharpe (``sharpe_w``, where ``sharpe_defined``) and
-    optimal portfolios of market ``i`` of ``_solve_markets``' markets
-    ``m``, the first-k-assets market (subset_index -1), on its frontier."""
+    """A cell_errors row per flag of ``flags`` (M, G, C), the markets
+    labelled ``subset_index`` (M,): market by market, gamma by gamma, and
+    within a cell in the order of ``_CODES``."""
+    row, gi, ci = np.nonzero(flags)
+    codes = [_CODES[c] for c in ci.tolist()]
+    _append(table, row.size, k=k, subset_index=subset_index[row], gamma=gammas[gi], code=codes)
+
+
+def _frontier_rows(tables: dict, k: int, gammas: np.ndarray, m: SimpleNamespace, i: int) -> None:
+    """Place the GMV, Sharpe and optimal portfolios of market ``i`` of
+    the markets ``m``, the first-k-assets market (subset_index -1), on
+    its frontier; the Sharpe portfolio is undefined where its moments are
+    not finite (r_gmv = 0). A market with a market-level code gets that
+    one row instead."""
     cells, frontier = tables["cell_errors"], tables["frontier_locations"]
-    if not m.good[i]:
+    if m.code[i] >= 0:
         _append(cells, 1, k=k, subset_index=-1, gamma=None, code=_CODES[m.code[i]])
         return
-    constants, grid, one = m.constants, m.grid, slice(i, i + 1)
-    _append(frontier, 1, k=k, portfolio="gmv", gamma=None, x=constants.r_gmv[one], v=constants.v_gmv[one])
-    if sharpe_defined[i]:
-        x, v = portfolio_moments_rows(sharpe_w[one], m.mu[one], m.sigma[one])
-        _append(frontier, 1, k=k, portfolio="sharpe", gamma=None, x=x, v=v)
+    one = slice(i, i + 1)
+    _append(frontier, 1, k=k, portfolio="gmv", gamma=None, x=m.r_gmv[one], v=m.v_gmv[one])
+    if np.isfinite(m.sharpe_x[i]) and np.isfinite(m.sharpe_v[i]):
+        _append(frontier, 1, k=k, portfolio="sharpe", gamma=None, x=m.sharpe_x[one], v=m.sharpe_v[one])
     else:
         _append(cells, 1, k=k, subset_index=-1, gamma=None, code="sharpe_undefined")
-    _append_cells(cells, k, m, one, np.array([-1]))
-    on = np.flatnonzero(grid.ok[i])
-    x, y = grid.x[i, on], grid.y[i, on]
-    _append(frontier, on.size, k=k, portfolio="optimal", gamma=m.gammas[on], x=x, v=y - x * x)
+    _append_cells(cells, k, gammas, m.flags[one], np.array([-1]))
+    on = np.flatnonzero(m.ok[i])
+    _append(frontier, on.size, k=k, portfolio="optimal", gamma=gammas[on], x=m.x[i, on], v=m.v[i, on])
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:

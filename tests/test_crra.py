@@ -19,6 +19,7 @@ from crraport import (
     gamma_min,
     objective_rows,
     objective_value,
+    portfolio_moments_rows,
     power_grid,
     power_solution,
     random_feasible,
@@ -336,6 +337,15 @@ def _mp_optimum(r, s, v, gamma):
         return x, v + s * t * t + x * x, t
 
 
+def _literal(r, s, v):
+    """One market's constants r_gmv, s and v_gmv as given, whatever
+    market they come from."""
+    return FrontierConstants(
+        r_gmv=np.float64(r), v_gmv=np.float64(v), s=np.float64(s),
+        w_gmv=np.array([0.5, 0.5]), tilt=np.array([1.0, -1.0]), outcome=np.int8(0),
+    )
+
+
 class TestPowerGrid:
     def test_matches_one_gamma_solutions_on_every_study_cell(self, tmp_path):
         cfg = StudyConfig(
@@ -495,15 +505,21 @@ class TestPowerGrid:
             n_large_s += np.count_nonzero(near) if s > 1e3 else 0
         assert n_moved > 5000 and n_large_s > 3000
 
+    def test_x_rounding_is_inside_the_parabola_tolerance(self):
+        # Constants of an ill-conditioned market at gamma 1.19e9: x
+        # carries 3.6 ulps of error, which enters the parabola's two sides
+        # as 2 s x dx and used to exceed the tolerance. The cell is ok,
+        # and x, y and t match a 60-digit solve to 4 eps.
+        r, s, v = 0.9992507269910281, 232409.3294684823, 1.4189289299650598e-12
+        gamma = 1187863000.4490178
+        grid = power_grid(_literal(r, s, v), [gamma])
+        assert OUTCOMES[grid.outcome[0]] == "ok"
+        for value, ref in zip((grid.x[0], grid.y[0], grid.t[0]), _mp_optimum(r, s, v, gamma)):
+            assert abs(value - ref) <= 4 * EPS * abs(ref), (value, ref)
+
     def test_every_outcome_has_an_input(self, worked_market):
         # One cell per outcome, so that no outcome stays in OUTCOMES
         # without an input that reaches it.
-        def literal(r, s, v):
-            return FrontierConstants(
-                r_gmv=np.float64(r), v_gmv=np.float64(v), s=np.float64(s),
-                w_gmv=np.array([0.5, 0.5]), tilt=np.array([1.0, -1.0]), outcome=np.int8(0),
-            )
-
         worked = efficient_constants(worked_market)
         table = {
             "ok": (worked, 3.0),
@@ -511,10 +527,10 @@ class TestPowerGrid:
             "below_gamma_min": (worked, 0.5),
             "nonpositive_mean": (efficient_constants(MarketParams(*NEGATIVE_R_MARKET)), 1e4),
             # v_gmv < 0, which no covariance gives, makes t negative, and
-            # y = (1 + s) t (x + r) + r^2 - v cancels to 14 times its size.
-            "off_parabola": (literal(0.9, 5e9, -1e-10), 1e16),
+            # y = (1 + s) t (x + r) + r^2 - v is 1/6560 of its terms.
+            "off_parabola": (_literal(0.9, 1e9, -8e-10), 1e16),
             # s t = s v_gmv / r_gmv ~ 1e-17 is below half an ulp of r_gmv.
-            "at_gmv": (literal(1.0, 1e-11, 1e-6), 1e8),
+            "at_gmv": (_literal(1.0, 1e-11, 1e-6), 1e8),
         }
         assert tuple(table) == OUTCOMES
         for name, (con, gamma) in table.items():
@@ -752,16 +768,30 @@ class TestObjectiveValue:
                 objective_value(w, worked_market, 2.0, w0=w0)
 
     def test_one_row_of_objective_rows(self, worked_market):
+        # objective_value is objective_rows at the portfolio's moments, and
+        # each row of a batch is bitwise its portfolio's one-row call.
         rng = np.random.default_rng(38)
         gammas = np.array([0.5, 1.0, 3.0, 1e4])
         for params in [worked_market] + [random_market(rng, k) for k in (3, 6)]:
-            for w in random_feasible(params, 20, seed=7):
-                rows, inside = objective_rows(w.w[None], params.mu[None], params.sigma[None], gammas)
-                assert inside[0]
-                assert np.array_equal(objective_value(w, params, gammas), rows[0])
+            portfolios = random_feasible(params, 20, seed=7)
+            w = np.stack([p.w for p in portfolios])
+            rows, inside = objective_rows(*portfolio_moments_rows(w, params.mu, params.sigma), gammas)
+            assert inside.all()
+            for i, p in enumerate(portfolios):
+                assert np.array_equal(objective_value(p, params, gammas), rows[i])
                 for gi, gamma in enumerate(gammas):
-                    assert objective_value(w, params, gamma) == rows[0, gi]
+                    assert objective_value(p, params, gamma) == rows[i, gi]
 
+    def test_moments_beyond_the_double_range_warn_nothing(self):
+        # Sharpe moments of markets with r_gmv near or at 0: r_gmv + s t
+        # and v_gmv + s t^2 are huge, infinite or NaN. No warning (which
+        # pytest makes an error), and NaN outside the domain x > 0.
+        x = np.array([1e200, 1e300, np.inf, np.nan, -np.inf, -1e300])
+        v = np.array([1e300, np.inf, np.inf, np.nan, np.inf, 1e300])
+        utility, inside = objective_rows(x, v, [0.5, 1.0, 3.0, 1e8])
+        assert inside.tolist() == [True, True, True, False, False, False]
+        assert np.isnan(utility[~inside]).all()
+        assert not np.isnan(utility[:2]).any()
 
 class TestUtilityKernel:
     """``crra._utility`` against 50-digit mpmath at the same double moments."""

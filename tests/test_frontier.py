@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -69,6 +71,38 @@ class TestEfficientConstants:
         one = efficient_constants_rows(mu[3], markets[3].lower)
         assert FRONTIER_OUTCOMES[one.outcome] == "nonfinite_tilt" and np.isnan(one.r_gmv)
 
+    def test_every_reachable_outcome_has_an_input(self):
+        # One market per outcome that an input reaches, through the rows
+        # call and efficient_constants' error. No input is known for
+        # slope_mismatch or nonpositive_v_gmv.
+        nan_mean = SimpleNamespace(mu=np.array([1.0, np.nan]), lower=np.eye(2))
+        table = {
+            "ok": (MarketParams([1.05, 1.15], np.diag([0.01, 0.04])), None),
+            # Condition number 4e20; squared pivots 5.75 and 0.081.
+            "negative_slope": (
+                MarketParams(
+                    [0.9654625287539494, 1.0000004532407853],
+                    [[5.751754153283212, 438290.30860049266], [438290.30860049266, 33398227652.676865]],
+                ),
+                (ValueError, "slope parameter came out materially negative"),
+            ),
+            # 1' Sigma^-1 1 overflows.
+            "infeasible_gmv": (
+                MarketParams([1.0, 1.1], np.diag([1e-310, 1e-310])),
+                (ValueError, "GMV weights must be finite and sum to 1"),
+            ),
+            "nonfinite_tilt": (nan_mean, (ValueError, "tilt must be finite")),
+        }
+        assert set(FRONTIER_OUTCOMES) - set(table) == {"slope_mismatch", "nonpositive_v_gmv"}
+        for name, (params, error) in table.items():
+            con = efficient_constants_rows(params.mu, params.lower)
+            assert FRONTIER_OUTCOMES[con.outcome] == name
+            if error is None:
+                efficient_constants(params)
+                continue
+            with pytest.raises(error[0], match=f"^{error[1]}$"):
+                efficient_constants(params)
+
     def test_tilt_properties_random_markets(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -116,7 +150,7 @@ class TestEfficientConstants:
 
     def test_small_volatility_market_accepted(self):
         # Volatilities of 0.2%-0.45% put |Sigma^-1| near 4e7; the
-        # null-space and slope checks must scale with it.
+        # budget and slope checks must scale with it.
         spec = default_synth_spec()
         params = MarketParams(spec.mu0, spec.sigma0 * 1e-4)
         con = efficient_constants(params)

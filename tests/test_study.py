@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,12 +21,11 @@ from crraport import (
     load_returns_csv,
     power_solution,
     run_study,
-    sharpe_weights,
     synth_market,
     ReturnMatrix,
 )
 from crraport import study
-from crraport.study import _draw_subsets, _panel, _solve_markets, _Stopwatch
+from crraport.study import _draw_subsets, _panel, _solve_block, _Stopwatch
 from helpers import empirical_cdf, table_rows
 
 
@@ -344,26 +344,51 @@ class TestRunStudy:
         }
         assert set(coded.values()) == {"below_gamma_min", "solve_failed"}
 
-    def test_sharpe_weights_read_off_constants_match_direct_solve(self, tmp_path):
-        # The study's Sharpe portfolio w_gmv + (v_gmv / r_gmv) tilt against
-        # the Sigma^-1 mu solve, on every evaluated market of a small study.
+    def test_sharpe_moments_read_off_constants_match_direct_solve(self, tmp_path):
+        # The study's Sharpe moments r_gmv + s t and v_gmv + s t^2, at
+        # t = v_gmv / r_gmv, against those of the Sigma^-1 mu solve, on
+        # every evaluated market of a small study.
         cfg = _small_config(tmp_path)
         returns = synth_market(cfg.synth, cfg.seed)
         panel = _panel(returns)
+        batches = dict.fromkeys(("blocks", "markets", "sw_chunks"), 0)
         checked = 0
         for k in cfg.k_range:
             subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
             subsets.append(tuple(range(k)))
-            markets = _solve_markets(panel, np.array(subsets), cfg, _Stopwatch())
-            con = markets.constants
-            study_w = con.weights_at(con.t_sharpe)
-            for si in np.flatnonzero(markets.good):
+            tested = np.arange(len(subsets)) < len(subsets) - 1
+            block = _solve_block(panel, np.array(subsets), tested, cfg, _Stopwatch(), batches)
+            for si in np.flatnonzero(block["code"] < 0):
                 params = estimate_params(ReturnMatrix(returns.values[:, list(subsets[si])]))
-                ref = sharpe_weights(params).w
-                gap = np.max(np.abs(study_w[si] - ref))
-                assert gap <= 1e-12 * np.abs(ref).sum(), (k, subsets[si])
+                z = np.linalg.solve(params.sigma, params.mu)
+                w = z / z.sum()
+                x, v = w @ params.mu, w @ params.sigma @ w
+                assert block["sharpe_x"][si] == pytest.approx(x, rel=1e-12), (k, subsets[si])
+                assert block["sharpe_v"][si] == pytest.approx(v, rel=1e-10), (k, subsets[si])
                 checked += 1
         assert checked == 2 * (cfg.n_subsets_cap + 1)
+
+    def test_sharpe_moments_are_within_4_eps_of_a_60_digit_solve(self, tmp_path):
+        # The Sharpe rows of frontier_locations for the default synth's
+        # first-k markets, k = 2..17, against Sigma^-1 mu / 1' Sigma^-1 mu
+        # solved at 60 digits from the same double moments. Moments of
+        # the weights w_gmv + t tilt reach 5 eps in v.
+        cfg = _small_config(tmp_path, k_range=tuple(range(2, 18)), gamma_grid=(2.0,), n_subsets_cap=1)
+        report = run_study(cfg)
+        panel = _panel(synth_market(cfg.synth, cfg.seed))
+        sharpe = [r for r in table_rows(report.frontier_locations) if r["portfolio"] == "sharpe"]
+        assert [r["k"] for r in sharpe] == list(cfg.k_range)
+        eps = np.finfo(float).eps
+        with mp.workdps(60):
+            for row in sharpe:
+                k = row["k"]
+                mu = mp.matrix(panel.mu[:k].tolist())
+                sigma = mp.matrix(panel.sigma[:k, :k].tolist())
+                z = mp.lu_solve(sigma, mu)
+                w = z / sum(z)
+                x, v = (w.T * mu)[0], (w.T * sigma * w)[0]
+                assert abs(row["x"] - x) <= 4 * eps * abs(x), k
+                assert abs(row["v"] - v) <= 4 * eps * abs(v), k
 
     def test_collinear_subsets_coded_singular_and_others_match_reference(self, tmp_path):
         # Column f is d + 2e: the subsets holding d, e and f have a
@@ -452,9 +477,9 @@ class TestRunStudy:
         assert report.batches == {"blocks": 4, "markets": 65, "sw_chunks": 4}
         blocks, calls = [], {"chunk": 0}
 
-        def solve_block(tables, batches, k, panel, subsets, first, first_k, *args):
-            blocks.append((k, len(subsets), first_k))
-            return study_solve_block(tables, batches, k, panel, subsets, first, first_k, *args)
+        def solve_block(panel, subsets, tested, *args):
+            blocks.append((subsets.shape[1], len(subsets), not tested[-1]))
+            return study_solve_block(panel, subsets, tested, *args)
 
         def shapiro_wilk_sorted(rows):
             calls["chunk"] += 1
