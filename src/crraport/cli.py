@@ -134,14 +134,18 @@ def _cmd_solve(args) -> int:
 def _cmd_frontier(args) -> int:
     if not np.isfinite(args.span):
         raise ValueError("span must be finite")
+    if args.points < 0:
+        raise ValueError("points must be non-negative")
     params = _load_market(args)
     constants = efficient_constants(params)
     gm = gamma_min(constants)  # raises on a degenerate frontier or r_gmv = 0
     half_span = args.span * (constants.s * constants.v_gmv) ** 0.5
-    xs = np.linspace(constants.r_gmv - half_span, constants.r_gmv + half_span, args.points)
-    d = xs - constants.r_gmv
-    vs = (d * d / constants.s + constants.v_gmv).tolist()
-    weights = constants.weights_at(d / constants.s)
+    # A span past the double range overflows; the Weights check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(constants.r_gmv - half_span, constants.r_gmv + half_span, args.points)
+        d = xs - constants.r_gmv
+        vs = (d * d / constants.s + constants.v_gmv).tolist()
+        weights = constants.weights_at(d / constants.s)
     for w in weights:
         Weights(w)  # raises on a row that is not finite or not fully invested
     xs = xs.tolist()

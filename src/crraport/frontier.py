@@ -13,14 +13,18 @@ with mean X is ``w_gmv + t tilt`` with ``t = (X - r_gmv)/s`` and the
 Markowitz tilt ``tilt = Q mu = Sigma^-1 (mu - r_gmv 1)``, which sums to
 zero. ``Q`` itself is never formed: ``tilt`` and ``s = tilt'(mu - r_gmv)``
 come from one solve against the stacked right-hand side [1, mu - mean(mu)].
-Shorting is allowed throughout: feasible means w'1 = 1.
+After ``s`` is read, the tilt is projected onto 1'x = 0 along ``w_gmv``,
+so every frontier portfolio meets the budget as ``w_gmv`` does; this is
+the one place the budget rule is applied. Shorting is allowed
+throughout: feasible means w'1 = 1.
 
 The constants carry leading batch axes: ``efficient_constants_rows``
 solves a stack of markets (B,) at once and codes each market's failed
-check in ``outcome``; ``efficient_constants`` is its one-market call
-(batch shape ``()``), which raises instead. ``weights_at`` and
-``period_returns`` (a panel's returns of the GMV portfolio and the tilt)
-act on the whole batch.
+check in ``outcome`` (``FRONTIER_OUTCOMES``: ok, negative_slope,
+slope_mismatch, infeasible_gmv, nonfinite_tilt); ``efficient_constants``
+is its one-market call (batch shape ``()``), which raises instead.
+``weights_at`` and ``period_returns`` (a panel's returns of the GMV
+portfolio and the tilt) act on the whole batch.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "FrontierConstants",
     "efficient_constants",
     "efficient_constants_rows",
-    "feasible_rows",
     "sharpe_weights",
     "portfolio_moments_rows",
 ]
@@ -55,16 +58,6 @@ S_MIN = 1e-12
 _SUM_RTOL = 1e-10
 
 
-def feasible_rows(w: np.ndarray) -> np.ndarray:
-    """Which rows of ``w`` (..., k) are valid ``Weights``: finite, and
-    summing to 1 within 1e-10 of their sum of magnitudes."""
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
-        total = np.abs(w).sum(axis=-1)
-        return np.isfinite(w).all(axis=-1) & (
-            np.abs(w.sum(axis=-1) - 1.0) <= _SUM_RTOL * np.maximum(1.0, total)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Weights:
     """Fully-invested portfolio weights (w'1 = 1, shorting allowed)."""
@@ -75,7 +68,7 @@ class Weights:
         w = np.array(self.w, dtype=float).ravel()
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if not feasible_rows(w):
+        if not abs(w.sum() - 1.0) <= _SUM_RTOL * max(1.0, np.abs(w).sum()):
             raise ValueError("weights must sum to 1 (relative tolerance 1e-10 of sum |w|)")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
@@ -86,8 +79,7 @@ class Weights:
 _CHECKS = (
     ("negative_slope", ValueError, "slope parameter came out materially negative"),
     ("slope_mismatch", ArithmeticError, "inconsistent slope between tilt and quadratic forms"),
-    ("infeasible_gmv", ValueError, "GMV weights must be finite and sum to 1"),
-    ("nonpositive_v_gmv", ValueError, "v_gmv must be positive"),
+    ("infeasible_gmv", ValueError, "GMV weights must be finite and v_gmv positive"),
     ("nonfinite_tilt", ValueError, "tilt must be finite"),
 )
 # Per-market outcome names of ``efficient_constants_rows``: 0 is "ok",
@@ -202,11 +194,15 @@ def efficient_constants_rows(mu: np.ndarray, lower: np.ndarray) -> FrontierConst
         s_quadratic = c_dev - shift * shift * a
         w_gmv = sinv_one / a[..., None]
         v_gmv = 1.0 / a
+        # The solve's rounding, times the conditioning, leaves 1' tilt off
+        # zero; the Sigma-orthogonal projection onto 1'x = 0 (along w_gmv)
+        # puts w_gmv + t tilt on the budget for every t.
+        tilt = tilt - w_gmv * tilt.sum(axis=-1)[..., None]
         failed = (
             negative,
             np.abs(s_quadratic - s) > np.maximum(1e-10 * np.maximum(1.0, c_dev), 4.0 * noise),
-            ~feasible_rows(w_gmv),
-            ~(v_gmv > 0.0),
+            # Finite w_gmv sums to 1 within ~2 k eps sum |w_gmv|.
+            ~np.isfinite(w_gmv).all(axis=-1) | ~(v_gmv > 0.0),
             ~np.isfinite(tilt).all(axis=-1),
         )
     outcome, r_gmv, v_gmv, s, w_gmv, tilt = _first_failures(failed, (r_gmv, v_gmv, s, w_gmv, tilt))
@@ -229,11 +225,11 @@ def sharpe_weights(params: MarketParams) -> Weights:
     """Sharpe ratio portfolio Sigma^-1 mu / (1' Sigma^-1 mu), ``t_sharpe``
     on the frontier of ``efficient_constants``. mu is the mean of GROSS
     returns, so this differs slightly from the textbook net-return Sharpe
-    portfolio. Undefined (ValueError) wherever ``feasible_rows`` rejects
-    it, as when 1' Sigma^-1 mu = 0."""
+    portfolio. Undefined (ValueError) where its weights are not finite,
+    as when 1' Sigma^-1 mu = 0 (r_gmv = 0, so ``t_sharpe`` is infinite)."""
     constants = efficient_constants(params)
     w = constants.weights_at(constants.t_sharpe)
-    if not feasible_rows(w):
+    if not np.isfinite(w).all():
         raise ValueError("Sharpe portfolio undefined")
     return Weights(w)
 

@@ -27,6 +27,7 @@ __all__ = [
     "sample_moments",
     "subset_rows",
     "cho_solve_rows",
+    "check_seed",
     "synth_market",
 ]
 
@@ -183,7 +184,7 @@ def load_returns_csv(path) -> ReturnMatrix:
     is not a finite real. Every other cell must parse as a finite real;
     ragged rows and bad cells are reported with their row/column position.
     """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     labels: tuple[str, ...] = ()
     if raw and _first_bad_cell(raw[:1], len(raw[0]), 1) is not None:
@@ -315,8 +316,16 @@ class SynthSpec:
         return out
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a non-negative integer, the
+    seeds numpy's generators take."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError("seed must be a non-negative integer")
+
+
 def synth_market(spec: SynthSpec, seed: int) -> ReturnMatrix:
     """Draw n i.i.d. multivariate-normal return rows, deterministically."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((spec.n, spec.k))
     values = (spec.mu0 - 1.0) + z @ spec._chol.T

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .frontier import Weights, efficient_constants, feasible_rows
-from .market import MarketParams
+from .frontier import Weights, efficient_constants
+from .market import MarketParams, check_seed
 
 __all__ = ["OracleConfig", "maximize_numeric", "random_feasible"]
 
@@ -60,6 +60,7 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+        check_seed(self.seed)
 
 
 def random_feasible(params: MarketParams, n: int, seed: int) -> list[Weights]:
@@ -183,7 +184,7 @@ def maximize_numeric(
     constants = efficient_constants(params)
     sharpe = constants.weights_at(constants.t_sharpe)
     starts = [constants.w_gmv]
-    if feasible_rows(sharpe):
+    if np.isfinite(sharpe).all():  # the search closes each start's budget
         starts.append(sharpe)
     starts.append(np.full(params.k, 1.0 / params.k))
     n_random = max(0, cfg.n_starts - len(starts))

@@ -63,6 +63,7 @@ from .frontier import FRONTIER_ERRORS, efficient_constants_rows, portfolio_momen
 from .market import (
     ReturnMatrix,
     SynthSpec,
+    check_seed,
     load_returns_csv,
     sample_moments,
     subset_rows,
@@ -161,6 +162,7 @@ class StudyConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if (self.data_csv is None) == (self.synth is None):
             raise ValueError("exactly one of data_csv / synth must be given")
+        check_seed(self.seed)
         for name in ("k_range", "gamma_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")

@@ -153,13 +153,15 @@ def random_market(
             continue
 
 
-def ill_conditioned_market(rng: np.random.Generator) -> MarketParams:
+def ill_conditioned_market(
+    rng: np.random.Generator, log_cond: tuple[float, float] = (0.0, 10.0)
+) -> MarketParams:
     """Random market of 2 to 50 assets, variance scale 1e-7 to 1e-1 and
-    condition number 1 to 1e10, from an orthogonal Q diag(ev) Q' with
-    gross means 1 + 0.3 sqrt(scale) N(0, 1)."""
+    condition number 10^log_cond (1 to 1e10 by default), from an
+    orthogonal Q diag(ev) Q' with gross means 1 + 0.3 sqrt(scale) N(0, 1)."""
     k = int(rng.integers(2, 51))
     scale = 10.0 ** rng.uniform(-7.0, -1.0)
-    cond = 10.0 ** rng.uniform(0.0, 10.0)
+    cond = 10.0 ** rng.uniform(*log_cond)
     q, _ = np.linalg.qr(rng.normal(size=(k, k)))
     ev = scale * cond ** -rng.uniform(0.0, 1.0, k)
     ev[0], ev[-1] = scale, scale / cond

@@ -102,6 +102,25 @@ class TestSolve:
         else:
             assert payload["expected_utility"] is None
 
+    def test_ill_conditioned_market_just_above_gamma_min(self, capsys, tmp_path):
+        # Condition number 9.4e7, at gamma_min (1 + 1e-6): the tilt as
+        # solved misses 1'x = 0 by enough to fail the Weights check, so
+        # the optimum that power_grid accepts is fully invested only with
+        # the tilt projected onto the budget.
+        market = {
+            "mu": [1.000499466472451, 0.9954234381539013],
+            "sigma": [
+                [0.00018277223318946052, -5.851286627609222e-05],
+                [-5.851286627609222e-05, 1.8732363724254135e-05],
+            ],
+        }
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market))
+        code, out, _ = _run(capsys, ["solve", "--market", str(path), "--gamma", "0.7531655372706838"])
+        assert code == 0
+        weights = json.loads(out)["weights"]
+        assert abs(sum(weights) - 1.0) <= 1e-15 * sum(map(abs, weights))
+
     def test_missing_market_source(self, capsys):
         code, _, err = _run(capsys, ["solve", "--gamma", "3"])
         assert code == 2
@@ -173,8 +192,16 @@ class TestFrontier:
                 "existence threshold undefined for r_gmv = 0",
             ),
             (WORKED_MARKET, ["--span", "nan"], "span must be finite"),
+            (WORKED_MARKET, ["--points", "-3"], "points must be non-negative"),
+            # The span overflows the parabola's ends: the weights report
+            # it, without a warning.
+            (
+                {"mu": [1.0, 3.0], "sigma": [[4.0, 0.0], [0.0, 4.0]]},
+                ["--span", "1.7e308"],
+                "weights must be finite",
+            ),
         ],
-        ids=["flat", "zero_r_gmv", "nan_span"],
+        ids=["flat", "zero_r_gmv", "nan_span", "negative_points", "overflowing_span"],
     )
     def test_error_exits(self, capsys, tmp_path, market, flags, message):
         path = tmp_path / "market.json"
@@ -448,6 +475,23 @@ class TestEnvOverrides:
         assert main(["synth", "--seed", "9", "--out", str(out_b)]) == 0
         capsys.readouterr()
         assert filecmp.cmp(out_a, out_b, shallow=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "--synth", "default", "--seed", "-1"],
+        ["synth", "--seed", "-2"],
+        ["solve", "--synth", "default", "--seed", "-1", "--gamma", "3"],
+        ["verify", "--market", "{market}", "--seed", "-1"],
+    ],
+    ids=["study", "synth", "solve", "verify"],
+)
+def test_negative_seed_is_named(capsys, market_file, argv):
+    # Each command rejects the seed before it writes anything.
+    code, out, err = _run(capsys, [arg.replace("{market}", market_file) for arg in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "seed must be a non-negative integer"}
 
 
 @pytest.mark.skipif(shutil.which("crraport") is None, reason="entry point not installed")

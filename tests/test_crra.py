@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,8 @@ from crraport import (
     sharpe_weights,
     synth_market,
 )
-from crraport.crra import OUTCOMES, _off_parabola, _utility
+from crraport.crra import _CHECKS, OUTCOMES, _off_parabola, _utility
+from crraport.frontier import FRONTIER_ERRORS
 from crraport.study import _draw_subsets
 from helpers import (
     discriminant,
@@ -227,6 +229,39 @@ class TestPowerSolution:
         assert sol.expected_utility == pytest.approx(
             math.log(2.0) + 2.0 * math.log(sol.x) - 0.5 * math.log(sol.y), rel=1e-14
         )
+
+    def test_raises_exactly_where_the_grid_codes_a_failure(self):
+        # Condition numbers 1 to 1e14, gammas from gamma_min (1 + 1e-12)
+        # to 1e8: power_solution is one cell of power_grid. It returns
+        # the weights of every ok cell and raises the failed check's
+        # error on every other, the frontier's included.
+        rng = np.random.default_rng(2040)
+        n_ok = n_failed = 0
+        for i in range(300):
+            try:
+                params = ill_conditioned_market(rng, (0.0, 10.0) if i % 2 else (10.0, 14.0))
+            except ValueError:
+                continue
+            con = efficient_constants_rows(params.mu, params.lower)
+            gammas = [2.0, 10.0, 1e4, 1e8]
+            if con.outcome == 0 and con.r_gmv != 0.0:
+                gm = gamma_min(con)
+                gammas += [gm * (1.0 + 1e-12), gm * (1.0 + 1e-6), 1.01 * gm, 2.0 * gm]
+            grid = power_grid(con, gammas)
+            for gamma, code, t in zip(gammas, grid.outcome, grid.t):
+                if con.outcome:
+                    with pytest.raises(FRONTIER_ERRORS[con.outcome]):
+                        power_solution(gamma, params)
+                elif code:
+                    error, message = _CHECKS[code - 1][1:]
+                    with pytest.raises(error, match=f"^{re.escape(message)}"):
+                        power_solution(gamma, params)
+                else:
+                    sol = power_solution(gamma, params)
+                    assert np.array_equal(sol.weights.w, con.weights_at(t)), (i, gamma)
+                n_ok += code == 0
+                n_failed += code != 0
+        assert n_ok > 1000 and n_failed > 100
 
     def test_nonpositive_mean_error_when_r_gmv_negative(self):
         params = MarketParams(*NEGATIVE_R_MARKET)

@@ -68,6 +68,15 @@ class TestLoadReturnsCsv:
         with pytest.raises(OSError):
             load_returns_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("header", ["", "a,b\n"], ids=["headerless", "headered"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + header + "0.01,0.02\n-0.01,0.00\n0.03,0.01\n").encode("utf-8"))
+        rm = load_returns_csv(path)
+        assert rm.n_periods == 3
+        assert rm.asset_labels == (("a", "b") if header else ("asset_1", "asset_2"))
+        np.testing.assert_array_equal(rm.values, [[0.01, 0.02], [-0.01, 0.0], [0.03, 0.01]])
+
 
 class TestEstimateParams:
     def test_hand_computed_example(self):
@@ -167,6 +176,12 @@ class TestSynthMarket:
         assert np.array_equal(a.values, b.values)
         c = synth_market(spec, seed=12)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        spec = SynthSpec(n=50, mu0=[1.01, 1.02], sigma0=np.diag([1e-4, 4e-4]))
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            synth_market(spec, seed)
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError, match="n_assets >= 2"):

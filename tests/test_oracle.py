@@ -50,6 +50,8 @@ class TestOracleConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_starts"):
             OracleConfig(n_starts=0)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            OracleConfig(seed=-1)
 
 
 class TestRandomFeasible:

@@ -73,6 +73,8 @@ class TestStudyConfig:
         for w0 in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="^w0 must be positive and finite$"):
                 StudyConfig(seed=0, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec, w0=w0)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            StudyConfig(seed=-1, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec)
 
     @pytest.mark.parametrize("field", ["k_range", "gamma_grid"])
     def test_empty_grid_rejected(self, tmp_path, field):
