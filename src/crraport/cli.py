@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .crra import gamma_min, power_solution
+from .crra import gamma_min, ln_ce, power_solution
 from .csvout import write_csv
 from .frontier import Weights, efficient_constants, portfolio_moments_rows
 from .lognormal import psi_sup_bound, psi_sup_empirical
-from .market import MarketParams, SynthSpec, estimate_params, load_returns_csv, synth_market
+from .market import MarketParams, SynthSpec, estimate_params, json_fields, load_returns_csv, synth_market
 from .oracle import OracleConfig, maximize_numeric
 from .study import StudyConfig, default_synth_spec, run_study
 
@@ -62,12 +62,7 @@ def _load_market(args) -> MarketParams:
     """Market parameters from --market JSON, --data CSV, or --synth spec."""
     if getattr(args, "market", None):
         payload = json.loads(Path(args.market).read_text())
-        if not isinstance(payload, dict):
-            raise ValueError("market file must hold a JSON object")
-        missing = [key for key in ("mu", "sigma") if key not in payload]
-        if missing:
-            raise ValueError(f"market file is missing {', '.join(missing)}")
-        return MarketParams(payload["mu"], payload["sigma"])
+        return MarketParams(*json_fields(payload, ("mu", "sigma"), "market file"))
     if getattr(args, "data", None):
         return estimate_params(load_returns_csv(args.data))
     if getattr(args, "synth", None):
@@ -99,12 +94,6 @@ def _write_csv(path: str | None, header, columns) -> None:
         write_csv(fh, header, columns)
 
 
-def _ln_ce(x, v, gamma):
-    """ln CE of a gross return with mean ``x`` and variance ``v``: finite
-    where E[U] = CE^(1-gamma)/(1-gamma) is beyond the double range."""
-    return np.log(x) - 0.5 * gamma * np.log1p(v / (x * x))
-
-
 def _solution_payload(sol, constants) -> dict:
     return {
         "gamma": sol.gamma,
@@ -113,7 +102,7 @@ def _solution_payload(sol, constants) -> dict:
         "v": sol.v,
         "weights": [float(w) for w in sol.weights.w],
         "expected_utility": sol.expected_utility if np.isfinite(sol.expected_utility) else None,
-        "ln_ce": float(_ln_ce(sol.x, sol.v, sol.gamma)),
+        "ln_ce": float(ln_ce(sol.x, sol.y, sol.gamma)),
         "mv_efficient": sol.mv_efficient,
         "w0": sol.w0,
         "r_gmv": constants.r_gmv,
@@ -181,8 +170,8 @@ def _cmd_verify(args) -> int:
         gap_w = float(np.max(np.abs(sol.weights.w - oracle_w.w)))
         # Each side's ln CE from its own moments: finite where E[U] is not.
         x, v = portfolio_moments_rows(np.stack((sol.weights.w, oracle_w.w)), params.mu, params.sigma)
-        ln_ce = _ln_ce(x, v, gamma)
-        gap_obj = float(abs(ln_ce[0] - ln_ce[1]) / max(1.0, abs(ln_ce[0])))
+        level = ln_ce(x, v + x * x, gamma)
+        gap_obj = float(abs(level[0] - level[1]) / max(1.0, abs(level[0])))
         ok = gap_w <= args.tol_w and gap_obj <= args.tol_obj
         failed |= not ok
         record.update(

@@ -61,6 +61,7 @@ __all__ = [
     "CrraSolution",
     "PowerGrid",
     "gamma_min",
+    "ln_ce",
     "power_grid",
     "power_solution",
     "objective_value",
@@ -152,18 +153,26 @@ def gamma_min(constants: FrontierConstants):
     return float(_threshold(r, s, constants.v_gmv))
 
 
+def ln_ce(x, y, gamma):
+    """ln CE = ln x - (gamma/2)(ln y - 2 ln x), the log certainty
+    equivalent of a unit of wealth in a portfolio with moments (x, y),
+    elementwise over broadcast arrays: finite for x, y > 0 where E[U]
+    is beyond the double range."""
+    log_x = np.log(x)
+    return log_x - 0.5 * gamma * (np.log(y) - 2.0 * log_x)
+
+
 def _utility(x, y, gamma, w0: float) -> np.ndarray:
     """Expected utility at portfolio moments (x, y), elementwise over
-    broadcast arrays, from its log level L = ln W0 + ln x - (gamma/2)
-    (ln y - 2 ln x): L itself at gamma = 1 (log utility), elsewhere
-    exp((1-gamma) L)/(1-gamma), divided inside the exponent so that the
-    result is +/-inf or 0 only where the true value is beyond the double
-    range. Never NaN for x, y > 0.
+    broadcast arrays, from its log level L = ln W0 + ``ln_ce``: L itself
+    at gamma = 1 (log utility), elsewhere exp((1-gamma) L)/(1-gamma),
+    divided inside the exponent so that the result is +/-inf or 0 only
+    where the true value is beyond the double range. Never NaN for
+    x, y > 0.
     """
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(all="ignore"):
-        log_x = np.log(x)
-        level = math.log(w0) + log_x - 0.5 * gamma * (np.log(y) - 2.0 * log_x)
+        level = math.log(w0) + ln_ce(x, y, gamma)
         power = np.exp((1.0 - gamma) * level - np.log(np.abs(1.0 - gamma)))
         return np.where(gamma == 1.0, level, np.copysign(power, 1.0 - gamma))
 

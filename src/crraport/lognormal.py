@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .market import check_int
 from .stats import normal_cdf
 
 __all__ = [
@@ -71,8 +72,7 @@ def psi_sup_empirical(mu: float, sigma: float, n_grid: int = 10_000) -> float:
     """
     if not (mu > 0.0 and sigma > 0.0):  # NaN fails too
         raise ValueError("mu and sigma must be positive")
-    if n_grid < 1000:
-        raise ValueError("n_grid must be at least 1000")
+    check_int(n_grid, 1000, "n_grid must be an integer of at least 1000")
     x = sigma / mu
     lo1 = math.exp(1.0 - x * x - math.sqrt(x**4 + 1.0))
     hi1 = math.exp(-2.0 * x * x)

@@ -7,6 +7,19 @@ the covariance of simple returns). All values are immutable after
 construction. A column subset's sample moments are the matching
 entries of its panel's, so ``subset_rows`` gathers a stack of subsets
 from one ``sample_moments`` estimate instead of re-estimating each.
+
+Each kind of input is checked in one place here:
+
+- a mean and covariance pair, ``MarketParams``' (mu, sigma) and
+  ``SynthSpec``'s (mu0, sigma0), by ``_checked_moments``: k >= 2, a
+  k x k covariance, finite entries, symmetry within 1e-10 relative to
+  the largest entry, and positive definiteness by ``subset_rows``'
+  Cholesky pivot rule;
+- a parsed JSON object with required keys, a market file or a synth
+  spec, by ``json_fields``: "{what} must be a JSON object" or
+  "{what} is missing a, b";
+- a count or a seed by ``check_int``: a Python or numpy integer, not a
+  float or a string, of at least a minimum.
 """
 
 from __future__ import annotations
@@ -27,7 +40,9 @@ __all__ = [
     "sample_moments",
     "subset_rows",
     "cho_solve_rows",
+    "check_int",
     "check_seed",
+    "json_fields",
     "synth_market",
 ]
 
@@ -93,13 +108,29 @@ def _float_array(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be an array of numbers") from None
 
 
-def _spd_cholesky(sigma: np.ndarray, what: str = "covariance") -> np.ndarray:
-    """Lower Cholesky factor of one SPD matrix, or ValueError: the
-    one-matrix call of ``_spd_cholesky_rows``."""
-    lower, ok = _spd_cholesky_rows(sigma[None])
-    if not ok[0]:
-        raise ValueError(f"{what} is not positive definite")
-    return lower[0]
+def _checked_moments(mean, cov, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A mean vector and covariance matrix, named ``names``, checked as
+    the module docstring says: the read-only mean (k,), the symmetrized
+    covariance (k, k) and its lower Cholesky factor; ValueError naming
+    the failed check otherwise."""
+    mean_name, cov_name = names
+    mean = _float_array(mean, mean_name).ravel()
+    cov = _float_array(cov, cov_name)
+    if mean.size < 2:
+        raise ValueError("n_assets >= 2 required")
+    if cov.shape != (mean.size, mean.size):
+        raise ValueError(f"{cov_name} must be k x k with k = len({mean_name})")
+    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        raise ValueError(f"{mean_name} and {cov_name} must be finite")
+    if np.max(np.abs(cov - cov.T)) > _SYMMETRY_RTOL * np.max(np.abs(cov)):
+        raise ValueError(f"{cov_name} must be symmetric within relative tolerance 1e-10")
+    cov = 0.5 * (cov + cov.T)
+    (lower,), (ok,) = _spd_cholesky_rows(cov[None])
+    if not ok:
+        raise ValueError(f"{cov_name} is not positive definite")
+    for arr in (mean, cov, lower):
+        arr.flags.writeable = False
+    return mean, cov, lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +141,7 @@ class ReturnMatrix:
     asset_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = _float_array(self.values, "returns")
         if values.ndim != 2:
             raise ValueError("returns must form a 2-d matrix")
         n, k = values.shape
@@ -152,21 +183,7 @@ class MarketParams:
     lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mu = _float_array(self.mu, "mu").ravel()
-        sigma = _float_array(self.sigma, "sigma")
-        if mu.size < 2:
-            raise ValueError("n_assets >= 2 required")
-        if sigma.shape != (mu.size, mu.size):
-            raise ValueError("sigma must be k x k with k = len(mu)")
-        if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(sigma)):
-            raise ValueError("mu and sigma must be finite")
-        scale = float(np.max(np.abs(sigma)))
-        if scale <= 0.0 or np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_RTOL * scale:
-            raise ValueError("sigma must be symmetric within relative tolerance 1e-10")
-        sigma = 0.5 * (sigma + sigma.T)
-        lower = _spd_cholesky(sigma)
-        for arr in (mu, sigma, lower):
-            arr.flags.writeable = False
+        mu, sigma, lower = _checked_moments(self.mu, self.sigma, ("mu", "sigma"))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lower", lower)
@@ -267,7 +284,8 @@ class SynthSpec:
     """Specification of a synthetic i.i.d. normal market.
 
     ``mu0`` is the target mean of GROSS returns (simple returns are
-    drawn with mean ``mu0 - 1``); ``sigma0`` their covariance.
+    drawn with mean ``mu0 - 1``); ``sigma0`` their covariance, checked
+    as ``MarketParams``' sigma is. ``n`` is an integer of at least 2.
     """
 
     n: int
@@ -275,23 +293,10 @@ class SynthSpec:
     sigma0: np.ndarray
 
     def __post_init__(self) -> None:
-        mu0 = _float_array(self.mu0, "mu0").ravel()
-        sigma0 = _float_array(self.sigma0, "sigma0")
-        try:
-            n = int(self.n)
-        except (TypeError, ValueError):
-            raise ValueError("n must be an integer") from None
+        n = check_int(self.n, float("-inf"), "n must be an integer")
         if n < 2:
             raise ValueError("n_periods >= 2 required")
-        if mu0.size < 2:
-            raise ValueError("n_assets >= 2 required")
-        if sigma0.shape != (mu0.size, mu0.size):
-            raise ValueError("sigma0 must be k x k with k = len(mu0)")
-        if not np.all(np.isfinite(mu0)) or not np.all(np.isfinite(sigma0)):
-            raise ValueError("mu0 and sigma0 must be finite")
-        chol = _spd_cholesky(sigma0, what="sigma0")
-        mu0.flags.writeable = False
-        sigma0.flags.writeable = False
+        mu0, sigma0, chol = _checked_moments(self.mu0, self.sigma0, ("mu0", "sigma0"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "sigma0", sigma0)
@@ -305,22 +310,37 @@ class SynthSpec:
     def from_dict(cls, spec: dict) -> "SynthSpec":
         """The spec a JSON object with keys n, mu0, sigma0 (and optionally
         k) describes; ValueError for any other payload."""
-        if not isinstance(spec, dict):
-            raise ValueError("synth spec must be a JSON object")
-        missing = [key for key in ("n", "mu0", "sigma0") if key not in spec]
-        if missing:
-            raise ValueError(f"synth spec is missing {', '.join(missing)}")
-        out = cls(n=spec["n"], mu0=spec["mu0"], sigma0=spec["sigma0"])
+        out = cls(*json_fields(spec, ("n", "mu0", "sigma0"), "synth spec"))
         if spec.get("k", out.k) != out.k:
             raise ValueError("k in spec does not match len(mu0)")
         return out
 
 
-def check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is a non-negative integer, the
-    seeds numpy's generators take."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError("seed must be a non-negative integer")
+def json_fields(payload, keys: tuple[str, ...], what: str) -> tuple:
+    """The values of ``keys`` in ``payload``, a parsed JSON object, in
+    order; ValueError naming ``what`` if it is not an object or lacks
+    any of them."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(missing)}")
+    return tuple(payload[key] for key in keys)
+
+
+def check_int(value, minimum, message: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer of at
+    least ``minimum``; ValueError with ``message`` otherwise, for a
+    float or a string too."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ValueError(message)
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """``check_int`` for a seed: a non-negative integer, the seeds
+    numpy's generators take."""
+    return check_int(seed, 0, "seed must be a non-negative integer")
 
 
 def synth_market(spec: SynthSpec, seed: int) -> ReturnMatrix:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .frontier import Weights, efficient_constants
-from .market import MarketParams, check_seed
+from .market import MarketParams, check_int, check_seed
 
 __all__ = ["OracleConfig", "maximize_numeric", "random_feasible"]
 
@@ -51,15 +51,16 @@ _MAX_LEVERAGE = 100.0
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Number of search starts (at least 1) and the seed of the random
-    ones; the stopping rule and leverage box are the module's constants."""
+    """Number of search starts, an integer of at least 1, and the seed
+    of the random ones, a non-negative integer (``market.check_int``'s
+    rule: a float or a string is rejected); the stopping rule and
+    leverage box are the module's constants."""
 
     n_starts: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
+        check_int(self.n_starts, 1, "n_starts must be an integer of at least 1")
         check_seed(self.seed)
 
 
@@ -70,8 +71,8 @@ def random_feasible(params: MarketParams, n: int, seed: int) -> list[Weights]:
     closes the sum. Draws violating w'mu > 0 are retried up to 100
     times, then skipped (with the skip count logged).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_int(n, 1, "n must be an integer of at least 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     out: list[Weights] = []
     skipped = 0

@@ -63,6 +63,7 @@ from .frontier import FRONTIER_ERRORS, efficient_constants_rows, portfolio_momen
 from .market import (
     ReturnMatrix,
     SynthSpec,
+    check_int,
     check_seed,
     load_returns_csv,
     sample_moments,
@@ -156,25 +157,24 @@ class StudyConfig:
     quantiles: tuple[float, ...] = (0.05, 0.25, 0.5)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_range", tuple(int(k) for k in self.k_range))
+        k_range = tuple(check_int(k, 2, "k_range entries must be integers of at least 2") for k in self.k_range)
+        object.__setattr__(self, "k_range", k_range)
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "quantiles", tuple(float(q) for q in self.quantiles))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if (self.data_csv is None) == (self.synth is None):
             raise ValueError("exactly one of data_csv / synth must be given")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         for name in ("k_range", "gamma_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
         for name in ("k_range", "gamma_grid", "quantiles"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} entries must be distinct")
-        if any(k < 2 for k in self.k_range):
-            raise ValueError("k_range entries must be >= 2")
         if not _positive_finite(self.gamma_grid):
             raise ValueError("gamma_grid entries must be positive and finite")
-        if self.n_subsets_cap < 1:
-            raise ValueError("n_subsets_cap must be at least 1")
+        cap = check_int(self.n_subsets_cap, 1, "n_subsets_cap must be an integer of at least 1")
+        object.__setattr__(self, "n_subsets_cap", cap)
         if not _positive_finite(self.w0):
             raise ValueError("w0 must be positive and finite")
         if any(not 0.0 <= q <= 1.0 for q in self.quantiles):

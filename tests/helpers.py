@@ -27,6 +27,21 @@ from crraport.frontier import S_MIN
 from crraport.market import cho_solve_rows
 
 
+# A 4-asset market (condition number 5.7e12, smallest squared Cholesky
+# pivot 1.09e-12 of the largest variance, just inside MarketParams' rule)
+# on which the tilt's slope and the quadratic forms' disagree: the
+# frontier outcome slope_mismatch.
+SLOPE_MISMATCH_MARKET = {
+    "mu": [0.9894089655237345, 0.9981237027242235, 0.9993062630666962, 1.0052234116128562],
+    "sigma": [
+        [1.1347969776245166e-06, -5.519150930715595e-07, -4.23545558584404e-07, -1.5933625088415626e-07],
+        [-5.519150930715595e-07, 1.1635488176144855e-06, -2.0017560992688533e-07, -4.114573544456671e-07],
+        [-4.23545558584404e-07, -2.0017560992688533e-07, 9.905125671409849e-07, -3.6679004774282844e-07],
+        [-1.5933625088415626e-07, -4.114573544456671e-07, -3.6679004774282844e-07, 9.375814669376757e-07],
+    ],
+}
+
+
 def sigma_solve(params: MarketParams, rhs) -> np.ndarray:
     """Solve ``sigma @ x = rhs`` through the market's Cholesky factor."""
     return cho_solve_rows(params.lower, np.asarray(rhs, dtype=float))

@@ -16,7 +16,7 @@ import pytest
 import crraport
 from crraport import default_synth_spec, synth_market
 from crraport.cli import main
-from helpers import frontier_sample
+from helpers import SLOPE_MISMATCH_MARKET, frontier_sample
 
 WORKED_MARKET = {"mu": [1.05, 1.15], "sigma": [[0.01, 0.0], [0.0, 0.04]]}
 
@@ -121,6 +121,13 @@ class TestSolve:
         weights = json.loads(out)["weights"]
         assert abs(sum(weights) - 1.0) <= 1e-15 * sum(map(abs, weights))
 
+    def test_slope_mismatch_market_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(SLOPE_MISMATCH_MARKET))
+        code, out, err = _run(capsys, ["solve", "--market", str(path), "--gamma", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "inconsistent slope between tilt and quadratic forms"}
+
     def test_missing_market_source(self, capsys):
         code, _, err = _run(capsys, ["solve", "--gamma", "3"])
         assert code == 2
@@ -135,14 +142,15 @@ class TestSolve:
 
 
 class TestMalformedJson:
-    """A JSON input that is not an object with the required keys is a
-    one-line JSON error with exit 2, not a traceback."""
+    """A JSON input that is not an object with the required keys, or
+    whose values fail their checks, is a one-line JSON error with exit
+    2, not a traceback."""
 
     @pytest.mark.parametrize(
         "command, payload, message",
         [
             ("solve", {"mu": [1.05, 1.15]}, "market file is missing sigma"),
-            ("solve", [1.05, 1.15], "market file must hold a JSON object"),
+            ("solve", [1.05, 1.15], "market file must be a JSON object"),
             ("synth", {"n": 50, "mu0": [1.01, 1.02]}, "synth spec is missing sigma0"),
             ("synth", [50], "synth spec must be a JSON object"),
             ("study", {"mu0": [1.01, 1.02]}, "synth spec is missing n, sigma0"),
@@ -155,6 +163,14 @@ class TestMalformedJson:
                 "solve",
                 {"mu": {"a": 1}, "sigma": WORKED_MARKET["sigma"]},
                 "mu must be an array of numbers",
+            ),
+            # Cholesky reads only the lower triangle: without the symmetry
+            # check this spec would draw returns with covariance 0 off the
+            # diagonal.
+            (
+                "synth",
+                {"n": 400, "mu0": [1.001, 1.002], "sigma0": [[4e-4, 3.6e-4], [0.0, 9e-4]]},
+                "sigma0 must be symmetric within relative tolerance 1e-10",
             ),
         ],
     )

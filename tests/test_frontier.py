@@ -19,6 +19,7 @@ from crraport import (
 from crraport.frontier import FRONTIER_OUTCOMES
 from crraport.market import sample_moments, subset_rows
 from helpers import (
+    SLOPE_MISMATCH_MARKET,
     frontier_sample,
     ill_conditioned_market,
     portfolio_moments,
@@ -74,9 +75,8 @@ class TestEfficientConstants:
         assert FRONTIER_OUTCOMES[one.outcome] == "nonfinite_tilt" and np.isnan(one.r_gmv)
 
     def test_every_reachable_outcome_has_an_input(self):
-        # One market per outcome that an input reaches, through the rows
-        # call and efficient_constants' error. No input is known for
-        # slope_mismatch.
+        # One market per outcome, through the rows call and
+        # efficient_constants' error.
         nan_mean = SimpleNamespace(mu=np.array([1.0, np.nan]), lower=np.eye(2))
         table = {
             "ok": (MarketParams([1.05, 1.15], np.diag([0.01, 0.04])), None),
@@ -88,6 +88,10 @@ class TestEfficientConstants:
                 ),
                 (ValueError, "slope parameter came out materially negative"),
             ),
+            "slope_mismatch": (
+                MarketParams(SLOPE_MISMATCH_MARKET["mu"], SLOPE_MISMATCH_MARKET["sigma"]),
+                (ArithmeticError, "inconsistent slope between tilt and quadratic forms"),
+            ),
             # 1' Sigma^-1 1 overflows: w_gmv is NaN and v_gmv 0.
             "infeasible_gmv": (
                 MarketParams([1.0, 1.1], np.diag([1e-310, 1e-310])),
@@ -95,8 +99,7 @@ class TestEfficientConstants:
             ),
             "nonfinite_tilt": (nan_mean, (ValueError, "tilt must be finite")),
         }
-        assert len(FRONTIER_OUTCOMES) == 5
-        assert set(FRONTIER_OUTCOMES) - set(table) == {"slope_mismatch"}
+        assert set(FRONTIER_OUTCOMES) == set(table)
         for name, (params, error) in table.items():
             con = efficient_constants_rows(params.mu, params.lower)
             assert FRONTIER_OUTCOMES[con.outcome] == name

@@ -136,8 +136,9 @@ class TestPsiSupEmpirical:
             )
 
     def test_grid_size_validated(self):
-        with pytest.raises(ValueError, match="1000"):
-            psi_sup_empirical(1.0, 0.1, 999)
+        for n_grid in (999, 1000.5):
+            with pytest.raises(ValueError, match="^n_grid must be an integer of at least 1000$"):
+                psi_sup_empirical(1.0, 0.1, n_grid)
 
     def test_is_attained_on_grid(self):
         mu, sigma = 1.0, 0.1

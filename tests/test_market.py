@@ -141,6 +141,11 @@ class TestMarketParams:
         with pytest.raises(ValueError, match="positive definite"):
             MarketParams([1.0, 1.0], [[1e-4, 2e-4], [2e-4, 1e-4]])
 
+    def test_zero_covariance_is_not_positive_definite(self):
+        # Symmetric, so the symmetry check passes it on to the pivot rule.
+        with pytest.raises(ValueError, match="^sigma is not positive definite$"):
+            MarketParams([1.0, 1.0], np.zeros((2, 2)))
+
     def test_k1_rejected(self):
         with pytest.raises(ValueError, match="n_assets >= 2"):
             MarketParams([1.0], [[1e-4]])
@@ -190,6 +195,26 @@ class TestSynthMarket:
     def test_non_pd_sigma0_rejected(self):
         with pytest.raises(ValueError, match="sigma0 is not positive definite"):
             SynthSpec(n=50, mu0=[1.0, 1.0], sigma0=[[1e-4, 2e-4], [2e-4, 1e-4]])
+
+    @pytest.mark.parametrize(
+        "sigma0", [[[4e-4, 3.6e-4], [0.0, 9e-4]], [[1.0, 0.9], [0.0, 1.0]]], ids=["weekly", "unit"]
+    )
+    def test_asymmetric_sigma0_rejected(self, sigma0):
+        # MarketParams' rule: an upper triangle that Cholesky would ignore
+        # is an error, not a dropped correlation.
+        with pytest.raises(ValueError, match="^sigma0 must be symmetric within relative tolerance 1e-10$"):
+            SynthSpec(n=50, mu0=[1.0, 1.0], sigma0=sigma0)
+
+    @pytest.mark.parametrize("n", [100.7, 100.0, "100", None])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            SynthSpec(n=n, mu0=[1.0, 1.0], sigma0=np.diag([1e-4, 1e-4]))
+
+    def test_n_is_at_least_2_and_kept_as_an_int(self):
+        with pytest.raises(ValueError, match="^n_periods >= 2 required$"):
+            SynthSpec(n=1, mu0=[1.0, 1.0], sigma0=np.diag([1e-4, 1e-4]))
+        spec = SynthSpec(n=np.int64(50), mu0=[1.0, 1.0], sigma0=np.diag([1e-4, 1e-4]))
+        assert type(spec.n) is int and spec.n == 50
 
     def test_clt_mean(self):
         mu0 = np.array([1.003, 0.999])
@@ -246,6 +271,8 @@ def test_return_matrix_validation():
         ReturnMatrix(np.array([[0.1, np.nan], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="labels"):
         ReturnMatrix(np.zeros((3, 2)), ("only_one",))
+    with pytest.raises(ValueError, match="^returns must be an array of numbers$"):
+        ReturnMatrix({"a": [0.01, 0.02], "b": [0.0, 0.01]})
 
 
 class TestSubsetRows:

@@ -48,8 +48,9 @@ class TestOracleConfig:
         assert cfg.n_starts == 16
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_starts"):
-            OracleConfig(n_starts=0)
+        for n_starts in (0, 4.5):
+            with pytest.raises(ValueError, match="^n_starts must be an integer of at least 1$"):
+                OracleConfig(n_starts=n_starts)
         with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
             OracleConfig(seed=-1)
 
@@ -72,8 +73,15 @@ class TestRandomFeasible:
         assert all(w.w @ worked_market.mu > 0.0 for w in draws)
 
     def test_n_validation(self, worked_market):
-        with pytest.raises(ValueError, match="at least 1"):
-            random_feasible(worked_market, 0, seed=0)
+        for n in (0, 1.5):
+            with pytest.raises(ValueError, match="^n must be an integer of at least 1$"):
+                random_feasible(worked_market, n, seed=0)
+
+    def test_seed_validation(self, worked_market):
+        # Checked as every seed is, not left to numpy's own error.
+        for seed in (-1, 2.0):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+                random_feasible(worked_market, 3, seed)
 
 
 class TestMaximizeNumeric:

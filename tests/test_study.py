@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,7 @@ from crraport import (
 )
 from crraport import study
 from crraport.study import _draw_subsets, _panel, _solve_block, _Stopwatch
-from helpers import empirical_cdf, table_rows
+from helpers import SLOPE_MISMATCH_MARKET, empirical_cdf, table_rows
 
 
 def _small_config(tmp_path, **overrides):
@@ -75,6 +76,23 @@ class TestStudyConfig:
                 StudyConfig(seed=0, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec, w0=w0)
         with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
             StudyConfig(seed=-1, k_range=(4,), gamma_grid=(2.0,), output_dir=tmp_path, synth=spec)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k_range", (2.9,), "k_range entries must be integers of at least 2"),
+            ("k_range", ("4",), "k_range entries must be integers of at least 2"),
+            ("n_subsets_cap", 1.5, "n_subsets_cap must be an integer of at least 1"),
+        ],
+    )
+    def test_counts_must_be_integers(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _small_config(tmp_path, **{field: value})
+
+    def test_numpy_integers_are_kept_as_ints(self, tmp_path):
+        # summary.json writes them, and json cannot write a numpy int.
+        cfg = _small_config(tmp_path, seed=np.int64(3), k_range=(np.int64(4),), n_subsets_cap=np.int32(5))
+        assert [type(v) for v in (cfg.seed, *cfg.k_range, cfg.n_subsets_cap)] == [int, int, int]
 
     @pytest.mark.parametrize("field", ["k_range", "gamma_grid"])
     def test_empty_grid_rejected(self, tmp_path, field):
@@ -424,6 +442,22 @@ class TestRunStudy:
         assert table_rows(report.frontier_locations) == []
         assert {e["code"] for e in table_rows(report.cell_errors)} == {"degenerate_frontier"}
         assert not table_rows(report.strategy_utilities)
+
+    def test_slope_mismatch_market_is_coded_solve_failed_at_the_market_level(self, tmp_path):
+        # The frontier constants' ArithmeticError is a failed solve that
+        # fills every gamma of the market, alone.
+        mu, sigma = (np.array(SLOPE_MISMATCH_MARKET[key]) for key in ("mu", "sigma"))
+        n = 40
+        panel = SimpleNamespace(
+            gross=np.random.default_rng(0).normal(1.0, 1e-3, (n, 4)), mu=mu, sigma=sigma, workspace=np.empty((8, n))
+        )
+        cfg = _small_config(tmp_path, gamma_grid=(2.0, 5.0))
+        batches = dict.fromkeys(("blocks", "markets", "sw_chunks"), 0)
+        block = _solve_block(panel, np.array([[0, 1, 2, 3]]), np.array([True]), cfg, _Stopwatch(), batches)
+        failed = study._CODES.index("solve_failed")
+        assert block["code"].tolist() == [failed]
+        assert [np.flatnonzero(cell).tolist() for cell in block["flags"][0]] == [[failed], [failed]]
+        assert not block["scored"].any()
 
     def test_zero_r_gmv_market_is_below_gamma_min_at_every_gamma(self, tmp_path):
         # Dyadic returns whose sample moments are exact: gross means
