@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crra import gamma_min, ln_ce, power_solution
+from .crra import _checked_gammas, gamma_min, ln_ce, power_solution
 from .csvout import write_csv
 from .frontier import Weights, efficient_constants, portfolio_moments_rows
 from .lognormal import psi_sup_bound, psi_sup_empirical
@@ -133,22 +133,21 @@ def _cmd_frontier(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         xs = np.linspace(constants.r_gmv - half_span, constants.r_gmv + half_span, args.points)
         d = xs - constants.r_gmv
-        vs = (d * d / constants.s + constants.v_gmv).tolist()
+        vs = d * d / constants.s + constants.v_gmv
         weights = constants.weights_at(d / constants.s)
     for w in weights:
         Weights(w)  # raises on a row that is not finite or not fully invested
-    xs = xs.tolist()
     payload = {
         "r_gmv": constants.r_gmv,
         "v_gmv": constants.v_gmv,
         "s": constants.s,
         "gamma_min": gm,
-        "points": [{"x": x, "v": v} for x, v in zip(xs, vs)],
+        "points": [{"x": x, "v": v} for x, v in zip(xs.tolist(), vs.tolist())],
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         header = ["x", "v"] + [f"w_{j + 1}" for j in range(params.k)]
-        _write_csv(args.out, header, [xs, vs, *weights.T.tolist()])
+        _write_csv(args.out, header, [xs, vs, *weights.T])
     return 0
 
 
@@ -156,7 +155,7 @@ def _cmd_verify(args) -> int:
     params = _load_market(args)
     constants = efficient_constants(params)
     gm = gamma_min(constants)
-    gammas = args.gammas or (gm + 0.1, 2.0, 5.0, 20.0)
+    gammas = _checked_gammas(args.gammas or (gm + 0.1, 2.0, 5.0, 20.0), 1.0).tolist()
     cfg = OracleConfig(n_starts=args.n_starts, seed=args.seed)
     failed = False
     for gamma in gammas:
@@ -201,7 +200,7 @@ def _cmd_lemma1(args) -> int:
 def _cmd_synth(args) -> int:
     spec = _load_synth_spec(args.spec)
     returns = synth_market(spec, args.seed)
-    _write_csv(args.out, returns.asset_labels, returns.values.T.tolist())
+    _write_csv(args.out, returns.asset_labels, list(returns.values.T))
     return 0
 
 

@@ -1,15 +1,20 @@
 """Column-wise CSV writer: every CSV the package writes goes through
 ``write_csv``.
 
-The study's report tables and the CLI's CSVs are held as columns. A
-table is written a chunk of rows at a time: each column's cells are
-formatted together, then the chunk's rows are joined. The bytes are
-those of the csv module's writer.
+The study's report tables and the CLI's CSVs are held as columns, each
+a numpy array or a list (or other sequence) of Python values. A table is
+written a chunk of rows at a time: an array's chunk becomes Python
+values through ``.tolist()``, each column's cells are formatted
+together, then the chunk's rows are joined. So numbers stay typed arrays
+until here, and the bytes are those of the csv module's writer on the
+columns' Python values.
 """
 
 from __future__ import annotations
 
-__all__ = ["write_csv"]
+import numpy as np
+
+__all__ = ["column_values", "write_csv"]
 
 # Rows formatted and joined per write. The chunk's cell and row text is
 # held at once: at 4,096 rows it raised a default study's peak RSS by
@@ -22,7 +27,8 @@ def write_csv(fh, header, columns) -> None:
     the text stream ``fh`` as CSV with ``"\\n"`` line ends.
 
     The bytes are those of ``csv.writer(fh, lineterminator="\\n")`` on
-    the zipped rows: a cell is ``str()`` of its value (a float's repr)
+    the zipped rows, an array column taken as its ``.tolist()``: a cell
+    is ``str()`` of its value (a float's repr)
     and empty for None, and a cell holding a comma, a quote or a newline
     is quoted, its quotes doubled; so is the empty cell of a one-column
     row. Each column is formatted a chunk of rows at a time and the
@@ -34,7 +40,12 @@ def write_csv(fh, header, columns) -> None:
     _write_rows(fh, [[name] for name in header])
     n_rows = len(columns[0]) if columns else 0
     for start in range(0, n_rows, CHUNK_ROWS):
-        _write_rows(fh, [column[start : start + CHUNK_ROWS] for column in columns])
+        _write_rows(fh, [column_values(column[start : start + CHUNK_ROWS]) for column in columns])
+
+
+def column_values(column):
+    """A column's Python values: an array's ``.tolist()``, else the column."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _write_rows(fh, columns: list) -> None:

@@ -31,11 +31,17 @@ bitwise the same whatever block or chunk it runs in, and agree with its
 own ``estimate_params`` solve to rounding.
 
 Each k's p-value quantiles, one column per gamma, come from one
-``quantile_columns`` call. The report keeps each table as columns, one
-list per CSV column, and writes one CSV per table plus a JSON summary.
-``csvout.write_csv`` formats a chunk of rows of each column at once, a
-float by its repr and None as an empty cell, and joins the chunk's rows;
-its bytes are those of the csv module's writer. The summary's
+``quantile_columns`` call. The report keeps each table as columns: a
+numeric column as one float64 or int64 array, a column of text or one
+that can hold None (``code``, ``portfolio``, the gamma of the frontier
+and cell-error rows, the quantile values and the failure rates) as one
+list. Each k appends its rows as parts of each column, and each
+column's parts are joined once when the report is built. The report
+writes one CSV per table plus a JSON summary. ``csvout.write_csv`` is
+the only place numbers become text: it formats a chunk of rows of each
+column at once (an array chunk through its ``.tolist()``), a float by
+its repr and None as an empty cell, and joins the chunk's rows; its
+bytes are those of the csv module's writer. The summary's
 ``error_counts`` counts each code of cell_errors per (k, gamma), its
 ``batches`` the run's ``blocks``, ``markets`` (subsets and first-k
 markets) and Shapiro-Wilk chunks (``sw_chunks``), and its ``timings_s``
@@ -52,13 +58,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .crra import OUTCOMES, _positive_finite, objective_rows, power_grid
-from .csvout import write_csv
+from .csvout import column_values, write_csv
 from .frontier import FRONTIER_ERRORS, efficient_constants_rows, portfolio_moments_rows
 from .market import (
     ReturnMatrix,
@@ -185,9 +192,10 @@ class StudyConfig:
 class StudyReport:
     """Aggregated study results plus per-cell error codes.
 
-    Each table maps its CSV columns, in order, to equal-length lists of
-    Python values (``None`` is an empty cell). ``timings_s`` holds the
-    seconds spent per stage of the run that made the report.
+    Each table maps its CSV columns, in order, to equal-length columns:
+    a numeric column is a 1-d float64 or int64 array, any other a list
+    of Python values (``None`` is an empty cell). ``timings_s`` holds
+    the seconds spent per stage of the run that made the report.
     """
 
     metadata: dict
@@ -237,7 +245,7 @@ def _error_counts(cell_errors: dict) -> list[dict]:
     """The number of cell_errors rows of each code per (k, gamma), one
     record per pair in the order the pairs first appear (the frontier
     market's market-level rows have gamma None)."""
-    tally = Counter(zip(*(cell_errors.get(col, []) for col in ("k", "gamma", "code"))))
+    tally = Counter(zip(*(column_values(cell_errors.get(col, [])) for col in ("k", "gamma", "code"))))
     records: dict[tuple, dict] = {}
     for (k, gamma, code), count in tally.items():
         records.setdefault((k, gamma), {})[code] = count
@@ -245,13 +253,22 @@ def _error_counts(cell_errors: dict) -> list[dict]:
 
 
 def _append(table: dict, n_rows: int, /, **columns) -> None:
-    """Append n_rows rows to a column table; a scalar fills its column."""
+    """Append n_rows rows to a table of column parts. A number fills an
+    array part, text or None a list part; an array or a list is a part."""
     for name, values in columns.items():
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        elif not isinstance(values, list):
+        if isinstance(values, (int, float)):
+            values = np.full(n_rows, values)
+        elif not isinstance(values, (np.ndarray, list)):
             values = [values] * n_rows
-        table[name].extend(values)
+        table[name].append(values)
+
+
+def _joined(parts: list):
+    """A column from its parts: one typed array when every part is an
+    array, else one list of Python values."""
+    if parts and all(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(map(column_values, parts)))
 
 
 class _Stopwatch:
@@ -380,14 +397,14 @@ def _subsets_pass(
     # The untested cells' p-values are NaN, which quantile_columns skips.
     n_levels = len(cfg.quantiles)
     count, values = quantile_columns(m.p, cfg.quantiles)
-    count = np.repeat(count, n_levels).tolist()
-    values = [v if c else None for c, v in zip(count, values.T.ravel().tolist())]
+    count = np.repeat(count, n_levels)
+    values = [v if c else None for c, v in zip(count.tolist(), values.T.ravel().tolist())]
     _append(
         tables["pvalue_quantiles"],
         gammas.size * n_levels,
         k=k,
         gamma=np.repeat(gammas, n_levels),
-        quantile=list(cfg.quantiles) * gammas.size,
+        quantile=np.tile(cfg.quantiles, gammas.size),
         n=count,
         value=values,
     )
@@ -544,7 +561,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         },
         timings_s=clock.seconds,
         batches=batches,
-        **tables,
+        # Each column's parts are dropped as it is joined.
+        **{name: {col: _joined(tables[name].pop(col)) for col in header} for name, header in _CSV_FILES.items()},
     )
     report.write(cfg.output_dir)
     return report

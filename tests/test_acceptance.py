@@ -205,20 +205,20 @@ def _reference_gamma1_weights(params, con) -> np.ndarray:
     comparison budget on small-slope markets)."""
     import mpmath as mp
 
-    mp.mp.dps = 40
-    r, s, v = mp.mpf(con.r_gmv), mp.mpf(con.s), mp.mpf(con.v_gmv)
-    d = 9 * r**2 - 8 * (1 + s) * (r**2 + s * v)
-    if d < 0:
-        d = mp.mpf(0)
-    x = (3 * r - mp.sqrt(d)) / (2 * (1 + s))
-    y = (x * r - r**2 - s * v) / s
-    mu = [mp.mpf(float(m)) for m in params.mu]
-    inner = mp.matrix([y * (2 * m / x - 1) - x * m for m in mu])
-    sigma = mp.matrix(
-        [[mp.mpf(float(params.sigma[i, j])) for j in range(params.k)] for i in range(params.k)]
-    )
-    sol = mp.lu_solve(sigma, inner)
-    return np.array([float(sol[i]) for i in range(params.k)])
+    with mp.workdps(40):
+        r, s, v = mp.mpf(con.r_gmv), mp.mpf(con.s), mp.mpf(con.v_gmv)
+        d = 9 * r**2 - 8 * (1 + s) * (r**2 + s * v)
+        if d < 0:
+            d = mp.mpf(0)
+        x = (3 * r - mp.sqrt(d)) / (2 * (1 + s))
+        y = (x * r - r**2 - s * v) / s
+        mu = [mp.mpf(float(m)) for m in params.mu]
+        inner = mp.matrix([y * (2 * m / x - 1) - x * m for m in mu])
+        sigma = mp.matrix(
+            [[mp.mpf(float(params.sigma[i, j])) for j in range(params.k)] for i in range(params.k)]
+        )
+        sol = mp.lu_solve(sigma, inner)
+        return np.array([float(sol[i]) for i in range(params.k)])
 
 
 def test_criterion_6_log_utility(announce, market_pool):

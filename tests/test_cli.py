@@ -309,6 +309,15 @@ class TestVerify:
         assert records[0]["status"].startswith("skipped")
         assert records[1]["status"] == "pass"
 
+    @pytest.mark.parametrize("gamma", ["-1", "0"])
+    def test_gamma_not_a_risk_aversion_rejected(self, capsys, gamma):
+        # Checked before the gamma_min skip, which would otherwise pass it.
+        argv = ["verify", "--synth", "default", "--seed", "2", f"--gammas={gamma},3", "--n-starts", "2"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "relative risk aversion must be positive and finite"}
+
     def test_impossible_tolerance_fails_nonzero(self, capsys, market_file):
         code, out, _ = _run(
             capsys,

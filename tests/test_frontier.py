@@ -152,22 +152,22 @@ class TestEfficientConstants:
     def test_slope_accuracy_against_50_digits(self):
         import mpmath as mp
 
-        mp.mp.dps = 50
-        values = synth_market(default_synth_spec(), 7).values
-        rng = np.random.default_rng(26)
-        worst = 0.0
-        for _ in range(300):
-            k = int(rng.integers(2, 9))
-            cols = np.sort(rng.choice(values.shape[1], size=k, replace=False))
-            params = estimate_params(ReturnMatrix(values[:, cols]))
-            sigma = mp.matrix([[mp.mpf(float(v)) for v in row] for row in params.sigma])
-            mu = mp.matrix([mp.mpf(float(v)) for v in params.mu])
-            sinv_one = mp.lu_solve(sigma, mp.matrix([1] * k))
-            sinv_mu = mp.lu_solve(sigma, mu)
-            a, b = sum(sinv_one), sum(sinv_mu)
-            s_ref = sum(m * v for m, v in zip(mu, sinv_mu)) - b * b / a
-            s = efficient_constants(params).s
-            worst = max(worst, float(abs(mp.mpf(s) - s_ref) / s_ref))
+        with mp.workdps(50):
+            values = synth_market(default_synth_spec(), 7).values
+            rng = np.random.default_rng(26)
+            worst = 0.0
+            for _ in range(300):
+                k = int(rng.integers(2, 9))
+                cols = np.sort(rng.choice(values.shape[1], size=k, replace=False))
+                params = estimate_params(ReturnMatrix(values[:, cols]))
+                sigma = mp.matrix([[mp.mpf(float(v)) for v in row] for row in params.sigma])
+                mu = mp.matrix([mp.mpf(float(v)) for v in params.mu])
+                sinv_one = mp.lu_solve(sigma, mp.matrix([1] * k))
+                sinv_mu = mp.lu_solve(sigma, mu)
+                a, b = sum(sinv_one), sum(sinv_mu)
+                s_ref = sum(m * v for m, v in zip(mu, sinv_mu)) - b * b / a
+                s = efficient_constants(params).s
+                worst = max(worst, float(abs(mp.mpf(s) - s_ref) / s_ref))
         assert worst <= 1e-10
 
     def test_small_volatility_market_accepted(self):
@@ -233,9 +233,9 @@ class TestSharpeWeights:
         con = efficient_constants(params)
         w = sharpe_weights(params).w
         assert np.array_equal(w, con.weights_at(con.t_sharpe))
-        mp.mp.dps = 50
-        sinv_mu = [mp.mpf(float(m)) / mp.mpf(float(v)) for m, v in zip(params.mu, np.diag(params.sigma))]
-        ref = np.array([float(x / sum(sinv_mu)) for x in sinv_mu])
+        with mp.workdps(50):
+            sinv_mu = [mp.mpf(float(m)) / mp.mpf(float(v)) for m, v in zip(params.mu, np.diag(params.sigma))]
+            ref = np.array([float(x / sum(sinv_mu)) for x in sinv_mu])
         np.testing.assert_allclose(w, ref, rtol=1e-3)
 
     def test_scale_invariance(self, worked_market):

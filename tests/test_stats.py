@@ -17,11 +17,11 @@ class TestNormalCdf:
         assert abs(normal_cdf(1.959964) - 0.975) < 1e-6
 
     def test_against_high_precision_oracle(self):
-        mp.mp.dps = 40
-        xs = np.linspace(-8.0, 8.0, 321)
-        for x in xs:
-            ref = float(mp.ncdf(mp.mpf(float(x))))
-            assert abs(normal_cdf(float(x)) - ref) <= 1e-12
+        with mp.workdps(40):
+            xs = np.linspace(-8.0, 8.0, 321)
+            for x in xs:
+                ref = float(mp.ncdf(mp.mpf(float(x))))
+                assert abs(normal_cdf(float(x)) - ref) <= 1e-12
 
     def test_symmetry_and_monotonicity_on_grid(self):
         grid = np.linspace(-10.0, 10.0, 100_000)

@@ -219,9 +219,9 @@ class TestRunStudy:
 
     def test_csv_cells_are_the_table_values(self, tmp_path):
         # Every written cell is str() of its column value, empty for None
-        # (the GMV and Sharpe rows have no gamma). Values are Python
-        # scalars: a numpy scalar is written by its str(), the same text,
-        # so only its type shows it.
+        # (the GMV and Sharpe rows have no gamma). A numeric column is a
+        # 1-d float64 or int64 array, its values those of its .tolist();
+        # every other column is a list of Python scalars.
         cfg = _small_config(tmp_path)
         report = run_study(cfg)
         assert None in report.frontier_locations["gamma"]
@@ -231,12 +231,32 @@ class TestRunStudy:
             with (cfg.output_dir / f"{name}.csv").open(newline="") as fh:
                 header, *rows = list(csv.reader(fh))
             assert header == list(table)
-            assert len(rows) == len(table[header[0]]) > 0, name
-            for i, row in enumerate(rows):
-                expected = ["" if v is None else str(v) for v in (table[col][i] for col in header)]
-                assert row == expected, (name, i)
+            columns = []
             for col in header:
-                assert {type(v) for v in table[col]} <= {int, float, str, type(None)}, (name, col)
+                column = table[col]
+                if isinstance(column, np.ndarray):
+                    assert column.ndim == 1 and column.dtype in (np.float64, np.int64), (name, col)
+                    column = column.tolist()
+                else:
+                    assert isinstance(column, list), (name, col)
+                    assert {type(v) for v in column} <= {int, float, str, type(None)}, (name, col)
+                columns.append(column)
+            assert len(rows) == len(columns[0]) > 0, name
+            for i, row in enumerate(rows):
+                expected = ["" if v is None else str(v) for v in (column[i] for column in columns)]
+                assert row == expected, (name, i)
+
+    def test_strategy_utilities_are_typed_arrays(self, tmp_path):
+        # Every strategy_utilities column is numeric, so each is held as
+        # one typed array of the table's row count until it is written.
+        table = run_study(_small_config(tmp_path)).strategy_utilities
+        n_rows = len(table["k"])
+        assert n_rows > 0
+        dtypes = {"k": np.int64, "subset_index": np.int64, "gamma": np.float64,
+                  "utility_naive": np.float64, "utility_sharpe": np.float64, "utility_optimal": np.float64}
+        for col, dtype in dtypes.items():
+            assert isinstance(table[col], np.ndarray), col
+            assert table[col].dtype == dtype and table[col].shape == (n_rows,), col
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg_a = _small_config(tmp_path, output_dir=tmp_path / "a")
