@@ -19,11 +19,14 @@ the frontier portfolio with that mean,
     w* = w_gmv + t(g) tilt,    t(g) = (X- - r_gmv) / s,
 
 so one market's ``FrontierConstants`` serve every g and only the scalar
-t(g) depends on risk aversion. ``power_grid`` solves a whole gamma grid
-(G,) for a batch of markets (B,) at once, on (B, G) arrays, and is the
-one place the optimum is computed, at every finite gamma: it codes each
-cell's first failed check, a degenerate frontier included, and raises
-for no market.
+t(g) depends on risk aversion. Their slope has passed ``frontier``'s one
+slope rule: the bound on its rounding is below ``SLOPE_RTOL`` = 1e-2 of
+s. ``power_grid`` solves a whole gamma grid (G,) for a batch of markets
+(B,) at once, on (B, G) arrays, and is the one place the optimum is
+computed, at every finite gamma: it codes each cell's first failed
+check, and raises for no market. Its first check is a degenerate
+frontier: s <= ``S_MIN`` = 1e-12, a floor that guards the closed form
+at tiny gamma, or the NaN constants of a market the frontier rejected.
 ``power_solution`` is its one-market, one-gamma call, which raises the
 check's error. Logarithmic utility is its g = 1 case,
 ``power_solution(1.0, ...)``, with value L; it exists iff one market's
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontier import (
-    S_MIN,
     FrontierConstants,
     Weights,
     _first_failures,
@@ -57,6 +59,7 @@ from .frontier import (
 from .market import MarketParams
 
 __all__ = [
+    "S_MIN",
     "OUTCOMES",
     "CrraSolution",
     "PowerGrid",
@@ -67,6 +70,13 @@ __all__ = [
     "objective_value",
     "objective_rows",
 ]
+
+# The degenerate-frontier floor of the slope. It guards the closed form,
+# not s: below it gamma_min is a few 1e-6 or less, the discriminant
+# cancels at such gammas, and the optimal mean at 2 gamma_min was seen
+# 1.5e-8 off a 60-digit solve (s = 3e-30), against 8e-11 at worst for
+# slopes above it, far more than the slope's own rounding accounts for.
+S_MIN = 1e-12
 
 # The checks every optimum must pass, in the order they apply, with the
 # error a one-gamma solve raises when one fails. A degenerate frontier
@@ -141,9 +151,13 @@ def gamma_min(constants: FrontierConstants):
     """Smallest risk aversion for which the power-utility optimum exists.
 
     2s + 2 [ s(1+s) v/r^2 + sqrt(s(1+s)(1 + s v/r^2)(1 + (1+s) v/r^2)) ]
-    with r = r_gmv, v = v_gmv, of one market; always exceeds 2s. Raises
-    ValueError for a degenerate frontier (s <= S_MIN) and for r_gmv = 0,
-    where it is undefined. ``power_grid`` codes both per cell instead.
+    with r = r_gmv, v = v_gmv, of one market; always exceeds 2s. s is
+    accurate to the one slope rule of ``frontier``: its rounding bound is
+    below ``SLOPE_RTOL`` of s, and gamma_min's relative error from it is
+    at most about twice s's, since its elasticity in s is at most 2.
+    Raises ValueError for a degenerate frontier (s <= S_MIN, or NaN) and
+    for r_gmv = 0, where it is undefined. ``power_grid`` codes both per
+    cell instead.
     """
     s, r = constants.s, constants.r_gmv
     if not s > S_MIN:

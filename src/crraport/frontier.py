@@ -18,13 +18,26 @@ so every frontier portfolio meets the budget as ``w_gmv`` does; this is
 the one place the budget rule is applied. Shorting is allowed
 throughout: feasible means w'1 = 1.
 
+The slope is usable only where its rounding is small beside it. The
+sum that forms s rounds by at most ``16 eps k sum |tilt_i (mu_i - r_gmv)|``.
+The Cholesky solve behind it is exact for a covariance off by at most
+``(3k + 1) eps |L| |L'|`` per column (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., 2002, Thm 10.4). That moves s by
+at most ``(3k + 1) eps |tilt|' |L| |L'| (|Sigma^-1 (mu - mean(mu))| +
+|shift| |Sigma^-1 1|)`` to first order, for ``shift = r_gmv - mean(mu)``:
+eps k times a componentwise condition number of s, in place of kappa.
+This is the one slope rule: a market's slope is accepted when the sum
+of the two bounds is below ``SLOPE_RTOL`` = 1e-2 of s. So s <= 0 is
+rejected, flat frontiers (equal means, where s and its bound are 0)
+included.
+
 The constants carry leading batch axes: ``efficient_constants_rows``
 solves a stack of markets (B,) at once and codes each market's failed
-check in ``outcome`` (``FRONTIER_OUTCOMES``: ok, negative_slope,
-slope_mismatch, infeasible_gmv, nonfinite_tilt); ``efficient_constants``
-is its one-market call (batch shape ``()``), which raises instead.
-``weights_at`` and ``period_returns`` (a panel's returns of the GMV
-portfolio and the tilt) act on the whole batch.
+check in ``outcome`` (``FRONTIER_OUTCOMES``: ok, infeasible_gmv,
+nonfinite_tilt, degenerate_frontier); ``efficient_constants`` is its
+one-market call (batch shape ``()``), which raises the check's
+ValueError instead. ``weights_at`` and ``period_returns`` (a panel's
+returns of the GMV portfolio and the tilt) act on the whole batch.
 """
 
 from __future__ import annotations
@@ -36,9 +49,8 @@ import numpy as np
 from .market import MarketParams, cho_solve_rows
 
 __all__ = [
-    "S_MIN",
+    "SLOPE_RTOL",
     "FRONTIER_OUTCOMES",
-    "FRONTIER_ERRORS",
     "Weights",
     "FrontierConstants",
     "efficient_constants",
@@ -47,10 +59,9 @@ __all__ = [
     "portfolio_moments_rows",
 ]
 
-# Below this slope the frontier degenerates (all feasible portfolios
-# share one mean) and the closed forms divide by s; reject, don't
-# regularize.
-S_MIN = 1e-12
+# A slope is accepted when the bound on its rounding is below this
+# fraction of it (see the module docstring).
+SLOPE_RTOL = 1e-2
 
 # The budget check, relative to the magnitudes summed: the rounding of
 # a sum grows with its terms, and leveraged or small-variance markets
@@ -75,18 +86,15 @@ class Weights:
 
 
 # The checks of the frontier constants, in the order they apply, with
-# the error the one-market ``efficient_constants`` raises.
+# the ValueError message the one-market ``efficient_constants`` raises.
 _CHECKS = (
-    ("negative_slope", ValueError, "slope parameter came out materially negative"),
-    ("slope_mismatch", ArithmeticError, "inconsistent slope between tilt and quadratic forms"),
-    ("infeasible_gmv", ValueError, "GMV weights must be finite and v_gmv positive"),
-    ("nonfinite_tilt", ValueError, "tilt must be finite"),
+    ("infeasible_gmv", "GMV weights must be finite and v_gmv positive"),
+    ("nonfinite_tilt", "tilt must be finite"),
+    ("degenerate_frontier", "degenerate frontier"),
 )
 # Per-market outcome names of ``efficient_constants_rows``: 0 is "ok",
-# code i > 0 the i-th check above, the first one the market failed; and
-# the error class of each.
-FRONTIER_OUTCOMES = ("ok",) + tuple(name for name, _, _ in _CHECKS)
-FRONTIER_ERRORS = (None,) + tuple(error for _, error, _ in _CHECKS)
+# code i > 0 the i-th check above, the first one the market failed.
+FRONTIER_OUTCOMES = ("ok",) + tuple(name for name, _ in _CHECKS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,16 +190,13 @@ def efficient_constants_rows(mu: np.ndarray, lower: np.ndarray) -> FrontierConst
         r_gmv = centre + shift
         tilt = sinv_dev - shift[..., None] * sinv_one
 
-        # s is a positive semidefinite form; rounding can leave it a few
-        # ulps of its terms either side of zero, and true-zero slopes
-        # (equal means) clamp to exactly 0.
         terms = tilt * (mu - r_gmv[..., None])
         s = terms.sum(axis=-1)
-        noise = 16.0 * np.finfo(float).eps * k * np.abs(terms).sum(axis=-1)
-        negative = s < -noise
-        s = np.where(s <= noise, 0.0, s)
-        c_dev = np.vecdot(dev, sinv_dev)
-        s_quadratic = c_dev - shift * shift * a
+        # The rounding bound of s that the module docstring derives.
+        factor = np.abs(lower)
+        spread = np.abs(sinv_dev) + np.abs(shift)[..., None] * np.abs(sinv_one)
+        solve = np.vecdot(np.vecmat(np.abs(tilt), factor), np.vecmat(spread, factor))
+        bound = np.finfo(float).eps * (16.0 * k * np.abs(terms).sum(axis=-1) + (3 * k + 1) * solve)
         w_gmv = sinv_one / a[..., None]
         v_gmv = 1.0 / a
         # The solve's rounding, times the conditioning, leaves 1' tilt off
@@ -199,11 +204,10 @@ def efficient_constants_rows(mu: np.ndarray, lower: np.ndarray) -> FrontierConst
         # puts w_gmv + t tilt on the budget for every t.
         tilt = tilt - w_gmv * tilt.sum(axis=-1)[..., None]
         failed = (
-            negative,
-            np.abs(s_quadratic - s) > np.maximum(1e-10 * np.maximum(1.0, c_dev), 4.0 * noise),
             # Finite w_gmv sums to 1 within ~2 k eps sum |w_gmv|.
             ~np.isfinite(w_gmv).all(axis=-1) | ~(v_gmv > 0.0),
             ~np.isfinite(tilt).all(axis=-1),
+            ~(bound < SLOPE_RTOL * s),
         )
     outcome, r_gmv, v_gmv, s, w_gmv, tilt = _first_failures(failed, (r_gmv, v_gmv, s, w_gmv, tilt))
     return FrontierConstants(r_gmv=r_gmv, v_gmv=v_gmv, s=s, w_gmv=w_gmv, tilt=tilt, outcome=outcome)
@@ -212,12 +216,11 @@ def efficient_constants_rows(mu: np.ndarray, lower: np.ndarray) -> FrontierConst
 def efficient_constants(params: MarketParams) -> FrontierConstants:
     """Frontier constants (r_gmv, v_gmv, s, w_gmv, tilt) of one market:
     the one-market call of ``efficient_constants_rows``, raising the
-    check it failed."""
+    ValueError of the check it failed."""
     constants = efficient_constants_rows(params.mu, params.lower)
     code = int(constants.outcome)
     if code:
-        _, error, message = _CHECKS[code - 1]
-        raise error(message)
+        raise ValueError(_CHECKS[code - 1][1])
     return constants
 
 

@@ -66,7 +66,7 @@ import numpy as np
 
 from .crra import OUTCOMES, _positive_finite, objective_rows, power_grid
 from .csvout import column_values, write_csv
-from .frontier import FRONTIER_ERRORS, efficient_constants_rows, portfolio_moments_rows
+from .frontier import efficient_constants_rows, portfolio_moments_rows
 from .market import (
     ReturnMatrix,
     SynthSpec,
@@ -105,10 +105,10 @@ _CSV_FILES = {
     "cell_errors": ("k", "subset_index", "gamma", "code"),
 }
 
-# Cell codes, in the order a cell lists them. The first two, and
-# solve_failed when it comes from the frontier constants, are
-# market-level: they fill every gamma of a market, alone. The last
-# only ever labels a first-k market's one row without a gamma.
+# Cell codes, in the order a cell lists them. The first two are
+# market-level: they fill every gamma of a market, alone, and every
+# failed check of the frontier constants is a degenerate frontier. The
+# last only ever labels a first-k market's one row without a gamma.
 _CODES = (
     "singular_covariance",
     "degenerate_frontier",
@@ -119,15 +119,6 @@ _CODES = (
     "sw_degenerate",
     "naive_outside_domain",
     "sharpe_undefined",
-)
-# Market-level code of each frontier outcome: a ValueError is a
-# degenerate frontier, an ArithmeticError a failed solve.
-_FRONTIER_CODES = np.array(
-    [-1]
-    + [
-        _CODES.index("degenerate_frontier" if error is ValueError else "solve_failed")
-        for error in FRONTIER_ERRORS[1:]
-    ]
 )
 
 # Two budgets of this many values bound memory whatever the subset cap:
@@ -286,9 +277,10 @@ class _Stopwatch:
         self._last = now
 
 
-def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> list[tuple[int, ...]]:
-    """Seeded sampling of distinct k-subsets, without replacement. Up to
-    100,000 subsets in all, it draws distinct ranks in their
+def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> np.ndarray:
+    """Seeded sampling of distinct k-subsets, without replacement, as
+    the rows of an int64 array (take, k), each in ascending order. Up
+    to 100,000 subsets in all, it draws distinct ranks in their
     lexicographic order and unranks them; beyond that, it rejects
     repeated draws."""
     total = math.comb(n_assets, k)
@@ -296,7 +288,7 @@ def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> list[tuple[int,
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
     if total <= 100_000:
         chosen = np.sort(rng.choice(total, size=take, replace=False))
-        return list(zip(*_unrank(chosen, n_assets, k, total).T.tolist()))
+        return _unrank(chosen, n_assets, k, total)
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     while len(out) < take:
@@ -304,7 +296,7 @@ def _draw_subsets(n_assets: int, k: int, cap: int, seed: int) -> list[tuple[int,
         if pick not in seen:
             seen.add(pick)
             out.append(pick)
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def _unrank(ranks: np.ndarray, n: int, k: int, total: int) -> np.ndarray:
@@ -431,9 +423,10 @@ def _solve_block(
     constants = efficient_constants_rows(mu, lower)
     clock.lap("constants")
     grid = power_grid(constants, cfg.gamma_grid, cfg.w0)
-    code = _FRONTIER_CODES[constants.outcome]
+    # The grid codes a degenerate frontier on every cell of a market that
+    # the frontier rejected (its constants are NaN) or whose s <= S_MIN.
     degenerate = grid.outcome[:, 0] == OUTCOMES.index("degenerate_frontier")
-    code[(code < 0) & degenerate] = _CODES.index("degenerate_frontier")
+    code = np.where(degenerate, _CODES.index("degenerate_frontier"), -1)
     code[~chol_ok] = _CODES.index("singular_covariance")
     good = (code < 0)[:, None]
     below = (grid.outcome == OUTCOMES.index("below_gamma_min")) & good
@@ -541,7 +534,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     for k in cfg.k_range:
         # The sampled subsets, then the first-k-assets market.
         subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
-        markets = np.array(subsets + [tuple(range(k))])
+        markets = np.vstack((subsets, np.arange(k)))
         clock.lap()
         _subsets_pass(tables, batches, k, panel, markets, cfg, clock)
         clock.lap()

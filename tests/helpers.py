@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 
 from crraport import (
@@ -23,15 +24,17 @@ from crraport import (
     power_solution,
 )
 from crraport.cli import main
-from crraport.frontier import S_MIN
+from crraport.crra import S_MIN
 from crraport.market import cho_solve_rows
 
 
 # A 4-asset market (condition number 5.7e12, smallest squared Cholesky
 # pivot 1.09e-12 of the largest variance, just inside MarketParams' rule)
-# on which the tilt's slope and the quadratic forms' disagree: the
-# frontier outcome slope_mismatch.
-SLOPE_MISMATCH_MARKET = {
+# whose slope is accurate although the covariance is near singular: s is
+# within 2.6e-10 of a 60-digit solve, and its rounding bound is 2.2e-8
+# of s, so the one slope rule accepts it. The quadratic form
+# mu'Q mu = c - b^2/a cancels on it, and differs from s by 4.3e-8.
+ACCURATE_NEAR_SINGULAR_MARKET = {
     "mu": [0.9894089655237345, 0.9981237027242235, 0.9993062630666962, 1.0052234116128562],
     "sigma": [
         [1.1347969776245166e-06, -5.519150930715595e-07, -4.23545558584404e-07, -1.5933625088415626e-07],
@@ -40,6 +43,58 @@ SLOPE_MISMATCH_MARKET = {
         [-1.5933625088415626e-07, -4.114573544456671e-07, -3.6679004774282844e-07, 9.375814669376757e-07],
     ],
 }
+
+
+def mp_constants(mu, sigma, dps: int = 60) -> tuple:
+    """r_gmv, v_gmv and s (mpmath numbers) of the market with the double
+    means ``mu`` and covariance ``sigma``, solved at ``dps`` digits: one
+    LU factorization, solved against 1 and mu - mean(mu), and the
+    frontier's forms."""
+    k = len(mu)
+    with mp.workdps(dps):
+        lu, perm = mp.mp.LU_decomp(mp.matrix([[mp.mpf(float(v)) for v in row] for row in np.asarray(sigma)]))
+        means = [mp.mpf(float(m)) for m in mu]
+        centre = mp.fsum(means) / k
+        dev = [m - centre for m in means]
+        sinv_one, sinv_dev = (mp.mp.U_solve(lu, mp.mp.L_solve(lu, mp.matrix(b), perm)) for b in ([1] * k, dev))
+        a, b = mp.fsum(sinv_one), mp.fsum(sinv_dev)
+        s = mp.fsum(d * z for d, z in zip(dev, sinv_dev)) - b * b / a
+        return centre + b / a, 1 / a, s
+
+
+def mp_optimum(r, s, v, gamma, dps: int = 60) -> tuple:
+    """x, y and t (mpmath numbers) of the smaller root of the
+    optimal-mean quadratic at ``gamma``, from the constants r_gmv ``r``,
+    slope ``s`` and v_gmv ``v`` (doubles or mpmath numbers), at ``dps``
+    digits plus the log10(gamma) digits that b - sqrt(b^2 - 4ac)
+    cancels. A discriminant below 0 (gamma under the constants'
+    gamma_min) counts as 0."""
+    with mp.workdps(dps + max(0, int(math.log10(gamma)))):
+        r, s, v, gamma = (c if isinstance(c, mp.mpf) else mp.mpf(float(c)) for c in (r, s, v, gamma))
+        a, b = 1 + s, (gamma + 2) * r
+        x = (b - mp.sqrt(max(b * b - 4 * a * (gamma + 1) * (r * r + s * v), 0))) / (2 * a)
+        t = (x - r) / s
+        return x, v + s * t * t + x * x, t
+
+
+def slope_and_bound(params: MarketParams) -> tuple[float, float]:
+    """A market's slope s and the rounding bound of it that the
+    frontier's one slope rule states, recomputed from the market's own
+    solve in the frontier's operations: the sum's 16 eps k sum |terms|
+    plus (3k + 1) eps |tilt|' |L| |L'| (|Sigma^-1 (mu - m)| + |shift|
+    |Sigma^-1 1|), for m the mean of mu."""
+    mu, lower, k = params.mu, params.lower, params.k
+    centre = mu.sum() / k
+    dev = mu - centre
+    sinv_one, sinv_dev = sigma_solve(params, np.column_stack((np.ones(k), dev))).T
+    shift = sinv_dev.sum() / sinv_one.sum()
+    tilt = sinv_dev - shift * sinv_one
+    terms = tilt * (mu - (centre + shift))
+    factor = np.abs(lower)
+    spread = np.abs(sinv_dev) + abs(shift) * np.abs(sinv_one)
+    solve = (np.abs(tilt) @ factor) @ (spread @ factor)
+    bound = np.finfo(float).eps * (16.0 * k * np.abs(terms).sum() + (3 * k + 1) * solve)
+    return float(terms.sum()), float(bound)
 
 
 def sigma_solve(params: MarketParams, rhs) -> np.ndarray:

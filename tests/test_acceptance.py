@@ -34,6 +34,7 @@ from helpers import (
     lognormal_moment,
     market_with_constants,
     match_params,
+    mp_optimum,
     random_market,
     sigma_solve,
     table_rows,
@@ -207,10 +208,7 @@ def _reference_gamma1_weights(params, con) -> np.ndarray:
 
     with mp.workdps(40):
         r, s, v = mp.mpf(con.r_gmv), mp.mpf(con.s), mp.mpf(con.v_gmv)
-        d = 9 * r**2 - 8 * (1 + s) * (r**2 + s * v)
-        if d < 0:
-            d = mp.mpf(0)
-        x = (3 * r - mp.sqrt(d)) / (2 * (1 + s))
+        x = mp_optimum(r, s, v, 1.0, dps=40)[0]
         y = (x * r - r**2 - s * v) / s
         mu = [mp.mpf(float(m)) for m in params.mu]
         inner = mp.matrix([y * (2 * m / x - 1) - x * m for m in mu])

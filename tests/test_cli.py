@@ -16,7 +16,7 @@ import pytest
 import crraport
 from crraport import default_synth_spec, synth_market
 from crraport.cli import main
-from helpers import SLOPE_MISMATCH_MARKET, frontier_sample
+from helpers import ACCURATE_NEAR_SINGULAR_MARKET, frontier_sample, mp_constants, mp_optimum
 
 WORKED_MARKET = {"mu": [1.05, 1.15], "sigma": [[0.01, 0.0], [0.0, 0.04]]}
 
@@ -121,12 +121,20 @@ class TestSolve:
         weights = json.loads(out)["weights"]
         assert abs(sum(weights) - 1.0) <= 1e-15 * sum(map(abs, weights))
 
-    def test_slope_mismatch_market_exits_2(self, capsys, tmp_path):
+    def test_accurate_near_singular_market_solves_above_gamma_min(self, capsys, tmp_path):
+        # Condition number 5.7e12, and gamma_min 424.2: below it the one
+        # error is the existence condition; above it the optimal mean is
+        # within 1e-10 of a 60-digit solve.
         path = tmp_path / "market.json"
-        path.write_text(json.dumps(SLOPE_MISMATCH_MARKET))
+        path.write_text(json.dumps(ACCURATE_NEAR_SINGULAR_MARKET))
         code, out, err = _run(capsys, ["solve", "--market", str(path), "--gamma", "3"])
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "inconsistent slope between tilt and quadratic forms"}
+        assert json.loads(err) == {"error": "no solution exists below gamma_min (gamma=3, gamma_min=424.211)"}
+        code, out, _ = _run(capsys, ["solve", "--market", str(path), "--gamma", "1000"])
+        assert code == 0
+        r, v, s = mp_constants(*(np.array(ACCURATE_NEAR_SINGULAR_MARKET[key]) for key in ("mu", "sigma")))
+        x = mp_optimum(r, s, v, 1000.0)[0]
+        assert abs(json.loads(out)["x"] - x) <= 1e-10 * x
 
     def test_missing_market_source(self, capsys):
         code, _, err = _run(capsys, ["solve", "--gamma", "3"])

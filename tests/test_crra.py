@@ -29,7 +29,8 @@ from crraport import (
     synth_market,
 )
 from crraport.crra import _CHECKS, OUTCOMES, _off_parabola, _utility
-from crraport.frontier import FRONTIER_ERRORS
+from crraport.frontier import _CHECKS as _FRONTIER_CHECKS
+from crraport.frontier import FRONTIER_OUTCOMES
 from crraport.study import _draw_subsets
 from helpers import (
     discriminant,
@@ -38,6 +39,7 @@ from helpers import (
     is_mv_efficient_power,
     market_with_constants,
     monotonicity_check,
+    mp_optimum,
     power_grid_reference,
     random_market,
     sigma_solve,
@@ -89,11 +91,15 @@ class TestGammaMin:
             assert gamma_min(con) > 2.0 * con.s
 
     def test_degenerate_frontier_rejected(self):
-        con = efficient_constants(
-            MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
-        )
-        with pytest.raises(ValueError, match="degenerate frontier"):
+        # Equal means: the frontier rejects the market, and its NaN
+        # constants fail gamma_min's own s > S_MIN check.
+        flat = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
+        con = efficient_constants_rows(flat.mu, flat.lower)
+        assert FRONTIER_OUTCOMES[con.outcome] == "degenerate_frontier"
+        with pytest.raises(ValueError, match="^degenerate frontier$"):
             gamma_min(con)
+        with pytest.raises(ValueError, match="^degenerate frontier$"):
+            efficient_constants(flat)
 
 
 class TestDiscriminant:
@@ -250,7 +256,8 @@ class TestPowerSolution:
             grid = power_grid(con, gammas)
             for gamma, code, t in zip(gammas, grid.outcome, grid.t):
                 if con.outcome:
-                    with pytest.raises(FRONTIER_ERRORS[con.outcome]):
+                    message = _FRONTIER_CHECKS[con.outcome - 1][1]
+                    with pytest.raises(ValueError, match=f"^{message}$"):
                         power_solution(gamma, params)
                 elif code:
                     error, message = _CHECKS[code - 1][1:]
@@ -360,18 +367,6 @@ def parabola_probe():
     return probe
 
 
-def _mp_optimum(r, s, v, gamma):
-    """x, y and t of the smaller root of the optimal-mean quadratic, at
-    60 digits from the double constants, plus the log10(gamma) digits
-    that b - sqrt(b^2 - 4ac) cancels."""
-    with mp.workdps(60 + max(0, int(math.log10(gamma)))):
-        r, s, v, gamma = (mp.mpf(float(c)) for c in (r, s, v, gamma))
-        a, b = 1 + s, (gamma + 2) * r
-        x = (b - mp.sqrt(b * b - 4 * a * (gamma + 1) * (r * r + s * v))) / (2 * a)
-        t = (x - r) / s
-        return x, v + s * t * t + x * x, t
-
-
 def _literal(r, s, v):
     """One market's constants r_gmv, s and v_gmv as given, whatever
     market they come from."""
@@ -437,9 +432,10 @@ class TestPowerGrid:
                 assert np.array_equal(getattr(grid, name)[b], getattr(ref, name), equal_nan=True)
 
     def test_degenerate_and_zero_r_gmv_markets_are_coded_in_a_batch(self):
-        # A flat market (equal means, s = 0) and one with r_gmv = 0 sit in
-        # one batch with ordinary markets: each is coded at every gamma,
-        # and the others keep their one-market grids bit for bit.
+        # A flat market (equal means, which the frontier rejects, so its
+        # constants are NaN) and one with r_gmv = 0 sit in one batch with
+        # ordinary markets: each is coded at every gamma, and the others
+        # keep their one-market grids bit for bit.
         rng = np.random.default_rng(35)
         flat = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
         zero = MarketParams([0.04, -0.16], np.diag([0.01, 0.04]))
@@ -447,7 +443,8 @@ class TestPowerGrid:
         con = efficient_constants_rows(
             np.stack([m.mu for m in markets]), np.stack([m.lower for m in markets])
         )
-        assert con.s[1] == 0.0 and con.r_gmv[3] == 0.0
+        assert FRONTIER_OUTCOMES[con.outcome[1]] == "degenerate_frontier" and np.isnan(con.s[1])
+        assert con.r_gmv[3] == 0.0
         gammas = [0.5, 1.0, 2.0, 7.0, 1e4, 1e8]
         grid = power_grid(con, gammas)
         assert [OUTCOMES[c] for c in grid.outcome[1]] == ["degenerate_frontier"] * len(gammas)
@@ -512,7 +509,7 @@ class TestPowerGrid:
         for i in np.random.default_rng(7).choice(len(beyond_rounding), 12, replace=False):
             con, gamma, *got = beyond_rounding[i]
             assert con.s > 1e3
-            for value, ref in zip(got, _mp_optimum(con.r_gmv, con.s, con.v_gmv, gamma)):
+            for value, ref in zip(got, mp_optimum(con.r_gmv, con.s, con.v_gmv, gamma)):
                 assert abs(value - ref) <= 1e-9 * abs(ref), (gamma, value, ref)
 
     def test_point_moved_off_the_parabola_is_rejected(self, parabola_probe):
@@ -549,7 +546,7 @@ class TestPowerGrid:
         gamma = 1187863000.4490178
         grid = power_grid(_literal(r, s, v), [gamma])
         assert OUTCOMES[grid.outcome[0]] == "ok"
-        for value, ref in zip((grid.x[0], grid.y[0], grid.t[0]), _mp_optimum(r, s, v, gamma)):
+        for value, ref in zip((grid.x[0], grid.y[0], grid.t[0]), mp_optimum(r, s, v, gamma)):
             assert abs(value - ref) <= 4 * EPS * abs(ref), (value, ref)
 
     def test_every_outcome_has_an_input(self, worked_market):
@@ -558,7 +555,7 @@ class TestPowerGrid:
         worked = efficient_constants(worked_market)
         table = {
             "ok": (worked, 3.0),
-            "degenerate_frontier": (efficient_constants(MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))), 2.0),
+            "degenerate_frontier": (efficient_constants_rows(np.array([1.02, 1.02]), np.diag([1e-2, 2e-2])), 2.0),
             "below_gamma_min": (worked, 0.5),
             "nonpositive_mean": (efficient_constants(MarketParams(*NEGATIVE_R_MARKET)), 1e4),
             # v_gmv < 0, which no covariance gives, makes t negative, and
@@ -622,7 +619,7 @@ class TestPowerGrid:
             for j in np.flatnonzero(ok & (gammas > 1e154))[i % 5 :: 5]:
                 n_mp += 1
                 got = grid.x[j], grid.y[j], grid.t[j]
-                for value, ref in zip(got, _mp_optimum(con.r_gmv, con.s, con.v_gmv, gammas[j])):
+                for value, ref in zip(got, mp_optimum(con.r_gmv, con.s, con.v_gmv, gammas[j])):
                     assert abs(value - ref) <= 4 * EPS * abs(ref), (i, gammas[j], value, ref)
         assert n_limit > 100 and n_mp > 500
 

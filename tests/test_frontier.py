@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,16 +17,18 @@ from crraport import (
     sharpe_weights,
     synth_market,
 )
-from crraport.frontier import FRONTIER_OUTCOMES
+from crraport.frontier import FRONTIER_OUTCOMES, SLOPE_RTOL
 from crraport.market import sample_moments, subset_rows
 from helpers import (
-    SLOPE_MISMATCH_MARKET,
+    ACCURATE_NEAR_SINGULAR_MARKET,
     frontier_sample,
     ill_conditioned_market,
+    mp_constants,
     portfolio_moments,
     random_feasible_weights,
     random_market,
     sigma_solve,
+    slope_and_bound,
 )
 
 EPS = np.finfo(float).eps
@@ -41,9 +44,14 @@ class TestEfficientConstants:
         np.testing.assert_allclose(con.w_gmv, [0.8, 0.2], rtol=1e-12)
 
     def test_equal_means_zero_slope(self):
+        # The slope is exactly 0, and so is its rounding bound: 0 is not
+        # below SLOPE_RTOL of s.
         params = MarketParams([1.03, 1.03, 1.03], np.diag([1e-4, 2e-4, 3e-4]))
-        con = efficient_constants(params)
-        assert abs(con.s) <= 1e-10
+        con = efficient_constants_rows(params.mu, params.lower)
+        assert FRONTIER_OUTCOMES[con.outcome] == "degenerate_frontier" and np.isnan(con.s)
+        assert slope_and_bound(params) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="^degenerate frontier$"):
+            efficient_constants(params)
 
     def test_covariance_scaling(self, worked_market):
         con = efficient_constants(worked_market)
@@ -79,34 +87,33 @@ class TestEfficientConstants:
         # efficient_constants' error.
         nan_mean = SimpleNamespace(mu=np.array([1.0, np.nan]), lower=np.eye(2))
         table = {
-            "ok": (MarketParams([1.05, 1.15], np.diag([0.01, 0.04])), None),
-            # Condition number 4e20; squared pivots 5.75 and 0.081.
-            "negative_slope": (
+            # Condition number 5.7e12: the slope is accurate, and its
+            # bound is 2.2e-8 of it.
+            "ok": (MarketParams(ACCURATE_NEAR_SINGULAR_MARKET["mu"], ACCURATE_NEAR_SINGULAR_MARKET["sigma"]), None),
+            # 1' Sigma^-1 1 overflows: w_gmv is NaN and v_gmv 0.
+            "infeasible_gmv": (
+                MarketParams([1.0, 1.1], np.diag([1e-310, 1e-310])),
+                "GMV weights must be finite and v_gmv positive",
+            ),
+            "nonfinite_tilt": (nan_mean, "tilt must be finite"),
+            # Condition number 4e20; squared pivots 5.75 and 0.081. The
+            # slope's rounding bound exceeds s itself.
+            "degenerate_frontier": (
                 MarketParams(
                     [0.9654625287539494, 1.0000004532407853],
                     [[5.751754153283212, 438290.30860049266], [438290.30860049266, 33398227652.676865]],
                 ),
-                (ValueError, "slope parameter came out materially negative"),
+                "degenerate frontier",
             ),
-            "slope_mismatch": (
-                MarketParams(SLOPE_MISMATCH_MARKET["mu"], SLOPE_MISMATCH_MARKET["sigma"]),
-                (ArithmeticError, "inconsistent slope between tilt and quadratic forms"),
-            ),
-            # 1' Sigma^-1 1 overflows: w_gmv is NaN and v_gmv 0.
-            "infeasible_gmv": (
-                MarketParams([1.0, 1.1], np.diag([1e-310, 1e-310])),
-                (ValueError, "GMV weights must be finite and v_gmv positive"),
-            ),
-            "nonfinite_tilt": (nan_mean, (ValueError, "tilt must be finite")),
         }
         assert set(FRONTIER_OUTCOMES) == set(table)
-        for name, (params, error) in table.items():
+        for name, (params, message) in table.items():
             con = efficient_constants_rows(params.mu, params.lower)
             assert FRONTIER_OUTCOMES[con.outcome] == name
-            if error is None:
+            if message is None:
                 efficient_constants(params)
                 continue
-            with pytest.raises(error[0], match=f"^{error[1]}$"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 efficient_constants(params)
 
     def test_tilt_properties_random_markets(self):
@@ -135,11 +142,12 @@ class TestEfficientConstants:
 
     def test_tilt_meets_the_budget_on_ill_conditioned_markets(self):
         # Condition numbers 1 to 1e14: unprojected, the tilt of 21 of
-        # these markets misses 1'x = 0 by more than this bound, by up to
-        # 1.5e-6 of its terms.
+        # the first 300 of these markets misses 1'x = 0 by more than this
+        # bound, by up to 1.5e-6 of its terms. The slope rule rejects 56
+        # of those 300, so 100 more are drawn.
         rng = np.random.default_rng(2040)
         n_markets = 0
-        for i in range(300):
+        for i in range(400):
             try:
                 params = ill_conditioned_market(rng, (0.0, 10.0) if i % 2 else (10.0, 14.0))
                 con = efficient_constants(params)
@@ -150,25 +158,46 @@ class TestEfficientConstants:
         assert n_markets > 250
 
     def test_slope_accuracy_against_50_digits(self):
-        import mpmath as mp
-
-        with mp.workdps(50):
-            values = synth_market(default_synth_spec(), 7).values
-            rng = np.random.default_rng(26)
-            worst = 0.0
-            for _ in range(300):
-                k = int(rng.integers(2, 9))
-                cols = np.sort(rng.choice(values.shape[1], size=k, replace=False))
-                params = estimate_params(ReturnMatrix(values[:, cols]))
-                sigma = mp.matrix([[mp.mpf(float(v)) for v in row] for row in params.sigma])
-                mu = mp.matrix([mp.mpf(float(v)) for v in params.mu])
-                sinv_one = mp.lu_solve(sigma, mp.matrix([1] * k))
-                sinv_mu = mp.lu_solve(sigma, mu)
-                a, b = sum(sinv_one), sum(sinv_mu)
-                s_ref = sum(m * v for m, v in zip(mu, sinv_mu)) - b * b / a
-                s = efficient_constants(params).s
-                worst = max(worst, float(abs(mp.mpf(s) - s_ref) / s_ref))
+        # Study subsets: every slope within 1e-10 of a 50-digit solve.
+        values = synth_market(default_synth_spec(), 7).values
+        rng = np.random.default_rng(26)
+        worst = 0.0
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            cols = np.sort(rng.choice(values.shape[1], size=k, replace=False))
+            params = estimate_params(ReturnMatrix(values[:, cols]))
+            s_ref = mp_constants(params.mu, params.sigma, dps=50)[2]
+            s = efficient_constants(params).s
+            worst = max(worst, float(abs(mp.mpf(s) - s_ref) / s_ref))
         assert worst <= 1e-10
+        # Ill-conditioned markets of 2 to 50 assets, condition numbers 1
+        # to 1e16: the frontier accepts exactly the slopes whose rounding
+        # bound is below SLOPE_RTOL of them, and each accepted slope of up
+        # to 30 assets (where the reference takes under 0.1 s) is within
+        # its bound of a 50-digit solve. Here the bound exceeds the worst
+        # error 195x.
+        rng = np.random.default_rng(1)
+        n_accepted = n_rejected = n_reference = 0
+        worst = 0.0
+        for _ in range(150):
+            try:
+                params = ill_conditioned_market(rng, (0.0, 16.0))
+            except ValueError:
+                continue
+            s, bound = slope_and_bound(params)
+            con = efficient_constants_rows(params.mu, params.lower)
+            if not bound < SLOPE_RTOL * s:
+                assert FRONTIER_OUTCOMES[con.outcome] == "degenerate_frontier"
+                n_rejected += 1
+                continue
+            assert FRONTIER_OUTCOMES[con.outcome] == "ok" and con.s == s
+            n_accepted += 1
+            if params.k <= 30:
+                s_ref = mp_constants(params.mu, params.sigma, dps=50)[2]
+                worst = max(worst, float(abs(mp.mpf(s) - s_ref)) / bound)
+                n_reference += 1
+        assert worst <= 1.0
+        assert n_reference >= 60 and n_accepted >= 100 and n_rejected >= 10
 
     def test_small_volatility_market_accepted(self):
         # Volatilities of 0.2%-0.45% put |Sigma^-1| near 4e7; the
@@ -209,11 +238,12 @@ class TestSharpeWeights:
         x, _ = portfolio_moments(sharpe_weights(worked_market), worked_market)
         assert x == pytest.approx(worked_values["sharpe_return"], rel=1e-12)
 
-    def test_equal_means_match_gmv(self):
+    def test_equal_means_are_rejected(self):
+        # The Sharpe portfolio is read off the frontier, which the slope
+        # rule rejects where the means are equal.
         params = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
-        np.testing.assert_allclose(
-            sharpe_weights(params).w, efficient_constants(params).w_gmv, atol=1e-12
-        )
+        with pytest.raises(ValueError, match="^degenerate frontier$"):
+            sharpe_weights(params)
 
     def test_undefined_when_denominator_vanishes(self):
         # 1' Sigma^-1 mu = 100*0.04 + 25*(-0.16) = 0

@@ -27,7 +27,7 @@ from crraport import (
 )
 from crraport import study
 from crraport.study import _draw_subsets, _panel, _solve_block, _Stopwatch
-from helpers import SLOPE_MISMATCH_MARKET, empirical_cdf, table_rows
+from helpers import ACCURATE_NEAR_SINGULAR_MARKET, empirical_cdf, table_rows
 
 
 def _small_config(tmp_path, **overrides):
@@ -117,16 +117,25 @@ class TestDrawSubsets:
     def test_deterministic_and_distinct(self):
         a = _draw_subsets(17, 5, 50, seed=3)
         b = _draw_subsets(17, 5, 50, seed=3)
-        assert a == b
-        assert len(set(a)) == len(a) == 50
-        assert all(len(s) == 5 and list(s) == sorted(s) for s in a)
+        assert a.dtype == np.int64 and a.shape == (50, 5)
+        assert np.array_equal(a, b)
+        assert len(set(map(tuple, a.tolist()))) == 50
+        assert np.all(np.diff(a, axis=1) > 0)
+
+    def test_rejection_path_returns_the_same_kind_of_array(self):
+        # C(40, 20) is beyond the unranking path's 100,000 subsets.
+        a = _draw_subsets(40, 20, 30, seed=3)
+        assert a.dtype == np.int64 and a.shape == (30, 20)
+        assert np.array_equal(a, _draw_subsets(40, 20, 30, seed=3))
+        assert len(set(map(tuple, a.tolist()))) == 30
+        assert np.all(np.diff(a, axis=1) > 0) and a.min() >= 0 and a.max() < 40
 
     def test_cap_beyond_total_enumerates_all(self):
         subs = _draw_subsets(5, 3, 100, seed=1)
         assert len(subs) == 10  # C(5,3)
 
     def test_seed_changes_draw(self):
-        assert _draw_subsets(17, 5, 50, seed=3) != _draw_subsets(17, 5, 50, seed=4)
+        assert not np.array_equal(_draw_subsets(17, 5, 50, seed=3), _draw_subsets(17, 5, 50, seed=4))
 
     def test_draws_equal_indexing_the_listed_combinations(self):
         # The reference lists every combination in itertools' order and
@@ -142,7 +151,9 @@ class TestDrawSubsets:
                         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
                         ranks = np.sort(rng.choice(total, size=min(cap, total), replace=False))
                         expected = [combos[i] for i in ranks]
-                        assert _draw_subsets(n, k, cap, seed) == expected, (n, k, cap, seed)
+                        got = _draw_subsets(n, k, cap, seed)
+                        assert got.dtype == np.int64, (n, k, cap, seed)
+                        assert list(zip(*got.T.tolist())) == expected, (n, k, cap, seed)
 
 
 class TestRunStudy:
@@ -394,10 +405,9 @@ class TestRunStudy:
         batches = dict.fromkeys(("blocks", "markets", "sw_chunks"), 0)
         checked = 0
         for k in cfg.k_range:
-            subsets = _draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed)
-            subsets.append(tuple(range(k)))
+            subsets = np.vstack((_draw_subsets(returns.n_assets, k, cfg.n_subsets_cap, cfg.seed), np.arange(k)))
             tested = np.arange(len(subsets)) < len(subsets) - 1
-            block = _solve_block(panel, np.array(subsets), tested, cfg, _Stopwatch(), batches)
+            block = _solve_block(panel, subsets, tested, cfg, _Stopwatch(), batches)
             for si in np.flatnonzero(block["code"] < 0):
                 params = estimate_params(ReturnMatrix(returns.values[:, list(subsets[si])]))
                 z = np.linalg.solve(params.sigma, params.mu)
@@ -463,21 +473,23 @@ class TestRunStudy:
         assert {e["code"] for e in table_rows(report.cell_errors)} == {"degenerate_frontier"}
         assert not table_rows(report.strategy_utilities)
 
-    def test_slope_mismatch_market_is_coded_solve_failed_at_the_market_level(self, tmp_path):
-        # The frontier constants' ArithmeticError is a failed solve that
-        # fills every gamma of the market, alone.
-        mu, sigma = (np.array(SLOPE_MISMATCH_MARKET[key]) for key in ("mu", "sigma"))
+    def test_accurate_near_singular_market_is_solved_cell_by_cell(self, tmp_path):
+        # Condition number 5.7e12: the slope rule accepts the market, so
+        # it has no market-level code. Its gamma_min is 424.2, so gammas
+        # 2 and 5 are below it, and gamma 1000 is solved and scored.
+        mu, sigma = (np.array(ACCURATE_NEAR_SINGULAR_MARKET[key]) for key in ("mu", "sigma"))
         n = 40
         panel = SimpleNamespace(
             gross=np.random.default_rng(0).normal(1.0, 1e-3, (n, 4)), mu=mu, sigma=sigma, workspace=np.empty((8, n))
         )
-        cfg = _small_config(tmp_path, gamma_grid=(2.0, 5.0))
+        cfg = _small_config(tmp_path, gamma_grid=(2.0, 5.0, 1000.0))
         batches = dict.fromkeys(("blocks", "markets", "sw_chunks"), 0)
         block = _solve_block(panel, np.array([[0, 1, 2, 3]]), np.array([True]), cfg, _Stopwatch(), batches)
-        failed = study._CODES.index("solve_failed")
-        assert block["code"].tolist() == [failed]
-        assert [np.flatnonzero(cell).tolist() for cell in block["flags"][0]] == [[failed], [failed]]
-        assert not block["scored"].any()
+        below = study._CODES.index("below_gamma_min")
+        assert block["code"].tolist() == [-1]
+        assert [np.flatnonzero(cell).tolist() for cell in block["flags"][0]] == [[below], [below], []]
+        assert block["scored"].tolist() == [[False, False, True]]
+        assert block["ok"].tolist() == [[False, False, True]]
 
     def test_zero_r_gmv_market_is_below_gamma_min_at_every_gamma(self, tmp_path):
         # Dyadic returns whose sample moments are exact: gross means
