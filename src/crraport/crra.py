@@ -25,8 +25,11 @@ s. ``power_grid`` solves a whole gamma grid (G,) for a batch of markets
 (B,) at once, on (B, G) arrays, and is the one place the optimum is
 computed, at every finite gamma: it codes each cell's first failed
 check, and raises for no market. Its first check is a degenerate
-frontier: s <= ``S_MIN`` = 1e-12, a floor that guards the closed form
-at tiny gamma, or the NaN constants of a market the frontier rejected.
+frontier, the NaN constants of a market the frontier rejected. The
+discriminant is taken in its expanded form,
+g^2 r_gmv^2 - 4 (g+1) s (r_gmv^2 + (1+s) v_gmv), in which no two terms
+cancel exactly, so X and t(g) are accurate to a few ulps, or to the
+root's own conditioning just above gamma_min, at any slope s > 0.
 ``power_solution`` is its one-market, one-gamma call, which raises the
 check's error. Logarithmic utility is its g = 1 case,
 ``power_solution(1.0, ...)``, with value L; it exists iff one market's
@@ -59,7 +62,6 @@ from .frontier import (
 from .market import MarketParams
 
 __all__ = [
-    "S_MIN",
     "OUTCOMES",
     "CrraSolution",
     "PowerGrid",
@@ -71,13 +73,6 @@ __all__ = [
     "objective_rows",
 ]
 
-# The degenerate-frontier floor of the slope. It guards the closed form,
-# not s: below it gamma_min is a few 1e-6 or less, the discriminant
-# cancels at such gammas, and the optimal mean at 2 gamma_min was seen
-# 1.5e-8 off a 60-digit solve (s = 3e-30), against 8e-11 at worst for
-# slopes above it, far more than the slope's own rounding accounts for.
-S_MIN = 1e-12
-
 # The checks every optimum must pass, in the order they apply, with the
 # error a one-gamma solve raises when one fails. A degenerate frontier
 # fills a market's every cell; existence comes next, so a cell is
@@ -87,7 +82,6 @@ _CHECKS = (
     ("below_gamma_min", ValueError, "no solution exists below gamma_min"),
     ("nonpositive_mean", ValueError, "optimal mean non-positive; the objective's ln X is undefined"),
     ("off_parabola", ArithmeticError, "solution left the mean-variance parabola"),
-    ("at_gmv", ArithmeticError, "solution coincides with the GMV portfolio"),
 )
 # Per-gamma outcome names of ``power_grid``: 0 is "ok", code i > 0 the
 # i-th check above, the first one the cell failed.
@@ -155,12 +149,12 @@ def gamma_min(constants: FrontierConstants):
     accurate to the one slope rule of ``frontier``: its rounding bound is
     below ``SLOPE_RTOL`` of s, and gamma_min's relative error from it is
     at most about twice s's, since its elasticity in s is at most 2.
-    Raises ValueError for a degenerate frontier (s <= S_MIN, or NaN) and
+    Raises ValueError for a degenerate frontier (s <= 0, or NaN) and
     for r_gmv = 0, where it is undefined. ``power_grid`` codes both per
     cell instead.
     """
     s, r = constants.s, constants.r_gmv
-    if not s > S_MIN:
+    if not s > 0.0:
         raise ValueError("degenerate frontier")
     if r == 0.0:
         raise ValueError("existence threshold undefined for r_gmv = 0")
@@ -232,13 +226,17 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
 
     Each gamma gets the smaller root of the optimal-mean quadratic, its
     second moment, frontier coordinate and expected utility, and the
-    first check it fails, if any: s > S_MIN (which NaN constants fail),
+    first check it fails, if any: s > 0 (which NaN constants fail),
     gamma >= gamma_min (as ``gamma_min`` gives it; never for r_gmv = 0),
-    x > 0 (so r_gmv > 0), the point lies on the parabola, and it is not
-    the GMV portfolio. With gamma = m 2^e (m in [1/2, 1)) and u = 2^-e,
-    each term is the unscaled form's times a power of two: the same
-    roundings, and past gamma_min u < 1/gamma_min < 5e5, so no finite
-    gamma overflows while r_gmv^2, v_gmv, (1 + s)(r_gmv^2 + s v_gmv) and
+    x > 0 (so r_gmv > 0), and the point lies on the parabola. The
+    discriminant is the expanded gamma^2 r^2 - 4 (gamma + 1) s (r^2 +
+    (1 + s) v): the literal (gamma + 2)^2 r^2 - 4 (gamma + 1)(1 + s)(r^2
+    + s v) is the same polynomial, but its 4 gamma r^2 and 4 r^2 terms
+    cancel exactly, which costs digits at small gamma and near
+    gamma_min. With gamma = m 2^e (m in [1/2, 1)) and u = 2^-e, each
+    term is the unscaled form's times a power of two: the same
+    roundings, and past gamma_min s u^2 <= 1/4, so no finite gamma
+    overflows while r_gmv^2, v_gmv, (1 + s)(r_gmv^2 + s v_gmv) and
     (s v_gmv / r_gmv)^2 stay below 1e290. Raises ValueError only for a
     gamma or wealth that is not positive and finite.
     """
@@ -251,30 +249,30 @@ def power_grid(constants: FrontierConstants, gammas, w0: float = 1.0) -> PowerGr
     with np.errstate(all="ignore"):
         below = ~(g >= _threshold(r, s, v))
         r2 = r * r
-        d = (m + 2.0 * u) ** 2 * r2 - 4.0 * (m + u) * (1.0 + s) * (r2 + s * v) * u
+        d = m * m * r2 - 4.0 * s * u * (m + u) * (r2 + (1.0 + s) * v)
         sq = np.sqrt(np.maximum(d, 0.0))
         # The smaller root in conjugate form: no cancellation as gamma
         # grows large. For r < 0, sq < (m + 2u)|r| makes the denominator
-        # negative and x < 0; past gamma ~ 1e17, d can round to
-        # (m + 2u)^2 r^2 and the denominator to 0 or above, so
-        # nonpositive_mean reads r too.
+        # negative and x < 0; past gamma ~ 1e17, d can round to m^2 r^2
+        # and the denominator to 0 or above, so nonpositive_mean reads r
+        # too.
         x = 2.0 * (m + u) * (r2 + s * v) / ((m + 2.0 * u) * r + sq)
         # t = (x - r)/s through the conjugate of the alternate
         # discriminant form: exact algebra, and it dodges the small-s
         # cancellation that the literal (gamma/s)(x r - r^2 - s v)
-        # suffers. The denominator is positive where x > 0, because
-        # then r > 0 and gamma >= gamma_min > 2s.
+        # suffers. So no cell is the GMV portfolio: the numerator is
+        # positive, and so is the denominator where x > 0, because then
+        # r > 0 and gamma >= gamma_min > 2s; t > 0 on every ok cell.
         t = 2.0 * (u * r2 + (m + u) * v) / ((m - 2.0 * s * u) * r + sq)
         # Same quantity as (gamma/s)(x r - r^2 - s v), rearranged so
         # every term keeps its sign: stable for tiny s and huge gamma.
         y = m / (m + 2.0 * u) * ((1.0 + s) * t * (x + r) + (r2 - v))
         utility = _utility(x, y, g, w0)
         failed = (
-            np.broadcast_to(~(s > S_MIN), below.shape),
+            np.broadcast_to(~(s > 0.0), below.shape),
             below,
             ~(x > 0.0) | ~(r > 0.0),
             _off_parabola(x, y, r, s, v),
-            x == r,
         )
     outcome, x, y, t, utility = _first_failures(failed, (x, y, t, utility))
     return PowerGrid(x=x, y=y, t=t, utility=utility, outcome=outcome)

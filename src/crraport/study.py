@@ -424,7 +424,7 @@ def _solve_block(
     clock.lap("constants")
     grid = power_grid(constants, cfg.gamma_grid, cfg.w0)
     # The grid codes a degenerate frontier on every cell of a market that
-    # the frontier rejected (its constants are NaN) or whose s <= S_MIN.
+    # the frontier rejected (its constants are NaN).
     degenerate = grid.outcome[:, 0] == OUTCOMES.index("degenerate_frontier")
     code = np.where(degenerate, _CODES.index("degenerate_frontier"), -1)
     code[~chol_ok] = _CODES.index("singular_covariance")

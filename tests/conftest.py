@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from crraport import MarketParams
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# ``--hypothesis-profile=ci``: a fixed example sequence, ten times the
+# default count, for properties that set no count of their own.
+settings.register_profile("ci", derandomize=True, max_examples=1000)
 
 
 @pytest.fixture(scope="session")

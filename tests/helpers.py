@@ -24,7 +24,6 @@ from crraport import (
     power_solution,
 )
 from crraport.cli import main
-from crraport.crra import S_MIN
 from crraport.market import cho_solve_rows
 
 
@@ -141,6 +140,15 @@ def discriminant(gamma: float, constants: FrontierConstants) -> float:
     return float((gamma + 2.0) ** 2 * r2 - 4.0 * (gamma + 1.0) * (1.0 + s) * (r2 + s * v))
 
 
+def expanded_discriminant(gamma, r, s, v):
+    """``discriminant`` expanded, g^2 r^2 - 4 (g+1) s (r^2 + (1+s) v), in
+    which no two terms cancel exactly: ``power_grid``'s form without its
+    power-of-two scaling of gamma, elementwise over broadcast arrays of
+    gamma and the constants r_gmv ``r``, slope ``s`` and v_gmv ``v``."""
+    r2 = r * r
+    return gamma * gamma * r2 - 4.0 * s * (gamma + 1.0) * (r2 + (1.0 + s) * v)
+
+
 def power_grid_reference(constants: FrontierConstants, gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x, y and t (batch + (G,)) of ``power_grid``'s closed form without
     its power-of-two scaling of gamma: the same operations in the same
@@ -149,8 +157,7 @@ def power_grid_reference(constants: FrontierConstants, gammas) -> tuple[np.ndarr
     r, s, v = (np.asarray(c)[..., None] for c in (constants.r_gmv, constants.s, constants.v_gmv))
     with np.errstate(all="ignore"):
         r2 = r * r
-        d = (g + 2.0) ** 2 * r2 - 4.0 * (g + 1.0) * (1.0 + s) * (r2 + s * v)
-        sq = np.sqrt(np.maximum(d, 0.0))
+        sq = np.sqrt(np.maximum(expanded_discriminant(g, r, s, v), 0.0))
         x = 2.0 * (g + 1.0) * (r2 + s * v) / ((g + 2.0) * r + sq)
         t = 2.0 * (r2 + (g + 1.0) * v) / ((g - 2.0 * s) * r + sq)
         y = g / (g + 2.0) * ((1.0 + s) * t * (x + r) + (r2 - v))
@@ -292,9 +299,6 @@ def is_mv_efficient_power(gamma: float, constants: FrontierConstants) -> bool:
     """
     if constants.r_gmv <= 0.0:
         return False
-    if constants.s <= S_MIN:
-        # Degenerate-frontier limit: gamma_min -> 0.
-        return gamma > 0.0
     return gamma >= gamma_min(constants)
 
 

@@ -136,6 +136,21 @@ class TestSolve:
         x = mp_optimum(r, s, v, 1000.0)[0]
         assert abs(json.loads(out)["x"] - x) <= 1e-10 * x
 
+    def test_tiny_slope_market_is_solved(self, capsys, tmp_path):
+        # Means 3e-9 apart: s = 7.2e-15 and gamma_min = 1.7e-7. The slope
+        # is accurate, and at gamma 3 the optimal mean is within a few
+        # ulps of a 60-digit solve.
+        market = {"mu": [1.004, 1.004 + 3e-9, 1.004 - 2e-9], "sigma": np.diag([1e-3, 2e-3, 1.5e-3]).tolist()}
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market))
+        code, out, _ = _run(capsys, ["solve", "--market", str(path), "--gamma", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["s"] == pytest.approx(7.2e-15, rel=1e-2)
+        r, v, s = mp_constants(*(np.array(market[key]) for key in ("mu", "sigma")))
+        x = mp_optimum(r, s, v, 3.0)[0]
+        assert abs(payload["x"] - x) <= 4 * np.spacing(payload["x"])
+
     def test_missing_market_source(self, capsys):
         code, _, err = _run(capsys, ["solve", "--gamma", "3"])
         assert code == 2

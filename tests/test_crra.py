@@ -34,6 +34,7 @@ from crraport.frontier import FRONTIER_OUTCOMES
 from crraport.study import _draw_subsets
 from helpers import (
     discriminant,
+    expanded_discriminant,
     gamma_condition,
     ill_conditioned_market,
     is_mv_efficient_power,
@@ -91,8 +92,9 @@ class TestGammaMin:
             assert gamma_min(con) > 2.0 * con.s
 
     def test_degenerate_frontier_rejected(self):
-        # Equal means: the frontier rejects the market, and its NaN
-        # constants fail gamma_min's own s > S_MIN check.
+        # Equal means: the frontier's slope rule rejects the market (s
+        # and its bound are 0), and its NaN constants fail gamma_min's own
+        # s > 0 check.
         flat = MarketParams([1.02, 1.02], np.diag([1e-4, 4e-4]))
         con = efficient_constants_rows(flat.mu, flat.lower)
         assert FRONTIER_OUTCOMES[con.outcome] == "degenerate_frontier"
@@ -120,6 +122,34 @@ class TestDiscriminant:
                     r2 + (gamma + 1) * con.v_gmv
                 )
                 assert d == pytest.approx(alt, rel=1e-10, abs=1e-10 * (gamma + 2) ** 2 * r2)
+
+    def test_expanded_form_agrees_with_the_literal_one(self):
+        # The expanded form is the same polynomial: it agrees with the
+        # literal one to the literal's rounding, which scales with its
+        # terms, (g + 2)^2 r^2 and 4 (g + 1)(1 + s)(r^2 + s v). Against
+        # 60 digits of the same double constants it is accurate to its
+        # own, smaller terms, also on tiny-slope markets at tiny gamma,
+        # where the literal form's 4 g r^2 and 4 r^2 cancel.
+        rng = np.random.default_rng(32)
+        n_tiny = 0
+        for i in range(60):
+            con = efficient_constants(random_market(rng, int(rng.integers(2, 7))))
+            r, s, v = (float(c) for c in (con.r_gmv, con.s, con.v_gmv))
+            if i % 2:
+                s = 10.0 ** rng.uniform(-30.0, -12.0)
+                n_tiny += 1
+            gm = gamma_min(_literal(r, s, v))
+            for gamma in (gm, 2.0 * gm, 0.5, 3.0, 25.0, 1e4):
+                got = expanded_discriminant(gamma, r, s, v)
+                literal = (gamma + 2.0) ** 2 * r * r - 4.0 * (gamma + 1.0) * (1.0 + s) * (r * r + s * v)
+                literal_terms = (gamma + 2.0) ** 2 * r * r + 4.0 * (gamma + 1.0) * (1.0 + s) * (r * r + s * v)
+                assert abs(got - literal) <= 8 * EPS * literal_terms, (i, gamma)
+                with mp.workdps(60):
+                    g, rr, ss, vv = (mp.mpf(c) for c in (gamma, r, s, v))
+                    exact = g * g * rr * rr - 4 * (g + 1) * ss * (rr * rr + (1 + ss) * vv)
+                    terms = g * g * rr * rr + 4 * (g + 1) * ss * (rr * rr + (1 + ss) * vv)
+                    assert abs(got - exact) <= 8 * EPS * terms, (i, gamma)
+        assert n_tiny == 30
 
     def test_zero_at_gamma_min(self, worked_market):
         con = efficient_constants(worked_market)
@@ -376,6 +406,32 @@ def _literal(r, s, v):
     )
 
 
+def _tiny_slope_market(rng):
+    """A ``random_market`` covariance of 2 to 8 assets, with gross means
+    1 + U(-0.01, 0.01) + 10^U(-16, -4) N(0, 1), the first term shared by
+    every asset: slopes from about 1e-30 up, most below 1e-12."""
+    k = int(rng.integers(2, 9))
+    sigma = random_market(rng, k).sigma
+    return MarketParams(1.0 + rng.uniform(-0.01, 0.01) + 10.0 ** rng.uniform(-16.0, -4.0) * rng.normal(size=k), sigma)
+
+
+def _root_error_bounds(r, s, v, gamma):
+    """Relative error bounds of ``power_grid``'s x and t at the double
+    constants r_gmv ``r``, slope ``s`` and v_gmv ``v``: 8 eps (1 + c). The
+    discriminant d carries a few eps of the sum D of its terms' sizes, so
+    sqrt(d) carries D eps / (2 sqrt(d)), and x and t carry that over their
+    conjugate denominators, (g + 2) r + sqrt(d) and (g - 2s) r + sqrt(d):
+    c = D / (sqrt(d) denominator). c is O(1) well past gamma_min, and about
+    1/sqrt(gamma / gamma_min - 1) near it, where the root is a double root."""
+    r2 = r * r
+    tail = 4.0 * s * (gamma + 1.0) * (r2 + (1.0 + s) * v)
+    terms, sq = gamma * gamma * r2 + tail, np.sqrt(gamma * gamma * r2 - tail)
+    return (
+        8.0 * EPS * (1.0 + terms / (sq * ((gamma + 2.0) * r + sq))),
+        8.0 * EPS * (1.0 + terms / (sq * ((gamma - 2.0 * s) * r + sq))),
+    )
+
+
 class TestPowerGrid:
     def test_matches_one_gamma_solutions_on_every_study_cell(self, tmp_path):
         cfg = StudyConfig(
@@ -561,12 +617,70 @@ class TestPowerGrid:
             # v_gmv < 0, which no covariance gives, makes t negative, and
             # y = (1 + s) t (x + r) + r^2 - v is 1/6560 of its terms.
             "off_parabola": (_literal(0.9, 1e9, -8e-10), 1e16),
-            # s t = s v_gmv / r_gmv ~ 1e-17 is below half an ulp of r_gmv.
-            "at_gmv": (_literal(1.0, 1e-11, 1e-6), 1e8),
         }
         assert tuple(table) == OUTCOMES
         for name, (con, gamma) in table.items():
             assert OUTCOMES[power_grid(con, [gamma]).outcome[0]] == name
+
+    def test_tiny_slopes_against_60_digits(self):
+        # 400 tiny-slope markets: the frontier accepts 396, 267 of them
+        # with s <= 1e-12, where gamma_min is 1e-6 or less and the literal
+        # discriminant's cancelling 4 g r^2 and 4 r^2 cost x up to 1.5e-8
+        # and t every digit. At 2 gamma_min x and t are within 4 eps of a
+        # 60-digit solve of the same double constants, and at gamma_min
+        # (1 + 1e-6) within the root's own error bound.
+        rng = np.random.default_rng(11)
+        n_accepted = n_tiny = 0
+        for i in range(400):
+            params = _tiny_slope_market(rng)
+            con = efficient_constants_rows(params.mu, params.lower)
+            if con.outcome:
+                continue
+            r, s, v = (float(c) for c in (con.r_gmv, con.s, con.v_gmv))
+            gm = gamma_min(con)
+            gammas = np.array([2.0 * gm, gm * (1.0 + 1e-6)])
+            grid = power_grid(con, gammas)
+            assert grid.ok.all(), i
+            bx, bt = _root_error_bounds(r, s, v, gammas)
+            bx[0] = bt[0] = 4 * EPS
+            for gamma, x, t, ex, et in zip(gammas, grid.x, grid.t, bx, bt):
+                x_ref, _, t_ref = mp_optimum(r, s, v, gamma)
+                assert abs(x - x_ref) <= ex * x_ref, (i, gamma, x, x_ref)
+                assert abs(t - t_ref) <= et * t_ref, (i, gamma, t, t_ref)
+            n_accepted += 1
+            n_tiny += s <= 1e-12
+        assert (n_accepted, n_tiny) == (396, 267)
+
+    @settings(deadline=None)
+    @given(
+        r=st.floats(0.5, 2.0),
+        log_s=st.floats(-30.0, 2.0),
+        log_v=st.floats(-8.0, 0.0),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_every_cell_is_solved_to_its_conditioning(self, r, log_s, log_v, fractions):
+        # Constants from a slope of 1e-30 to 100, at gammas from
+        # gamma_min (1 + 1e-6) to 1e8: every cell is ok with t > 0, x and
+        # t are within their error bounds of 60 digits, and x and v do not
+        # rise with gamma by more than those bounds allow.
+        s, v = 10.0**log_s, 10.0**log_v
+        con = _literal(r, s, v)
+        low = gamma_min(con) * (1.0 + 1e-6)
+        gammas = low * (1e8 / low) ** np.sort([0.0, 1.0, *fractions])
+        grid = power_grid(con, gammas)
+        assert grid.ok.all() and (grid.t > 0.0).all()
+        bx, bt = _root_error_bounds(r, s, v, gammas)
+        for gamma, x, t, ex, et in zip(gammas, grid.x, grid.t, bx, bt):
+            x_ref, _, t_ref = mp_optimum(r, s, v, gamma)
+            assert abs(x - x_ref) <= ex * x_ref, (gamma, x, x_ref)
+            assert abs(t - t_ref) <= et * t_ref, (gamma, t, t_ref)
+        # y = (1 + s) t (x + r) + ... carries about x's and t's errors,
+        # and y - x^2 cancels 16 ulps of y, as the Sharpe limit allows.
+        x, y = grid.x, grid.y
+        x_tol = bx * x
+        v_tol = (2.0 * (bx + bt) + 24 * EPS) * y + 2.0 * bx * x * x
+        assert np.all(np.diff(x) <= x_tol[:-1] + x_tol[1:])
+        assert np.all(np.diff(y - x * x) <= v_tol[:-1] + v_tol[1:])
 
     def test_scaled_form_equals_the_unscaled_one_bit_for_bit(self):
         # Wherever the unscaled form is finite (gamma up to ~1e154), the
@@ -594,7 +708,6 @@ class TestPowerGrid:
         # portfolio's. Cells past 1e154 match a high-precision solve.
         rng = np.random.default_rng(41)
         gammas = np.append(np.geomspace(1e8, 1e300, 60), [1e305, np.finfo(float).max])
-        at_gmv = OUTCOMES.index("at_gmv")
         n_limit = n_mp = 0
         for i in range(120):
             params = random_market(rng, int(rng.integers(2, 10))) if i % 2 else ill_conditioned_market(rng)
@@ -603,7 +716,7 @@ class TestPowerGrid:
                 continue
             grid = power_grid(con, gammas)
             above = gammas >= gamma_min(con)
-            assert np.all(grid.ok[above] | (grid.outcome[above] == at_gmv)), i
+            assert np.all(grid.ok[above]), i
             ok = grid.ok
             x, y = grid.x[ok], grid.y[ok]
             v = y - x * x

@@ -452,11 +452,12 @@ class TestRunStudy:
         assert n_singular == 1 + 3  # C(3, 3) subsets at k = 3, C(3, 1) at k = 4
         assert n_solved > 0
 
-    def test_degenerate_frontier_market_gets_one_market_level_row(self, tmp_path):
-        # Every column a permutation of one draw: equal sample means (up
-        # to rounding), a positive definite covariance, and a zero slope.
+    @staticmethod
+    def _permuted_columns_study(tmp_path, draw):
+        """The k = 3 study, at gammas 2 and 5, of four columns: a column
+        ``draw(rng)`` and three permutations of it, all from one rng."""
         rng = np.random.default_rng(3)
-        base = rng.normal(0.002, 0.03, 60)
+        base = draw(rng)
         columns = [base] + [rng.permutation(base) for _ in range(3)]
         csv_path = tmp_path / "equal_means.csv"
         lines = ["a,b,c,d"] + [",".join(repr(float(v)) for v in row) for row in np.column_stack(columns)]
@@ -464,7 +465,14 @@ class TestRunStudy:
         cfg = _small_config(
             tmp_path, synth=None, data_csv=csv_path, k_range=(3,), gamma_grid=(2.0, 5.0)
         )
-        report = run_study(cfg)
+        return run_study(cfg)
+
+    def test_degenerate_frontier_market_gets_one_market_level_row(self, tmp_path):
+        # Every column a permutation of one draw of multiples of 2^-10:
+        # every sum is exact, so the sample means are bit-equal, s = 0
+        # exactly, and the slope rule rejects every market, although the
+        # covariance is positive definite.
+        report = self._permuted_columns_study(tmp_path, lambda rng: rng.integers(-64, 65, 60) / 1024)
         market_rows = [e for e in table_rows(report.cell_errors) if e["subset_index"] == -1]
         assert market_rows == [
             {"k": 3, "subset_index": -1, "gamma": None, "code": "degenerate_frontier"}
@@ -472,6 +480,24 @@ class TestRunStudy:
         assert table_rows(report.frontier_locations) == []
         assert {e["code"] for e in table_rows(report.cell_errors)} == {"degenerate_frontier"}
         assert not table_rows(report.strategy_utilities)
+
+    def test_equal_means_up_to_rounding_are_solved_cell_by_cell(self, tmp_path):
+        # Permutations of a draw of doubles: the sample means differ only
+        # by the rounding of their sums, so s is about 3e-28. The slope
+        # rule accepts three of the four markets, whose gamma_min is then
+        # below 1e-13: every gamma is solved, the first-k market is placed
+        # on its frontier, and only the rejected subset is coded.
+        report = self._permuted_columns_study(tmp_path, lambda rng: rng.normal(0.002, 0.03, 60))
+        errors = table_rows(report.cell_errors)
+        assert {e["code"] for e in errors} == {"degenerate_frontier"}
+        coded = {e["subset_index"] for e in errors}
+        scored = Counter(r["subset_index"] for r in table_rows(report.strategy_utilities))
+        assert -1 not in coded and len(coded) == 1
+        assert set(scored.values()) == {2} and sorted(coded | set(scored)) == [0, 1, 2, 3]
+        frontier = table_rows(report.frontier_locations)
+        assert [(r["portfolio"], r["gamma"]) for r in frontier] == [
+            ("gmv", None), ("sharpe", None), ("optimal", 2.0), ("optimal", 5.0)
+        ]
 
     def test_accurate_near_singular_market_is_solved_cell_by_cell(self, tmp_path):
         # Condition number 5.7e12: the slope rule accepts the market, so
